@@ -155,7 +155,7 @@ def traced_run(wl, clock, spans_path: Path) -> dict:
     details = {
         "untraced_pass_ms": untraced_ms,
         "traced_pass_ms": traced_ms,
-        "spans_file": str(spans_path.relative_to(ROOT)),
+        "spans_file": str(spans_path),
         "samples": TRACED_PASSES,
     }
     return {"checks": checks, "metrics": metrics, "details": details}
@@ -165,7 +165,12 @@ def run_one(args) -> int:
     from clock import RefClock
     from workloads import WORKLOADS, record
 
-    work = ROOT / ".perfbench_work" / f"{args.workload}-{args.size}-{args.seed}-t{args.trace}"
+    out_path = Path(args.out).resolve() if args.out else None
+    # Relative to the checkout root, so that the source paths stored in
+    # each .cdx, and with them its digest, do not depend on where the
+    # checkout lives.
+    os.chdir(ROOT)
+    work = Path(".perfbench_work") / f"{args.workload}-{args.size}-{args.seed}-t{args.trace}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     wl = WORKLOADS[args.workload](args.size, args.seed, work)
@@ -207,7 +212,7 @@ def run_one(args) -> int:
             record(args.size, args.workload, args.seed, output=checks["_digest"])
         if "_counts" in checks:
             record(args.size, args.workload, args.seed, counts=checks["_counts"])
-    out_path = Path(args.out) if args.out else work / "result.json"
+    out_path = out_path or work / "result.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
