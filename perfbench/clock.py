@@ -4,7 +4,7 @@ On a shared virtual machine the speed of one core swings by up to 60%
 on a scale of seconds, because other tenants load the same physical
 core. Medians of raw wall times over a 10-second run then differ by
 about 40% from run to run. `RefClock` samples the current speed every
-`period_s` seconds with a fixed pure-Python kernel, run from a SIGALRM
+`PERIOD_S` seconds with a fixed pure-Python kernel, run from a SIGALRM
 handler, and advances at `REF_KERNEL_S / kernel time` seconds per wall
 second. Time spent in the kernel itself is not counted. Durations read
 from it are what the work would have taken at the reference speed, and
@@ -20,6 +20,7 @@ import time
 # Duration of `_kernel` at the reference speed: the 5th percentile of
 # 3000 runs on one core of a 2-vCPU Intel Xeon VM under CPython 3.11.
 REF_KERNEL_S = 0.25e-3
+PERIOD_S = 0.025
 
 
 def _kernel() -> int:
@@ -39,8 +40,7 @@ class RefClock:
     Only one may be active per process, since it owns SIGALRM.
     """
 
-    def __init__(self, period_s: float = 0.025):
-        self.period_s = period_s
+    def __init__(self):
         self.kernel_s: list[float] = []
         self._acc = 0.0  # reference seconds up to _mark
         self._mark = 0.0  # wall time of the last rate change
@@ -68,7 +68,7 @@ class RefClock:
         for _ in range(3):
             _, self._mark, self._rate = self._sample()
         signal.signal(signal.SIGALRM, self._tick)
-        signal.setitimer(signal.ITIMER_REAL, self.period_s, self.period_s)
+        signal.setitimer(signal.ITIMER_REAL, PERIOD_S, PERIOD_S)
         return self
 
     def __exit__(self, *exc) -> None:

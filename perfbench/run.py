@@ -24,6 +24,7 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -110,51 +111,53 @@ def timed_run(wl, clock, seconds: float) -> dict:
 
 
 def traced_run(wl, clock, spans_path: Path) -> dict:
-    """Untraced and traced passes in turn; traced ones wrap every layer.
+    """One untraced pass, then traced passes that wrap every layer.
 
-    Per-layer times are the mean of the traced passes; counts must
-    repeat exactly from pass to pass (and match the recorded counts for
-    this seed, when there are any). Tracing overhead is the mean traced
-    pass time minus the mean untraced one.
+    A pass is `measure` with `seconds=0`: the minimum run, whose
+    operations depend only on the seed. Every pass must pass the
+    workload's output checks with the same digest. Per-layer times and
+    the tracing overhead (the tracer's own time, see `tracing`) are the
+    mean of the traced passes; counts must repeat exactly from pass to
+    pass, and match the recorded counts for this seed when there are any.
     """
-    from contextlib import nullcontext
-
     from tracing import Tracer
-    from workloads import recorded, sha256_json
+    from workloads import recorded
 
     wl.setup()
     tracer = Tracer(clock.now)
-    passes, traced_ms, untraced_ms, outputs = [], [], [], []
-    for _ in range(TRACED_PASSES):
-        t0 = clock.now()
-        outputs.append(wl._attempt(wl.trace_pass, lambda name: nullcontext()))
-        untraced_ms.append((clock.now() - t0) * 1000.0)
-        with tracer.installed():
+    checks, digests, passes, pass_ms = {}, [], [], []
+    for traced in [False] + [True] * TRACED_PASSES:
+        with tracer.installed() if traced else nullcontext():
             mark = tracer.mark()
             t0 = clock.now()
-            outputs.append(wl._attempt(wl.trace_pass, tracer.request))
-            traced_ms.append((clock.now() - t0) * 1000.0)
-            passes.append(tracer.summary(mark))
+            wl.measure(clock.now, 0, tracer.request if traced else lambda name: nullcontext())
+            pass_ms.append((clock.now() - t0) * 1000.0)
+            if traced:
+                passes.append(tracer.summary(mark))
+        if wl.failed:
+            return {"checks": {}, "metrics": {}, "details": {}}
+        found = wl.check()
+        digests.append(found.pop("_digest"))
+        for name, verdict in found.items():  # keep each check's first failure
+            if checks.get(name, True) in (True, "ok"):
+                checks[name] = verdict
     tracer.dump(spans_path)
 
     counts = {k: v for k, v in passes[0].items() if per_layer_unit(k) != "ms"}
     want = recorded(wl.size, wl.name, wl.seed).get("counts")
-    checks = {
-        "counts_repeat": all(
-            {k: p[k] for k in counts} == counts for p in passes[1:]
-        ),
-        "traced_output_unchanged": all(sha256_json(o) == sha256_json(outputs[0]) for o in outputs),
+    checks.update({
+        "counts_repeat": all({k: p[k] for k in counts} == counts for p in passes[1:]),
+        "traced_output_unchanged": all(d == digests[0] for d in digests),
         "counts_match_recorded": "unrecorded" if want is None else want == counts,
         "_counts": counts,
-    }
+    })
     metrics = {
         k: (statistics.fmean(p[k] for p in passes) if per_layer_unit(k) == "ms" else v)
         for k, v in passes[0].items()
     }
-    metrics["trace.overhead_ms"] = statistics.fmean(traced_ms) - statistics.fmean(untraced_ms)
     details = {
-        "untraced_pass_ms": untraced_ms,
-        "traced_pass_ms": traced_ms,
+        "untraced_pass_ms": pass_ms[0],
+        "traced_pass_ms": pass_ms[1:],
         "spans_file": str(spans_path),
         "samples": TRACED_PASSES,
     }
@@ -166,22 +169,22 @@ def run_one(args) -> int:
     from workloads import WORKLOADS, record
 
     out_path = Path(args.out).resolve() if args.out else None
-    # Relative to the checkout root, so that the source paths stored in
-    # each .cdx, and with them its digest, do not depend on where the
-    # checkout lives.
-    os.chdir(ROOT)
-    work = Path(".perfbench_work") / f"{args.workload}-{args.size}-{args.seed}-t{args.trace}"
+    work = ROOT / ".perfbench_work" / f"{args.workload}-{args.size}-{args.seed}-t{args.trace}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    wl = WORKLOADS[args.workload](args.size, args.seed, work)
+    # Inputs live under paths relative to the work directory, so that the
+    # source paths stored in each .cdx, and with them its digest, depend
+    # neither on where the checkout lives nor on the run's name.
+    os.chdir(work)
+    wl = WORKLOADS[args.workload](args.size, args.seed, Path("."))
     wall_start = time.monotonic()
     with RefClock() as clock:
         if args.trace:
-            out = traced_run(wl, clock, work / "spans.jsonl")
+            out = traced_run(wl, clock, Path("spans.jsonl"))
         else:
             out = timed_run(wl, clock, args.seconds)
         speed = clock.speed()
-    shutil.rmtree(work / "corpus", ignore_errors=True)
+    shutil.rmtree("corpus", ignore_errors=True)
 
     checks = out["checks"]
     verdicts = {k: v for k, v in checks.items() if not k.startswith("_")}
@@ -212,7 +215,7 @@ def run_one(args) -> int:
             record(args.size, args.workload, args.seed, output=checks["_digest"])
         if "_counts" in checks:
             record(args.size, args.workload, args.seed, counts=checks["_counts"])
-    out_path = out_path or work / "result.json"
+    out_path = out_path or Path("result.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 

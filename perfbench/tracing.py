@@ -9,9 +9,12 @@ benchmark calls `index_directory`, `load_index`, `run_pipeline` and
 `FingerprintIndex`. Nothing inside the package changes.
 
 Each call becomes a span (name, start, end, parent, request id) kept in
-flat arrays, and written out by `dump()` when the run ends. A layer's
-self time is its spans' durations minus the part covered by their
-children.
+flat arrays, and written out by `dump()` when the run ends. The tracer's
+own time per span (bookkeeping and the span's counter, outside its
+start..end) is kept too. A layer's self time is its spans' durations
+minus their children's durations and their children's tracer time; the
+sum of tracer time is the tracing overhead. It leaves out only the call
+into each wrapper and the return from it.
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ class Tracer:
         self.end = array("d")
         self.parent = array("i")
         self.request_id = array("i")
+        self.cost = array("d")  # tracer seconds per span outside start..end
         self.counts: Counter = Counter()
         self.open_spans: Counter = Counter()
         self._stack: list[int] = []
@@ -172,6 +176,7 @@ class Tracer:
         self.parent.append(self._stack[-1] if self._stack else -1)
         self.request_id.append(self._request)
         self.end.append(0.0)
+        self.cost.append(0.0)
         self._stack.append(sid)
         self.open_spans[name] += 1
         self.start.append(self.now())
@@ -185,15 +190,22 @@ class Tracer:
     @contextmanager
     def request(self, name: str):
         """Root span of one request; its descendants share its id."""
+        entered = self.now()
         self._request += 1
         sid = self._open(name)
         try:
             yield
         finally:
             self._close(sid, name)
+            self._charge(sid, entered)
+
+    def _charge(self, sid: int, entered: float) -> None:
+        """Record the tracer time of span `sid`, entered at `entered`."""
+        self.cost[sid] = self.now() - entered - (self.end[sid] - self.start[sid])
 
     def wrap(self, fn: Callable, name: str, count: Callable | None) -> Callable:
         def traced(*args, **kwargs):
+            entered = self.now()
             sid = self._open(name)
             try:
                 result = fn(*args, **kwargs)
@@ -201,6 +213,7 @@ class Tracer:
                 self._close(sid, name)
             if count is not None:
                 count(result, args, kwargs, self)
+            self._charge(sid, entered)
             return result
 
         traced.__wrapped__ = fn
@@ -227,15 +240,16 @@ class Tracer:
         return len(self.start), Counter(self.counts)
 
     def summary(self, since: tuple[int, Counter]) -> dict:
-        """Self time per layer (ms), counts and span total for the spans
-        opened after `since`, which must all be closed."""
+        """Self time per layer (ms), counts, span total and tracing
+        overhead (ms) for the spans opened after `since`, which must all
+        be closed."""
         first, counts_before = since
         n = len(self.start)
         child = [0.0] * (n - first)
         for sid in range(first, n):
             parent = self.parent[sid]
             if parent >= first:
-                child[parent - first] += self.end[sid] - self.start[sid]
+                child[parent - first] += self.end[sid] - self.start[sid] + self.cost[sid]
         self_ms: Counter = Counter()
         for sid in range(first, n):
             name = self.names[self.name_id[sid]]
@@ -243,6 +257,7 @@ class Tracer:
         out = {metric: sum(self_ms[s] for s in spans) for metric, spans in LAYER_TIMES.items()}
         out.update({name: self.counts[name] - counts_before[name] for name in COUNTS})
         out["trace.spans"] = n - first
+        out["trace.overhead_ms"] = sum(self.cost[first:n]) * 1000.0
         return out
 
     def dump(self, path: Path) -> None:

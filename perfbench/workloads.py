@@ -82,8 +82,10 @@ def _fresh(path: Path) -> Path:
 class Workload:
     """Set-up, timed measurement and checks of one workload.
 
-    `measure` and `trace_pass` take `request(name)`, a context manager
-    factory that the traced run points at `Tracer.request`.
+    `measure` takes `request(name)`, a context manager factory around
+    each operation: a no-op in the timed run, `Tracer.request` in the
+    traced run. With `seconds=0` it makes the minimum pass, whose
+    operations depend only on the seed.
     """
 
     name = ""
@@ -97,7 +99,6 @@ class Workload:
         self.attempted = 0
         self.failed = 0
         self.errors: list[str] = []
-        self.samples_ms: list[float] = []
 
     def _attempt(self, fn, *args):
         """One timed operation; a raise counts as a failed operation."""
@@ -146,13 +147,13 @@ class Ingest(Workload):
 
     def measure(self, now, seconds: float, request=lambda name: nullcontext()) -> None:
         """Whole cycles over the corpora until `seconds` have passed.
-        Outputs are kept for the first cycle, .cdx bytes for every cycle."""
+        Outputs are kept for the first cycle."""
         self.first: list = []
-        self.cycle_bytes: list[list[bytes]] = []
         self.programs = 0
+        self.samples_ms: list[float] = []
         start = time.monotonic()
-        while not self.cycle_bytes or time.monotonic() - start < seconds:
-            cycle = []
+        while not self.first or time.monotonic() - start < seconds:
+            keep = not self.first
             for corpus, _ in self.corpora:
                 t0 = now()
                 with request("ingest.pass"):
@@ -162,17 +163,8 @@ class Ingest(Workload):
                     return
                 self.samples_ms.append(elapsed * 1000.0)
                 self.programs += len(out[0].index.records)
-                if not self.cycle_bytes:
+                if keep:
                     self.first.append(out)
-                cycle.append(out[2])
-            self.cycle_bytes.append(cycle)
-
-    def trace_pass(self, request):
-        digests = []
-        for corpus, _ in self.corpora:
-            with request("ingest.pass"):
-                digests.append(hashlib.sha256(self._pass(corpus)[2]).hexdigest())
-        return digests
 
     def metrics(self) -> dict:
         return {
@@ -193,12 +185,11 @@ class Ingest(Workload):
                 for m in manifest
                 if m["type"] == "type2"
             )
-        digest = sha256_json([hashlib.sha256(data).hexdigest() for data in self.cycle_bytes[0]])
+        digest = sha256_json([hashlib.sha256(data).hexdigest() for _, _, data in self.first])
         return {
             "no_skipped_or_unscoreable": clean,
             "save_load_save_identical": resaved_same,
             "type2_same_fingerprints": type2_same,
-            "cycles_identical": all(c == self.cycle_bytes[0] for c in self.cycle_bytes),
             "cdx_sha256": self.digest_check(digest),
             "_digest": digest,
         }
@@ -251,6 +242,7 @@ class Query(Workload):
     def measure(self, now, seconds: float, request=lambda name: nullcontext()) -> None:
         """Whole cycles over the probe list until `seconds` have passed."""
         self.cycles: list[list] = []
+        self.samples_ms: list[float] = []
         start = time.monotonic()
         while not self.cycles or time.monotonic() - start < seconds:
             cycle = []
@@ -263,13 +255,6 @@ class Query(Workload):
                     self.samples_ms.append(elapsed * 1000.0)
                 cycle.append(found)
             self.cycles.append(cycle)
-
-    def trace_pass(self, request):
-        out = []
-        for probe_id, _, source, _ in self.probes:
-            with request("query.probe"):
-                out.append(self._query(probe_id, source))
-        return out
 
     def metrics(self) -> dict:
         p, tail_ms = tail(self.samples_ms)
@@ -319,8 +304,10 @@ class AllPairs(Workload):
 
     def measure(self, now, seconds: float, request=lambda name: nullcontext()) -> None:
         """Sweeps for the first half of the run (at least one), then
-        cluster calls for the rest (at least min_cluster_calls)."""
-        self.sweeps, self.sweep_ms, self.groups = [], [], []
+        cluster calls for the rest (at least min_cluster_calls). The
+        first sweep's rows and every call's groups are kept."""
+        self.rows, self.sweep_ms, self.groups = None, [], []
+        self.samples_ms: list[float] = []
         start = time.monotonic()
         while not self.sweep_ms or time.monotonic() - start < seconds / 2:
             t0 = now()
@@ -330,7 +317,8 @@ class AllPairs(Workload):
             if rows is None:
                 break
             self.sweep_ms.append(elapsed * 1000.0)
-            self.sweeps.append(rows)
+            if self.rows is None:
+                self.rows = rows
         while len(self.samples_ms) < self.spec["min_cluster_calls"] or time.monotonic() - start < seconds:
             t0 = now()
             with request("allpairs.cluster"):
@@ -340,13 +328,6 @@ class AllPairs(Workload):
                 break
             self.samples_ms.append(elapsed * 1000.0)
             self.groups.append(groups)
-
-    def trace_pass(self, request):
-        with request("allpairs.cluster"):
-            groups = self._cluster()
-        with request("allpairs.sweep"):
-            rows = self._sweep()
-        return [rows, groups]
 
     def metrics(self) -> dict:
         rounds = len(SWEEP_ALPHAS) * sum(1 for r in self.index.records.values() if r.fingerprints)
@@ -359,7 +340,7 @@ class AllPairs(Workload):
         }
 
     def check(self) -> dict:
-        rows, groups = self.sweeps[0], self.groups[0]
+        rows, groups = self.rows, self.groups[0]
         candidates = [r["candidates"] for r in rows]
         fps = [r["fp"] for r in rows]
         grouped = {pid: i for i, g in enumerate(groups) for pid in g[0]}
@@ -372,8 +353,7 @@ class AllPairs(Workload):
                 m["original"] in grouped and grouped.get(m["original"]) == grouped.get(m["mutant"])
                 for m in exact
             ),
-            "repeats_identical": all(s == rows for s in self.sweeps)
-            and all(g == groups for g in self.groups),
+            "cluster_repeats_identical": all(g == groups for g in self.groups),
             "sweep_groups_sha256": self.digest_check(digest),
             "_digest": digest,
         }
