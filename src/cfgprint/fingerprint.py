@@ -6,12 +6,23 @@ bit position, count +1 when a statement hash has the bit set and -1
 when it does not, then emit 1 where the tally is positive. Paths that
 share most statements therefore land within a few bits of each other,
 and the distance between two fingerprints is a plain Hamming distance.
+
+The tally is a sum, so a path's tally is the sum of its blocks'
+tallies. `fingerprint_program` uses this: it hashes each distinct
+statement text once per program, sums the votes of each block's
+statements into one row per block, and gets every path's tally by
+multiplying the path-by-block visit counts with those rows.
+`fingerprint_path` and `simhash_bits` compute the same bits one path
+at a time and are kept as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .cfg_builder import ControlFlowGraph
 from .frontend import NormalizedStatement
@@ -111,15 +122,17 @@ def fingerprint_program(
 ) -> ProgramFingerprint:
     """Fingerprint each path and deduplicate by bits.
 
-    An empty path list (nothing survived filtering) produces an empty,
+    Gives the bits `fingerprint_path` gives for each path; a path whose
+    blocks hold no statements raises ValueError("empty path"). An empty
+    path list (nothing survived filtering) produces an empty,
     unscoreable fingerprint rather than an error: the caller decides
     how to report it.
     """
     first_seen: dict[int, PathFingerprint] = {}
-    for idx, path in enumerate(paths):
-        bits = fingerprint_path(path.block_ids, cfg, width)
-        if bits not in first_seen:
-            first_seen[bits] = PathFingerprint(bits, (program_id, idx), width)
+    if paths:
+        for idx, bits in enumerate(_path_bits(paths, cfg, width)):
+            if bits not in first_seen:
+                first_seen[bits] = PathFingerprint(bits, (program_id, idx), width)
     return ProgramFingerprint(
         program_id=program_id,
         fingerprints=tuple(sorted(first_seen.values(), key=lambda f: f.bits)),
@@ -127,6 +140,70 @@ def fingerprint_program(
         truncated=truncated,
         width=width,
     )
+
+
+# int64 cells in one per-chunk temporary (about 64 KB)
+_CHUNK_CELLS = 8192
+
+
+def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
+    """One int64 row per block: columns 0..width-1 sum the +1/-1 votes
+    of the block's statements per bit, column `width` counts them."""
+    distinct: list[NormalizedStatement] = []
+    row_of: dict[str, int] = {}
+    order: list[int] = []  # distinct-text row of every statement, block by block
+    for block in cfg.blocks:
+        for statement in block.statements:
+            row = row_of.get(statement.text)
+            if row is None:
+                row = row_of[statement.text] = len(distinct)
+                distinct.append(statement)
+            order.append(row)
+    votes = np.zeros((len(cfg.blocks), width + 1), dtype=np.int64)
+    if not order:
+        return votes
+    sizes = np.array([len(b.statements) for b in cfg.blocks], dtype=np.intp)
+    hashes = np.array([hash_statement(s) for s in distinct], dtype=np.uint64)
+    statement_votes = np.ones((len(hashes), width + 1), dtype=np.int8)
+    bytes_le = hashes.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(bytes_le, axis=1, bitorder="little")[:, :width]
+    statement_votes[:, :width] = 2 * bits.view(np.int8) - 1
+    filled = np.flatnonzero(sizes)
+    starts = np.cumsum(sizes)[filled] - sizes[filled]
+    votes[filled] = np.add.reduceat(
+        statement_votes[order], starts, axis=0, dtype=np.int64
+    )
+    return votes
+
+
+def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
+    """SimHash bits of every path, in order, from per-block vote rows.
+
+    Paths go through in chunks small enough that the visit-count matrix
+    and the tally matrix each stay within _CHUNK_CELLS cells.
+    """
+    if not 1 <= width <= 64:
+        raise ValueError(f"width must be in 1..64, got {width}")
+    votes = _block_votes(cfg, width)
+    n_blocks = len(cfg.blocks)
+    rows = max(1, _CHUNK_CELLS // max(n_blocks, width + 1))
+    weights = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+    out: list[int] = []
+    for lo in range(0, len(paths), rows):
+        chunk = paths[lo : lo + rows]
+        lengths = [len(p.block_ids) for p in chunk]
+        cells = np.fromiter(
+            chain.from_iterable(p.block_ids for p in chunk),
+            dtype=np.intp,
+            count=sum(lengths),
+        )
+        cells += np.repeat(np.arange(len(chunk), dtype=np.intp) * n_blocks, lengths)
+        counts = np.bincount(cells, minlength=len(chunk) * n_blocks)
+        tally = counts.reshape(len(chunk), n_blocks) @ votes
+        if not tally[:, width].all():
+            raise ValueError("empty path")
+        out.extend(((tally[:, :width] > 0) @ weights).tolist())
+    return out
 
 
 def hamming(a: PathFingerprint, b: PathFingerprint) -> int:

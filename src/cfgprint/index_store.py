@@ -271,17 +271,24 @@ def load_index(path: str | Path) -> FingerprintIndex:
     for i in range(1, len(lines)):
         row = parse_line(i)
         try:
+            truncated = row["truncated"]
+            if not isinstance(truncated, bool):
+                raise ValueError(f"truncated must be true or false, got {truncated!r}")
             record = IndexRecord(
                 program_id=str(row["program_id"]),
                 source_path=str(row["source_path"]),
                 fingerprints=tuple(from_hex(h) for h in row["fingerprints"]),
                 path_count=int(row["path_count"]),
-                truncated=bool(row["truncated"]),
+                truncated=truncated,
                 config_stamp=stamp,
             )
         except KeyError as exc:
             raise IndexFormatError(f"{path}: line {i + 1}: record missing key {exc}") from exc
         except ValueError as exc:
             raise IndexFormatError(f"{path}: line {i + 1}: {exc}") from exc
+        if record.program_id in index.records:
+            raise IndexFormatError(
+                f"{path}: line {i + 1}: duplicate program_id {record.program_id!r}"
+            )
         index.records[record.program_id] = record
     return index

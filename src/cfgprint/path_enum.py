@@ -41,31 +41,9 @@ def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = 10000) -> PathSet:
     if max_paths < 1:
         raise ValueError(f"max_paths must be >= 1, got {max_paths}")
     virtual = {b.id for b in cfg.blocks if b.is_virtual_exit}
-    collected: list[tuple[int, ...]] = []
     # collect one extra path so truncation is detectable without a
     # separate existence probe
-    limit = max_paths + 1
-    visited: set[int] = set()
-    trail: list[int] = []
-
-    def dfs(block_id: int) -> bool:
-        trail.append(block_id)
-        if block_id == cfg.exit_id:
-            collected.append(tuple(trail))
-            trail.pop()
-            return len(collected) >= limit
-        visited.add(block_id)
-        for nxt in cfg.successors(block_id):
-            if nxt not in visited:
-                if dfs(nxt):
-                    visited.discard(block_id)
-                    trail.pop()
-                    return True
-        visited.discard(block_id)
-        trail.pop()
-        return False
-
-    dfs(cfg.entry_id)
+    collected = _walk(cfg, max_paths + 1)
     truncated = len(collected) > max_paths
     paths = tuple(
         ExecutionPath(ids, sum(1 for i in ids if i not in virtual))
@@ -85,3 +63,33 @@ def filter_paths(
     if min_blocks < 1:
         raise ValueError(f"min_blocks must be >= 1, got {min_blocks}")
     return [p for p in paths if p.real_block_count >= min_blocks]
+
+
+def _walk(cfg: ControlFlowGraph, limit: int) -> list[tuple[int, ...]]:
+    """Depth-first search with an explicit stack, so path length is not
+    bounded by the interpreter's recursion limit. Stops after `limit`
+    paths."""
+    entry, exit_id = cfg.entry_id, cfg.exit_id
+    if entry == exit_id:
+        return [(entry,)]
+    collected: list[tuple[int, ...]] = []
+    trail = [entry]
+    on_trail = {entry}
+    pending = [iter(cfg.successors(entry))]  # unexplored successors per trail block
+    while pending:
+        for nxt in pending[-1]:
+            if nxt in on_trail:
+                continue
+            if nxt == exit_id:
+                collected.append((*trail, nxt))
+                if len(collected) >= limit:
+                    return collected
+                continue
+            trail.append(nxt)
+            on_trail.add(nxt)
+            pending.append(iter(cfg.successors(nxt)))
+            break
+        else:
+            on_trail.discard(trail.pop())
+            pending.pop()
+    return collected

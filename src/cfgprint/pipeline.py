@@ -82,6 +82,9 @@ def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, objec
     program_id, source_path, config = task
     try:
         source = Path(source_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return (program_id, "error", f"not UTF-8 text: {exc}")
+    try:
         program = fingerprint_source(source, program_id, config)
     except MiniProcSyntaxError as exc:
         return (program_id, "error", str(exc))
@@ -93,9 +96,10 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
 
     Files are discovered recursively and processed in sorted relative
     path order, so the resulting index is deterministic regardless of
-    filesystem ordering or worker count. Unparseable files are skipped
-    with a diagnostic; programs with no surviving paths are indexed
-    with an empty fingerprint list and reported as unscoreable.
+    filesystem ordering or worker count. Files that are not UTF-8 or do
+    not parse are skipped with a diagnostic; programs with no surviving
+    paths are indexed with an empty fingerprint list and reported as
+    unscoreable.
     """
     config.validate()
     root = Path(directory)

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from cfgprint.cli import main
+from cfgprint.index_store import load_index
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -113,6 +114,16 @@ def test_index_skips_unparseable_files(corpus, tmp_path, capsys):
     assert report["indexed"] == 3
     assert [s["program_id"] for s in report["skipped"]] == ["broken.mp"]
     assert "never closed" in report["skipped"][0]["error"]
+
+
+def test_index_skips_non_utf8_files(corpus, tmp_path, capsys):
+    (corpus / "latin1.mp").write_bytes("output \"caf\xe9\";\n".encode("latin-1"))
+    out = tmp_path / "c.cdx"
+    report = run_json(capsys, "index", str(corpus), "-o", str(out))
+    assert report["indexed"] == 3
+    assert [s["program_id"] for s in report["skipped"]] == ["latin1.mp"]
+    assert "UTF-8" in report["skipped"][0]["error"]
+    assert sorted(load_index(out).records) == ["clone_a.mp", "clone_b.mp", "unrelated.mp"]
 
 
 def test_index_missing_directory(tmp_path, capsys):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgprint.cfg_builder import cfg_from_statements
+from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph, cfg_from_statements
+from cfgprint.cloneforge import SizeSpec, generate_program
+from cfgprint.config import RunConfig
 from cfgprint.fingerprint import (
     PathFingerprint,
     fingerprint_path,
@@ -19,7 +21,8 @@ from cfgprint.fingerprint import (
     to_hex,
 )
 from cfgprint.frontend import normalize_source
-from cfgprint.path_enum import enumerate_paths
+from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
+from cfgprint.pipeline import run_pipeline
 
 
 # -- statement hash ------------------------------------------------------------
@@ -242,3 +245,95 @@ def test_scoreable_flag():
     assert program.scoreable
     empty = fingerprint_program([], cfg, "q")
     assert not empty.scoreable
+
+
+# -- program fingerprints against the per-path oracle ---------------------------------
+
+WIDTHS = (1, 7, 32, 64)
+
+
+def fingerprint_program_oracle(paths, cfg, width):
+    """(bits, first path index) pairs, sorted by bits: fingerprint_path on
+    every path, then first-seen dedup."""
+    first_seen = {}
+    for idx, path in enumerate(paths):
+        first_seen.setdefault(fingerprint_path(path.block_ids, cfg, width), idx)
+    return sorted(first_seen.items())
+
+
+def assert_matches_oracle(paths, cfg, width, truncated=False):
+    program = fingerprint_program(paths, cfg, "prog", width=width, truncated=truncated)
+    expected = fingerprint_program_oracle(paths, cfg, width)
+    assert [(f.bits, f.source_path_id) for f in program.fingerprints] == [
+        (bits, ("prog", idx)) for bits, idx in expected
+    ]
+    assert all(f.width == width for f in program.fingerprints)
+    assert (program.path_count, program.truncated, program.width) == (
+        len(paths),
+        truncated,
+        width,
+    )
+
+
+@pytest.fixture(scope="module")
+def cloneforge_programs():
+    config = RunConfig()
+    results = [
+        run_pipeline(
+            generate_program(seed, SizeSpec(statements=14 + seed % 20)), f"p{seed}", config
+        )
+        for seed in range(200)
+    ]
+    return [(r.kept_paths, r.cfg) for r in results]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fingerprint_program_matches_oracle_on_cloneforge(cloneforge_programs, width):
+    assert sum(len(paths) for paths, _ in cloneforge_programs) > 1000
+    for paths, cfg in cloneforge_programs:
+        assert_matches_oracle(paths, cfg, width)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fingerprint_program_matches_oracle_on_truncated_branchy_program(width):
+    # 20 sequential ifs: 2**20 paths, cut at the cap; the kept paths span
+    # several chunks of the tally computation
+    source = "declare x; " + " ".join(
+        f"if (x > {i}) x = x + {i}; endif" for i in range(20)
+    ) + " output x;"
+    cfg = cfg_from_statements(normalize_source(source))
+    path_set = enumerate_paths(cfg, max_paths=1000)
+    assert path_set.truncated
+    kept = filter_paths(path_set.paths)
+    assert_matches_oracle(kept, cfg, width, truncated=True)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fingerprint_program_empty_path_list(width):
+    cfg, _ = _pipeline_pieces("output 1;")
+    program = fingerprint_program([], cfg, "q", width=width, truncated=True)
+    assert program.fingerprints == ()
+    assert (program.path_count, program.truncated, program.width) == (0, True, width)
+
+
+def test_fingerprint_program_rejects_path_without_statements():
+    statement = normalize_source("output 1;")[0]
+    blocks = (BasicBlock(0, (statement,)), BasicBlock(1, ()), BasicBlock(2, ()))
+    cfg = ControlFlowGraph(
+        blocks=blocks, edges=frozenset({(0, 2), (1, 2)}), entry_id=0, exit_id=2
+    )
+    full = ExecutionPath((0, 2), 2)
+    empty = ExecutionPath((1, 2), 2)
+    assert fingerprint_program([full], cfg, "ok").path_count == 1
+    for paths in ([empty], [full, empty]):
+        with pytest.raises(ValueError, match="empty path"):
+            fingerprint_program(paths, cfg, "bad")
+        with pytest.raises(ValueError, match="empty path"):
+            fingerprint_path(paths[-1].block_ids, cfg)
+
+
+def test_fingerprint_program_width_validation():
+    cfg, paths = _pipeline_pieces("output 1;")
+    for width in (0, 65):
+        with pytest.raises(ValueError, match="width"):
+            fingerprint_program(paths, cfg, "p", width=width)

@@ -299,3 +299,35 @@ def test_empty_index_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.records == {}
     assert loaded.config_stamp == STAMP
+
+
+def _rewrite_records(path, edit):
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    edit(records)
+    body = [json.dumps(r, sort_keys=True) for r in records]
+    path.write_text("\n".join([lines[0]] + body) + "\n")
+
+
+def test_load_rejects_duplicate_program_id(tmp_path):
+    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    path = tmp_path / "dup.cdx"
+    index.save(path)
+    _rewrite_records(path, lambda records: records.append(dict(records[0])))
+    with pytest.raises(IndexFormatError, match="line 4: duplicate program_id 'a'"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_load_rejects_non_boolean_truncated(tmp_path, value):
+    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    path = tmp_path / "trunc.cdx"
+    index.save(path)
+
+    def edit(records):
+        records[1]["truncated"] = value
+
+    _rewrite_records(path, edit)
+    with pytest.raises(IndexFormatError, match="line 3: truncated"):
+        load_index(path)
+

@@ -151,3 +151,22 @@ def test_unreachable_exit_yields_no_paths():
     result = enumerate_paths(cfg)
     assert result.paths == ()
     assert not result.truncated
+
+
+def test_long_program_does_not_exhaust_recursion():
+    # 500 sequential loops: 1002 blocks, and the first path visits all of them
+    source = "declare x; " + " ".join(
+        "while (x > 0) x = x - 1; endwhile" for _ in range(500)
+    )
+    cfg = cfg_from_statements(normalize_source(source))
+    assert len(cfg.blocks) == 1002
+    result = enumerate_paths(cfg, max_paths=50)
+    assert result.truncated
+    assert len(result.paths) == 50
+    assert result.paths[0].block_ids == tuple(range(1002))
+    ids = [p.block_ids for p in result.paths]
+    assert ids == sorted(ids) and len(set(ids)) == len(ids)
+    for path in ids:
+        assert path[0] == cfg.entry_id and path[-1] == cfg.exit_id
+        assert all((a, b) in cfg.edges for a, b in zip(path, path[1:]))
+
