@@ -18,7 +18,9 @@ at a time and are kept as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -81,7 +83,9 @@ class ProgramFingerprint:
 
     fingerprints are sorted by bits; source_path_id keeps the first
     path that produced each value. path_count is the pre-dedup count,
-    truncated echoes the enumeration flag.
+    truncated echoes the enumeration flag. `bits` and `bits_array` are
+    computed on first use and kept; they are not fields, so equality
+    and hashing see only the fields above.
     """
 
     program_id: str
@@ -90,9 +94,21 @@ class ProgramFingerprint:
     truncated: bool
     width: int = 64
 
-    @property
+    @cached_property
     def bits(self) -> tuple[int, ...]:
         return tuple(f.bits for f in self.fingerprints)
+
+    @cached_property
+    def bits_array(self) -> np.ndarray:
+        """`bits` as a read-only uint64 array, the form the scorer reads."""
+        array = np.array(self.bits, dtype=np.uint64)
+        array.flags.writeable = False
+        return array
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only; a copy rebuilds the cached values (and
+        # the array's read-only flag) on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def scoreable(self) -> bool:
@@ -223,7 +239,12 @@ def to_hex(bits: int) -> str:
     return format(bits, "016x")
 
 
+_HEX16 = re.compile(r"[0-9a-f]{16}")
+
+
 def from_hex(text: str) -> int:
-    if len(text) != 16:
-        raise ValueError(f"fingerprint hex must be 16 characters, got {text!r}")
+    """Inverse of `to_hex`: exactly 16 lower-case hex digits, so no
+    sign, `0x` prefix, `_` or whitespace."""
+    if not isinstance(text, str) or not _HEX16.fullmatch(text):
+        raise ValueError(f"fingerprint must be 16 lower-case hex digits, got {text!r}")
     return int(text, 16)

@@ -46,6 +46,12 @@ _OPERATORS = ("==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "<", 
 _PUNCTUATION = frozenset({"(", ")", ",", ";"})
 
 _END_KEYWORDS = frozenset({"endif", "endwhile", "endfor", "endcase"})
+_CONSTRUCT_KEYWORDS = frozenset({"if", "while", "for", "case"})
+
+# Deepest nesting of constructs and parentheses, counted together, that
+# the parser accepts. Each level costs a few Python frames in the parser
+# and one in normalize, so this stays well inside the recursion limit.
+MAX_NESTING = 100
 
 PLAIN_KINDS = frozenset({"assign", "declare", "call", "output"})
 HEADER_KINDS = frozenset({"if", "elseif", "else", "while", "for", "case", "when"})
@@ -184,6 +190,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------
 
@@ -207,6 +214,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _descend(self, tok: Token) -> None:
+        """Enter one nesting level at `tok`; the caller leaves it with
+        `self.depth -= 1` once the nested part is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MiniProcSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.line)
+
     def _at_keyword(self, *names: str) -> bool:
         tok = self._peek()
         return tok is not None and tok.kind == "keyword" and tok.lexeme in names
@@ -228,10 +242,13 @@ class _Parser:
                 return out
 
     def _unary(self) -> list[Token]:
+        out = []
         tok = self._peek()
-        if tok is not None and tok.kind == "operator" and tok.lexeme in ("!", "-"):
-            return [self._take()] + self._unary()
-        return self._primary()
+        while tok is not None and tok.kind == "operator" and tok.lexeme in ("!", "-"):
+            out.append(self._take())
+            tok = self._peek()
+        out.extend(self._primary())
+        return out
 
     def _primary(self) -> list[Token]:
         tok = self._peek()
@@ -241,9 +258,11 @@ class _Parser:
         if tok.kind in ("identifier", "literal"):
             return [self._take()]
         if tok.kind == "punctuation" and tok.lexeme == "(":
+            self._descend(tok)
             out = [self._take()]
             out.extend(self._expression())
             out.append(self._expect("punctuation", ")"))
+            self.depth -= 1
             return out
         raise MiniProcSyntaxError(f"expected expression, got {tok.lexeme!r}", tok.line)
 
@@ -296,7 +315,12 @@ class _Parser:
             }.get(tok.lexeme)
             if handler is None:
                 raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
-            return handler()
+            if tok.lexeme not in _CONSTRUCT_KEYWORDS:
+                return handler()
+            self._descend(tok)
+            node = handler()
+            self.depth -= 1
+            return node
         if tok.kind == "identifier":
             return self._assign()
         raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
@@ -433,7 +457,8 @@ def parse(tokens: list[Token]) -> Statement:
     """Parse a token stream into a program tree.
 
     Raises MiniProcSyntaxError (with a line number) on malformed
-    statements, unbalanced constructs, or an empty program.
+    statements, unbalanced constructs, nesting deeper than MAX_NESTING,
+    or an empty program.
     """
     return _Parser(tokens).parse_program()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,12 @@ class IndexRecord:
     config_stamp: ConfigStamp
 
     def to_program_fingerprint(self) -> ProgramFingerprint:
+        """The record as a ProgramFingerprint: built on the first call,
+        then the same object (and its cached bit arrays) every time."""
+        return self._program
+
+    @cached_property
+    def _program(self) -> ProgramFingerprint:
         return ProgramFingerprint(
             program_id=self.program_id,
             fingerprints=tuple(
@@ -220,6 +227,22 @@ class FingerprintIndex:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_fingerprints(value: object, r: int) -> tuple[int, ...]:
+    """A record's fingerprint list: hex strings, strictly ascending,
+    each within r bits (what `save` writes and the scorer relies on)."""
+    if not isinstance(value, list):
+        raise ValueError(f"fingerprints must be a list, got {value!r}")
+    bits = tuple(from_hex(text) for text in value)
+    for before, after in zip(bits, bits[1:]):
+        if after <= before:
+            raise ValueError(
+                f"fingerprints must be strictly ascending: {to_hex(after)} after {to_hex(before)}"
+            )
+    if bits and bits[-1] >> r:
+        raise ValueError(f"fingerprint {to_hex(bits[-1])} does not fit in r={r} bits")
+    return bits
+
+
 def load_index(path: str | Path) -> FingerprintIndex:
     """Parse a .cdx file fully before returning; a malformed or
     truncated file raises IndexFormatError naming the bad line, an
@@ -277,7 +300,7 @@ def load_index(path: str | Path) -> FingerprintIndex:
             record = IndexRecord(
                 program_id=str(row["program_id"]),
                 source_path=str(row["source_path"]),
-                fingerprints=tuple(from_hex(h) for h in row["fingerprints"]),
+                fingerprints=_parse_fingerprints(row["fingerprints"], stamp.r),
                 path_count=int(row["path_count"]),
                 truncated=truncated,
                 config_stamp=stamp,

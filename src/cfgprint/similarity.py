@@ -4,6 +4,12 @@ A path "matches" the other program when its nearest fingerprint there
 is within alpha bits. Containment asks how much of the smaller program
 is matched by the larger one (so a file pasted into a bigger file still
 scores 1.0); resemblance is symmetric and rewards mutual coverage.
+
+Every public scorer is a thin caller of one kernel, `_score`, which
+builds the uint8 Hamming distance matrix once from each side's cached
+`bits_array` and counts matches from its row and column minima. An
+index record builds its `ProgramFingerprint` once, so repeated queries
+and clustering reuse the same arrays.
 """
 
 from __future__ import annotations
@@ -52,35 +58,64 @@ class PairReport:
     min_distance: int
 
 
+_MODES = ("containment", "resemblance")
+
+
 def _require_scoreable(fp: ProgramFingerprint) -> None:
     if not fp.scoreable:
         raise ValueError(f"unscoreable program: {fp.program_id!r} has no fingerprints")
 
 
-def _distance_matrix(a_bits: tuple[int, ...], b_bits: tuple[int, ...]) -> np.ndarray:
-    xa = np.array(a_bits, dtype=np.uint64)[:, None]
-    xb = np.array(b_bits, dtype=np.uint64)[None, :]
-    return np.bitwise_count(np.bitwise_xor(xa, xb)).astype(np.int64)
+def _score(
+    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
+) -> tuple[SimilarityScore, np.ndarray, np.ndarray, int]:
+    """The one scoring kernel: (score, distance matrix, row minima,
+    smallest distance).
 
-
-def path_distance_set(a: ProgramFingerprint, b: ProgramFingerprint) -> PairDistanceSet:
+    The matrix is uint8, row i pairing fingerprint i of A with every
+    fingerprint of B (both in ascending bits order); row minima are
+    each A path's nearest distance in B.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown similarity mode {mode!r}")
     _require_scoreable(a)
     _require_scoreable(b)
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    matrix = _distance_matrix(a.bits, b.bits)
+    matrix = np.bitwise_count(a.bits_array[:, None] ^ b.bits_array[None, :])
+    row_min = matrix.min(axis=1)
+    min_distance = int(row_min.min())
+    if min_distance > alpha:
+        # no path within alpha either way: the common case for
+        # unrelated programs, so skip counting
+        a_to_b = b_to_a = 0
+    else:
+        a_to_b = int(np.count_nonzero(row_min <= alpha))
+        b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
+    na, nb = matrix.shape
+    if mode == "resemblance":
+        matched, denominator = a_to_b + b_to_a, na + nb
+    else:
+        # containment: the smaller side's matched share; on equal sizes
+        # the better direction counts
+        if na < nb:
+            matched = a_to_b
+        elif nb < na:
+            matched = b_to_a
+        else:
+            matched = max(a_to_b, b_to_a)
+        denominator = min(na, nb)
+    score = SimilarityScore(matched / denominator, mode, alpha, matched, denominator)
+    return score, matrix, row_min, min_distance
+
+
+def path_distance_set(a: ProgramFingerprint, b: ProgramFingerprint) -> PairDistanceSet:
+    matrix = _score(a, b, 0, "containment")[1]
     return PairDistanceSet(
-        distances=tuple(int(d) for d in matrix.ravel()),
-        size_a=len(a.fingerprints),
-        size_b=len(b.fingerprints),
+        distances=tuple(matrix.ravel().tolist()),
+        size_a=matrix.shape[0],
+        size_b=matrix.shape[1],
     )
-
-
-def _matched_counts(matrix: np.ndarray, alpha: int) -> tuple[int, int]:
-    """(paths of A matched in B, paths of B matched in A)."""
-    a_to_b = int((matrix.min(axis=1) <= alpha).sum())
-    b_to_a = int((matrix.min(axis=0) <= alpha).sum())
-    return a_to_b, b_to_a
 
 
 def similarity_containment(
@@ -90,93 +125,41 @@ def similarity_containment(
 
     When the sets are the same size, the better direction counts.
     """
-    _require_scoreable(a)
-    _require_scoreable(b)
-    matrix = _distance_matrix(a.bits, b.bits)
-    a_to_b, b_to_a = _matched_counts(matrix, alpha)
-    na, nb = len(a.fingerprints), len(b.fingerprints)
-    if na < nb:
-        matched = a_to_b
-    elif nb < na:
-        matched = b_to_a
-    else:
-        matched = max(a_to_b, b_to_a)
-    denominator = min(na, nb)
-    return SimilarityScore(
-        value=matched / denominator,
-        mode="containment",
-        alpha=alpha,
-        matched_count=matched,
-        denominator=denominator,
-    )
+    return _score(a, b, alpha, "containment")[0]
 
 
 def similarity_resemblance(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int
 ) -> SimilarityScore:
     """Mutual matched share: both directions over both sizes."""
-    _require_scoreable(a)
-    _require_scoreable(b)
-    matrix = _distance_matrix(a.bits, b.bits)
-    a_to_b, b_to_a = _matched_counts(matrix, alpha)
-    na, nb = len(a.fingerprints), len(b.fingerprints)
-    return SimilarityScore(
-        value=(a_to_b + b_to_a) / (na + nb),
-        mode="resemblance",
-        alpha=alpha,
-        matched_count=a_to_b + b_to_a,
-        denominator=na + nb,
-    )
+    return _score(a, b, alpha, "resemblance")[0]
 
 
 def score_pair(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str = "containment"
 ) -> SimilarityScore:
-    if mode == "containment":
-        return similarity_containment(a, b, alpha)
-    if mode == "resemblance":
-        return similarity_resemblance(a, b, alpha)
-    raise ValueError(f"unknown similarity mode {mode!r}")
+    return _score(a, b, alpha, mode)[0]
 
 
 def pair_report(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str = "containment"
 ) -> PairReport:
     """Score plus per-path evidence, computed off one distance matrix."""
-    _require_scoreable(a)
-    _require_scoreable(b)
-    matrix = _distance_matrix(a.bits, b.bits)
-    a_to_b, b_to_a = _matched_counts(matrix, alpha)
-    na, nb = len(a.fingerprints), len(b.fingerprints)
-    if mode == "containment":
-        if na < nb:
-            matched = a_to_b
-        elif nb < na:
-            matched = b_to_a
-        else:
-            matched = max(a_to_b, b_to_a)
-        score = SimilarityScore(matched / min(na, nb), mode, alpha, matched, min(na, nb))
-    elif mode == "resemblance":
-        score = SimilarityScore((a_to_b + b_to_a) / (na + nb), mode, alpha,
-                                a_to_b + b_to_a, na + nb)
-    else:
-        raise ValueError(f"unknown similarity mode {mode!r}")
-
-    evidence = []
-    mins = matrix.min(axis=1)
-    # ties go to the lowest partner bits; columns are in ascending bits
-    # order, so argmin already lands there
-    partners = matrix.argmin(axis=1)
-    for i in range(na):
-        if mins[i] <= alpha:
-            evidence.append(
-                (to_hex(a.bits[i]), to_hex(b.bits[int(partners[i])]), int(mins[i]))
+    score, matrix, row_min, min_distance = _score(a, b, alpha, mode)
+    evidence: tuple[tuple[str, str, int], ...] = ()
+    if min_distance <= alpha:
+        matched_rows = np.flatnonzero(row_min <= alpha)
+        # ties go to the lowest partner bits; columns are in ascending
+        # bits order, so argmin already lands there
+        partners = matrix[matched_rows].argmin(axis=1)
+        a_bits, b_bits = a.bits, b.bits
+        evidence = tuple(
+            (to_hex(a_bits[i]), to_hex(b_bits[j]), d)
+            for i, j, d in zip(
+                matched_rows.tolist(), partners.tolist(), row_min[matched_rows].tolist()
             )
-    return PairReport(
-        score=score,
-        evidence=tuple(evidence),
-        min_distance=int(matrix.min()),
-    )
+        )
+    return PairReport(score=score, evidence=evidence, min_distance=min_distance)
 
 
 def classify(distance: int) -> str:

@@ -65,6 +65,8 @@ call report(a, "done");
 
 TINY = "output 1;\n"  # single block, no path survives min_blocks=3
 
+DEEP = "declare x;\n" + "if (x > 0)\n" * 400 + "x = 1;\n" + "endif\n" * 400
+
 
 @pytest.fixture()
 def corpus(tmp_path):
@@ -124,6 +126,14 @@ def test_index_skips_non_utf8_files(corpus, tmp_path, capsys):
     assert [s["program_id"] for s in report["skipped"]] == ["latin1.mp"]
     assert "UTF-8" in report["skipped"][0]["error"]
     assert sorted(load_index(out).records) == ["clone_a.mp", "clone_b.mp", "unrelated.mp"]
+
+
+def test_index_skips_too_deeply_nested_files(corpus, tmp_path, capsys):
+    (corpus / "deep.mp").write_text(DEEP)
+    report = run_json(capsys, "index", str(corpus), "-o", str(tmp_path / "c.cdx"))
+    assert report["indexed"] == 3
+    assert [s["program_id"] for s in report["skipped"]] == ["deep.mp"]
+    assert "nesting deeper than" in report["skipped"][0]["error"]
 
 
 def test_index_missing_directory(tmp_path, capsys):
@@ -229,6 +239,33 @@ def test_query_corrupt_index_exits_one(corpus, tmp_path, capsys):
     run_cli(capsys, "query", str(corpus / "clone_a.mp"), str(idx), expect=1)
 
 
+@pytest.mark.parametrize(
+    "fingerprints",
+    [["-00000000000000f"], [123], None, ["0000000000000002", "0000000000000001"]],
+)
+@pytest.mark.parametrize("command", ["query", "cluster"])
+def test_corrupt_fingerprint_list_exits_one(corpus, tmp_path, capsys, command, fingerprints):
+    idx = _indexed(corpus, tmp_path, capsys)
+    lines = idx.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["fingerprints"] = fingerprints
+    lines[2] = json.dumps(record, sort_keys=True)
+    idx.write_text("\n".join(lines) + "\n")
+    argv = [str(idx)] if command == "cluster" else [str(corpus / "clone_a.mp"), str(idx)]
+    captured = run_cli(capsys, command, *argv, expect=1)
+    assert captured.err.startswith("error: ")
+    assert "line 3:" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_query_too_deeply_nested_probe_exits_one(corpus, tmp_path, capsys):
+    idx = _indexed(corpus, tmp_path, capsys)
+    probe = tmp_path / "deep.mp"
+    probe.write_text(DEEP)
+    captured = run_cli(capsys, "query", str(probe), str(idx), expect=1)
+    assert captured.err.startswith("error: line 102: nesting deeper than 100 levels")
+
+
 def test_query_truncation_warnings(tmp_path, capsys):
     root = tmp_path / "wide"
     root.mkdir()
@@ -279,6 +316,13 @@ def test_compare_unscoreable_exits_zero(corpus, tmp_path, capsys):
 def test_compare_missing_file_exits_two(corpus, tmp_path, capsys):
     run_cli(capsys, "compare", str(corpus / "clone_a.mp"),
             str(tmp_path / "ghost.mp"), expect=2)
+
+
+def test_compare_too_deeply_nested_exits_one(corpus, tmp_path, capsys):
+    deep = tmp_path / "deep.mp"
+    deep.write_text(DEEP)
+    captured = run_cli(capsys, "compare", str(corpus / "clone_a.mp"), str(deep), expect=1)
+    assert captured.err == "error: line 102: nesting deeper than 100 levels\n"
 
 
 # -- dot ------------------------------------------------------------------------

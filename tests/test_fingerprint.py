@@ -1,7 +1,9 @@
 """Hashing: statement hash vectors, SimHash majority rule, Hamming distance."""
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from cfgprint.cloneforge import SizeSpec, generate_program
 from cfgprint.config import RunConfig
 from cfgprint.fingerprint import (
     PathFingerprint,
+    ProgramFingerprint,
     fingerprint_path,
     fingerprint_program,
     fnv1a64,
@@ -187,6 +190,27 @@ def test_from_hex_rejects_junk():
         from_hex("12")  # wrong length
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-00000000000000f",  # int() would read -15
+        "+00000000000000f",
+        "0x000000000000ff",
+        "000000000000_0ff",
+        " 00000000000000f",
+        "00000000000000f\n",
+        "00000000000000FF",  # to_hex never writes upper case
+        "",
+        "0" * 17,
+        123,
+        None,
+    ],
+)
+def test_from_hex_accepts_only_sixteen_lower_hex_digits(text):
+    with pytest.raises(ValueError, match="16 lower-case hex digits"):
+        from_hex(text)
+
+
 # -- program fingerprints ------------------------------------------------------------
 
 
@@ -245,6 +269,34 @@ def test_scoreable_flag():
     assert program.scoreable
     empty = fingerprint_program([], cfg, "q")
     assert not empty.scoreable
+
+
+def test_bits_array_is_cached_read_only_copy_of_bits():
+    cfg, paths = _pipeline_pieces("declare x; if (x > 1) x = 2; else x = 3; endif output x;")
+    program = fingerprint_program(paths, cfg, "p")
+    array = program.bits_array
+    assert array.dtype == np.uint64
+    assert array.tolist() == list(program.bits)
+    assert program.bits_array is array
+    assert program.bits is program.bits
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 0
+
+
+def test_cached_bits_leave_equality_hashing_and_pickling_alone():
+    cfg, paths = _pipeline_pieces("declare x; while (x < 3) x = x + 1; endwhile output x;")
+    fresh = fingerprint_program(paths, cfg, "p")
+    used = fingerprint_program(paths, cfg, "p")
+    used.bits_array
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == fresh
+    assert not copy.bits_array.flags.writeable
+    assert copy.bits_array.tolist() == list(fresh.bits)
+    empty = ProgramFingerprint("e", (), 0, False)
+    assert empty.bits_array.dtype == np.uint64 and empty.bits_array.size == 0
 
 
 # -- program fingerprints against the per-path oracle ---------------------------------

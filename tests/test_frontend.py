@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgprint.frontend import (
+    MAX_NESTING,
     MiniProcSyntaxError,
     normalize,
     normalize_source,
@@ -166,6 +167,35 @@ def test_parse_missing_semicolon():
 def test_parse_case_rejects_statement_before_first_when():
     with pytest.raises(MiniProcSyntaxError, match="expected 'when' or 'endcase'"):
         parse(tokenize("case (x) output 1; when (1) output 2; endcase"))
+
+
+def _nested_ifs(depth):
+    return "declare x;\n" + "if (x > 0)\n" * depth + "x = 1;\n" + "endif\n" * depth
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    program = parse(tokenize(_nested_ifs(MAX_NESTING)))
+    assert len(normalize(program)) == 2 + 2 * MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400, 5000])
+def test_parse_rejects_deep_construct_nesting(depth):
+    with pytest.raises(MiniProcSyntaxError, match="nesting deeper than") as info:
+        parse(tokenize(_nested_ifs(depth)))
+    assert info.value.line == MAX_NESTING + 2  # the first if past the limit
+
+
+def test_parse_rejects_deep_parentheses():
+    deep = "x = " + "(" * 400 + "1" + ")" * 400 + ";"
+    with pytest.raises(MiniProcSyntaxError, match="nesting deeper than"):
+        parse(tokenize(deep))
+    shallow = "x = " + "(" * 50 + "1" + ")" * 50 + ";"
+    assert len(parse(tokenize(shallow)).children[0].tokens) == 2 + 101
+
+
+def test_parse_long_unary_chain():
+    program = parse(tokenize("x = " + "- " * 5000 + "1;"))
+    assert len(program.children[0].tokens) == 2 + 5001
 
 
 # -- normalization -----------------------------------------------------------

@@ -125,6 +125,41 @@ def test_query_candidate_evidence_is_hex():
     assert distance == 0
 
 
+def test_record_builds_its_program_fingerprint_once():
+    rng = random.Random(12)
+    (program,) = _random_programs(rng, 1)
+    record = record_from_program(program, "p.mp", STAMP)
+    built = record.to_program_fingerprint()
+    fresh = ProgramFingerprint(
+        record.program_id,
+        tuple(PathFingerprint(b, (record.program_id, i), 64)
+              for i, b in enumerate(record.fingerprints)),
+        record.path_count,
+        record.truncated,
+    )
+    assert built == fresh
+    assert record.to_program_fingerprint() is built
+    assert built.bits == record.fingerprints
+    # the cache is not a field: equality and hashing are unchanged
+    assert record == record_from_program(program, "p.mp", STAMP)
+    assert hash(record) == hash(record_from_program(program, "p.mp", STAMP))
+
+
+def test_save_bytes_unchanged_by_queries_and_clustering(tmp_path):
+    rng = random.Random(13)
+    programs = _random_programs(rng, 12)
+    index = make_index(programs)
+    before = tmp_path / "before.cdx"
+    index.save(before)
+    for probe in programs:
+        index.query(probe, 5, 0.0, "containment")
+        index.query(probe, 64, 0.5, "resemblance")
+    index.cluster(5, 0.5, "containment")
+    after = tmp_path / "after.cdx"
+    index.save(after)
+    assert after.read_bytes() == before.read_bytes()
+
+
 # -- cluster -------------------------------------------------------------------------
 
 
@@ -331,3 +366,44 @@ def test_load_rejects_non_boolean_truncated(tmp_path, value):
     with pytest.raises(IndexFormatError, match="line 3: truncated"):
         load_index(path)
 
+
+@pytest.mark.parametrize(
+    "fingerprints, message",
+    [
+        (["-00000000000000f"], "16 lower-case hex digits"),
+        (["0x000000000000ff"], "16 lower-case hex digits"),
+        ([123], "16 lower-case hex digits"),
+        (None, "fingerprints must be a list"),
+        ("0000000000000001", "fingerprints must be a list"),
+        (["0000000000000002", "0000000000000001"], "strictly ascending"),
+        (["0000000000000001", "0000000000000001"], "strictly ascending"),
+    ],
+)
+def test_load_rejects_bad_fingerprint_lists(tmp_path, fingerprints, message):
+    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    path = tmp_path / "fp.cdx"
+    index.save(path)
+
+    def edit(records):
+        records[1]["fingerprints"] = fingerprints
+
+    _rewrite_records(path, edit)
+    with pytest.raises(IndexFormatError, match=f"line 3: .*{message}"):
+        load_index(path)
+
+
+def test_load_rejects_fingerprint_wider_than_r(tmp_path):
+    stamp = ConfigStamp.from_config(RunConfig(r=32, alpha=5))
+    narrow = ProgramFingerprint("a", (PathFingerprint(7, ("a", 0), 32),), 1, False, width=32)
+    path = tmp_path / "narrow.cdx"
+    make_index([narrow], stamp).save(path)
+    assert load_index(path).records["a"].fingerprints == (7,)
+
+    def edit(records):
+        records[0]["fingerprints"] = ["0000000000000007", "0000000100000000"]
+
+    _rewrite_records(path, edit)
+    with pytest.raises(
+        IndexFormatError, match="line 2: fingerprint 0000000100000000 does not fit in r=32"
+    ):
+        load_index(path)

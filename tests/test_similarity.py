@@ -170,8 +170,20 @@ def test_unscoreable_raises():
 def test_width_mismatch_rejected():
     a = ProgramFingerprint("a", (PathFingerprint(1, ("a", 0), 32),), 1, False, width=32)
     b = make_program("b", [1])
-    with pytest.raises(ValueError):
-        path_distance_set(a, b)
+    scorers = [
+        path_distance_set,
+        lambda x, y: similarity_containment(x, y, 0),
+        lambda x, y: similarity_resemblance(x, y, 0),
+        lambda x, y: score_pair(x, y, 0, "containment"),
+        lambda x, y: score_pair(x, y, 0, "resemblance"),
+        lambda x, y: pair_report(x, y, 0, "containment"),
+        lambda x, y: pair_report(x, y, 0, "resemblance"),
+    ]
+    for scorer in scorers:
+        with pytest.raises(ValueError, match="width mismatch: 32 vs 64"):
+            scorer(a, b)
+        with pytest.raises(ValueError, match="width mismatch: 64 vs 32"):
+            scorer(b, a)
 
 
 # -- property tests -----------------------------------------------------------------
@@ -272,6 +284,83 @@ def test_pair_report_evidence_covers_every_matched_probe_path():
     for probe_hex, record_hex, distance in report.evidence:
         assert _popcount(int(probe_hex, 16) ^ int(record_hex, 16)) == distance
         assert distance <= 0
+
+
+# -- kernel against the oracles ------------------------------------------------------
+
+
+def oracle_counts(a_bits, b_bits, alpha, mode):
+    """(matched_count, denominator) by nested loops."""
+    a_to_b = _matched(a_bits, b_bits, alpha)
+    b_to_a = _matched(b_bits, a_bits, alpha)
+    na, nb = len(a_bits), len(b_bits)
+    if mode == "resemblance":
+        return a_to_b + b_to_a, na + nb
+    if na < nb:
+        return a_to_b, na
+    if nb < na:
+        return b_to_a, nb
+    return max(a_to_b, b_to_a), na
+
+
+def oracle_report(a_bits, b_bits, alpha):
+    """(evidence, min_distance): each probe path within alpha with its
+    nearest partner, the lowest partner bits winning a tie."""
+    evidence = []
+    for x in a_bits:
+        distance, partner = min((_popcount(x ^ y), y) for y in b_bits)
+        if distance <= alpha:
+            evidence.append((format(x, "016x"), format(partner, "016x"), distance))
+    min_distance = min(_popcount(x ^ y) for x in a_bits for y in b_bits)
+    return tuple(evidence), min_distance
+
+
+# values near one another so that ties and small distances are common
+_NEAR_BITS = st.lists(
+    st.integers(min_value=0, max_value=255).map(lambda low: (0xA5 << 56) | low),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a_bits=st.one_of(_BITS, _NEAR_BITS),
+    b_bits=st.one_of(_BITS, _NEAR_BITS),
+    alpha=st.integers(min_value=0, max_value=64),
+    mode=st.sampled_from(["containment", "resemblance"]),
+)
+def test_kernel_matches_oracles(a_bits, b_bits, alpha, mode):
+    a = make_program("a", a_bits)
+    b = make_program("b", b_bits)
+    matched, denominator = oracle_counts(a.bits, b.bits, alpha, mode)
+    evidence, min_distance = oracle_report(a.bits, b.bits, alpha)
+
+    score = score_pair(a, b, alpha, mode)
+    assert (score.matched_count, score.denominator) == (matched, denominator)
+    assert type(score.matched_count) is int  # reports serialize it as JSON
+    assert score.value == matched / denominator
+    scorer = similarity_containment if mode == "containment" else similarity_resemblance
+    assert scorer(a, b, alpha) == score
+
+    report = pair_report(a, b, alpha, mode)
+    assert report.score == score
+    assert report.evidence == evidence
+    assert report.min_distance == min_distance
+
+
+def test_pair_report_tie_goes_to_lowest_partner_bits():
+    a = make_program("a", [0b0100])
+    b = make_program("b", [0b0000, 0b0101, 0b0110])  # all at distance 1
+    report = pair_report(a, b, alpha=1)
+    assert report.evidence == (("0000000000000004", "0000000000000000", 1),)
+
+
+def test_unknown_mode_rejected_by_every_scorer():
+    a = make_program("a", [1, 2])
+    for scorer in (score_pair, pair_report):
+        with pytest.raises(ValueError, match="unknown similarity mode 'jaccard'"):
+            scorer(a, a, 0, "jaccard")
 
 
 # -- classify ------------------------------------------------------------------------
