@@ -54,7 +54,9 @@ class RunConfig:
 class ConfigStamp:
     """Fingerprint provenance written into every index record.
 
-    Two stamps must be equal for their fingerprints to be comparable.
+    The stamp is exact, alpha included: a record joins an index only
+    when its stamp equals the index's in every field. The stamped alpha
+    is the index's default query alpha; a query may still pass its own.
     """
 
     r: int = DEFAULT_R
@@ -69,14 +71,4 @@ class ConfigStamp:
             r=config.r,
             alpha=config.alpha,
             min_blocks=config.min_blocks,
-        )
-
-    def pipeline_compatible(self, other: "ConfigStamp") -> bool:
-        """True when fingerprints made under the two stamps may be scored
-        against each other. alpha is a query parameter, not a constraint."""
-        return (
-            self.r == other.r
-            and self.min_blocks == other.min_blocks
-            and self.hash_name == other.hash_name
-            and self.normalization == other.normalization
         )

@@ -27,7 +27,7 @@ from .config import (
     ConfigStamp,
 )
 from .fingerprint import PathFingerprint, ProgramFingerprint, from_hex, to_hex
-from .similarity import PairReport, SimilarityScore, pair_report
+from .similarity import SimilarityScore, classify, pair_report
 
 
 class IndexFormatError(ValueError):
@@ -125,8 +125,6 @@ class FingerprintIndex:
         """Scan every scoreable record, keep scores >= threshold, rank
         by score descending then program_id ascending. A record with
         the probe's own id is skipped, as are unscoreable records."""
-        from .similarity import classify
-
         if not probe.scoreable:
             raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
         scorings = 0
@@ -227,6 +225,15 @@ class FingerprintIndex:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _int_field(row: dict, key: str) -> int:
+    """A JSON integer field; any other type (bool, float, string, ...)
+    is a format error, not a conversion."""
+    value = row[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_fingerprints(value: object, r: int) -> tuple[int, ...]:
     """A record's fingerprint list: hex strings, strictly ascending,
     each within r bits (what `save` writes and the scorer relies on)."""
@@ -279,14 +286,16 @@ def load_index(path: str | Path) -> FingerprintIndex:
         )
     try:
         stamp = ConfigStamp(
-            r=int(header["r"]),
-            alpha=int(header["alpha"]),
-            min_blocks=int(header["min_blocks"]),
+            r=_int_field(header, "r"),
+            alpha=_int_field(header, "alpha"),
+            min_blocks=_int_field(header, "min_blocks"),
             hash_name=header["hash"],
             normalization=header["normalization"],
         )
     except KeyError as exc:
         raise IndexFormatError(f"{path}: line 1: header missing key {exc}") from exc
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: line 1: {exc}") from exc
     if not 1 <= stamp.r <= 64:
         raise IndexCompatibilityError(f"incompatible index configuration: r={stamp.r}")
 
@@ -301,7 +310,7 @@ def load_index(path: str | Path) -> FingerprintIndex:
                 program_id=str(row["program_id"]),
                 source_path=str(row["source_path"]),
                 fingerprints=_parse_fingerprints(row["fingerprints"], stamp.r),
-                path_count=int(row["path_count"]),
+                path_count=_int_field(row, "path_count"),
                 truncated=truncated,
                 config_stamp=stamp,
             )

@@ -7,9 +7,13 @@ scores 1.0); resemblance is symmetric and rewards mutual coverage.
 
 Every public scorer is a thin caller of one kernel, `_score`, which
 builds the uint8 Hamming distance matrix once from each side's cached
-`bits_array` and counts matches from its row and column minima. An
-index record builds its `ProgramFingerprint` once, so repeated queries
-and clustering reuse the same arrays.
+`bits_array` and takes its smallest entry in one flat reduction. When
+that exceeds alpha, as it does for nearly every pair of unrelated
+programs, the score is zero and the call returns at once; only pairs
+within alpha get row and column minima, match counts and (in
+`pair_report`) evidence. An index record builds its
+`ProgramFingerprint` once, so repeated queries and clustering reuse
+the same arrays.
 """
 
 from __future__ import annotations
@@ -61,35 +65,33 @@ class PairReport:
 _MODES = ("containment", "resemblance")
 
 
-def _require_scoreable(fp: ProgramFingerprint) -> None:
-    if not fp.scoreable:
-        raise ValueError(f"unscoreable program: {fp.program_id!r} has no fingerprints")
-
-
 def _score(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
-) -> tuple[SimilarityScore, np.ndarray, np.ndarray, int]:
+) -> tuple[SimilarityScore, np.ndarray, np.ndarray | None, int]:
     """The one scoring kernel: (score, distance matrix, row minima,
     smallest distance).
 
     The matrix is uint8, row i pairing fingerprint i of A with every
     fingerprint of B (both in ascending bits order); row minima are
-    each A path's nearest distance in B.
+    each A path's nearest distance in B, and None when no path is
+    within alpha: the smallest distance, one flat reduction, settles
+    that before any per-row or per-column minimum is taken.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
-    _require_scoreable(a)
-    _require_scoreable(b)
+    if not a.fingerprints:
+        raise ValueError(f"unscoreable program: {a.program_id!r} has no fingerprints")
+    if not b.fingerprints:
+        raise ValueError(f"unscoreable program: {b.program_id!r} has no fingerprints")
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    matrix = np.bitwise_count(a.bits_array[:, None] ^ b.bits_array[None, :])
-    row_min = matrix.min(axis=1)
-    min_distance = int(row_min.min())
+    matrix = np.bitwise_count(a.bits_array[:, None] ^ b.bits_array)
+    min_distance = int(np.minimum.reduce(matrix, axis=None))
     if min_distance > alpha:
-        # no path within alpha either way: the common case for
-        # unrelated programs, so skip counting
+        row_min = None
         a_to_b = b_to_a = 0
     else:
+        row_min = matrix.min(axis=1)
         a_to_b = int(np.count_nonzero(row_min <= alpha))
         b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
     na, nb = matrix.shape
@@ -146,19 +148,19 @@ def pair_report(
 ) -> PairReport:
     """Score plus per-path evidence, computed off one distance matrix."""
     score, matrix, row_min, min_distance = _score(a, b, alpha, mode)
-    evidence: tuple[tuple[str, str, int], ...] = ()
-    if min_distance <= alpha:
-        matched_rows = np.flatnonzero(row_min <= alpha)
-        # ties go to the lowest partner bits; columns are in ascending
-        # bits order, so argmin already lands there
-        partners = matrix[matched_rows].argmin(axis=1)
-        a_bits, b_bits = a.bits, b.bits
-        evidence = tuple(
-            (to_hex(a_bits[i]), to_hex(b_bits[j]), d)
-            for i, j, d in zip(
-                matched_rows.tolist(), partners.tolist(), row_min[matched_rows].tolist()
-            )
+    if row_min is None:
+        return PairReport(score, (), min_distance)
+    matched_rows = np.flatnonzero(row_min <= alpha)
+    # ties go to the lowest partner bits; columns are in ascending bits
+    # order, so argmin already lands there
+    partners = matrix[matched_rows].argmin(axis=1)
+    a_bits, b_bits = a.bits, b.bits
+    evidence = tuple(
+        (to_hex(a_bits[i]), to_hex(b_bits[j]), d)
+        for i, j, d in zip(
+            matched_rows.tolist(), partners.tolist(), row_min[matched_rows].tolist()
         )
+    )
     return PairReport(score=score, evidence=evidence, min_distance=min_distance)
 
 

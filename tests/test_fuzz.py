@@ -1,0 +1,190 @@
+"""Fuzzing for tracebacks: malformed sources and corrupt index files
+must end in a MiniProcSyntaxError or a CLI exit code, never in an
+uncaught exception.
+
+Example counts are bounded so the module adds only a few seconds to
+tier-1; Hypothesis's own example generation stalls under pytest at a
+few thousand examples of the soup strategy.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cfgprint.cli import main
+from cfgprint.config import RunConfig
+from cfgprint.frontend import KEYWORDS, MAX_NESTING, MiniProcSyntaxError
+from cfgprint.pipeline import run_pipeline
+
+# -- token soup and nesting ---------------------------------------------------------
+
+_VOCABULARY = sorted(KEYWORDS) + [
+    "==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "<", ">", "=", "!",
+    "(", ")", ",", ";", "x", "y", "total", "report", "0", "1", "42", '"s"', "\n",
+]
+
+_SOUP = st.lists(st.sampled_from(_VOCABULARY), max_size=60).map(" ".join)
+
+
+def parses_or_rejects(source):
+    """run_pipeline returns or raises MiniProcSyntaxError, nothing else."""
+    try:
+        run_pipeline(source, "fuzz", RunConfig(max_paths=200))
+    except MiniProcSyntaxError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_SOUP)
+def test_token_soup_parses_or_raises_syntax_error(source):
+    parses_or_rejects(source)
+
+
+_CONSTRUCTS = {
+    "if": ("if (x > 0)\n", "endif\n"),
+    "while": ("while (x < 9)\n", "endwhile\n"),
+    "for": ("for i = 1 to 3\n", "endfor\n"),
+    "case": ("case (x)\nwhen (1)\n", "endcase\n"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_CONSTRUCTS)), max_size=MAX_NESTING + 10),
+    parens=st.integers(min_value=0, max_value=MAX_NESTING + 10),
+    drop=st.one_of(st.none(), st.integers(min_value=0)),
+)
+def test_random_nesting_parses_or_raises_syntax_error(kinds, parens, drop):
+    """Constructs, then parentheses inside the innermost statement,
+    nested up to past MAX_NESTING, with one closer optionally dropped."""
+    openers = [_CONSTRUCTS[k][0] for k in kinds] + ["x = " + "(" * parens + "1"]
+    closers = [")"] * parens + [";\n"] + [_CONSTRUCTS[k][1] for k in reversed(kinds)]
+    if drop is not None:
+        del closers[drop % len(closers)]
+    source = "declare x;\n" + "".join(openers) + "".join(closers)
+    if len(kinds) + parens > MAX_NESTING:
+        with pytest.raises(MiniProcSyntaxError, match="nesting deeper than"):
+            run_pipeline(source, "deep", RunConfig())
+    else:
+        parses_or_rejects(source)
+
+
+# -- the CLI in-process ---------------------------------------------------------------
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2), f"argv={argv} exit {code}\nstderr={err.getvalue()}"
+    return code
+
+
+PROGRAM = """\
+declare total, step;
+total = 0;
+step = 1;
+while (total < 100)
+  if (step > 5)
+    total = total + step;
+  else
+    total = total + 1;
+  endif
+  step = step + 1;
+endwhile
+output total;
+"""
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# PROGRAM with one statement replaced by a few soup tokens, and programs
+# stitched from valid snippets: these often parse, so compare also gets
+# as far as scoring and reporting
+_SPLICED = st.lists(st.sampled_from(_VOCABULARY), max_size=6).map(
+    lambda tokens: PROGRAM.replace("step = step + 1;", " ".join(tokens))
+)
+_SNIPPETS = [
+    "x = x + 1;", "output x;", "call f(x, 2);", "if (x > 1)\nx = 2;\nendif",
+    "if (x < 3)\nx = 1;\nelse\noutput x;\nendif", "while (x < 9)\nx = x * 2;\nendwhile",
+    "for i = 1 to 4\noutput i;\nendfor", "case (x)\nwhen (1)\nx = 0;\nendcase",
+]
+_STITCHED = st.lists(st.sampled_from(_SNIPPETS), max_size=10).map(
+    lambda parts: "declare x;\n" + "\n".join(parts) + "\n"
+)
+_SOURCES = st.one_of(_SOUP, st.text(max_size=80), _SPLICED, _STITCHED)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(left=_SOURCES, right=_SOURCES, as_json=st.booleans())
+def test_compare_on_fuzzed_sources_never_raises(workdir, left, right, as_json):
+    (workdir / "left.mp").write_text(left, encoding="utf-8")
+    (workdir / "right.mp").write_text(right, encoding="utf-8")
+    argv = ["compare", workdir / "left.mp", workdir / "right.mp"]
+    run_main(*argv, *(["--json"] if as_json else []))
+
+
+@pytest.fixture(scope="module")
+def index_lines(workdir):
+    """A small valid index's lines: header plus four records."""
+    corpus = workdir / "corpus"
+    corpus.mkdir()
+    (corpus / "a.mp").write_text(PROGRAM)
+    (corpus / "b.mp").write_text(PROGRAM.replace("total", "acc").replace("5", "7"))
+    (corpus / "c.mp").write_text(
+        "declare x;\nfor i = 1 to 4\nif (x > i)\nx = 2;\nendif\nendfor\noutput x;\n"
+    )
+    (corpus / "tiny.mp").write_text("output 1;\n")
+    assert run_main("index", corpus, "-o", workdir / "base.cdx") == 0
+    return (workdir / "base.cdx").read_text().splitlines()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def corrupted(draw, lines):
+    """The index with one line corrupted in one of five ways."""
+    lines = list(lines)
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    how = draw(st.sampled_from(["truncate", "wrong_type", "shuffle", "duplicate_fp", "duplicate_record"]))
+    row = json.loads(lines[i])
+    if how == "truncate":
+        lines[i] = lines[i][: draw(st.integers(min_value=0, max_value=len(lines[i]) - 1))]
+    elif how == "wrong_type":
+        row[draw(st.sampled_from(sorted(row)))] = draw(_JSON_VALUES)
+        lines[i] = json.dumps(row)
+    elif how in ("shuffle", "duplicate_fp") and row.get("fingerprints"):
+        fps = row["fingerprints"]
+        if how == "shuffle":
+            random.Random(draw(st.integers())).shuffle(fps)
+        else:
+            fps.insert(draw(st.integers(0, len(fps))), fps[draw(st.integers(0, len(fps) - 1))])
+        lines[i] = json.dumps(row)
+    else:
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), lines[max(i, 1)])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["query", "cluster"]))
+def test_query_and_cluster_on_corrupt_index_never_raise(workdir, index_lines, data, command):
+    cdx = workdir / "corrupt.cdx"
+    cdx.write_text(data.draw(corrupted(index_lines)), encoding="utf-8")
+    (workdir / "probe.mp").write_text(PROGRAM)
+    if command == "query":
+        run_main("query", workdir / "probe.mp", cdx, "--json")
+    else:
+        run_main("cluster", cdx, "--json")

@@ -59,6 +59,15 @@ def test_add_rejects_stamp_mismatch():
         index.add_program(record_from_program(make_program("a", [1]), "a.mp", other))
 
 
+def test_add_rejects_alpha_only_stamp_mismatch():
+    # the stamp is exact: alpha is the index's default query alpha, so
+    # a record stamped with another alpha does not join
+    index = make_index([])
+    other = ConfigStamp.from_config(RunConfig(alpha=STAMP.alpha + 1))
+    with pytest.raises(IndexCompatibilityError):
+        index.add_program(record_from_program(make_program("a", [1]), "a.mp", other))
+
+
 def test_record_from_program_rejects_width_mismatch():
     short = ProgramFingerprint("w", (PathFingerprint(1, ("w", 0), 32),), 1, False, width=32)
     with pytest.raises(ValueError):
@@ -364,6 +373,33 @@ def test_load_rejects_non_boolean_truncated(tmp_path, value):
 
     _rewrite_records(path, edit)
     with pytest.raises(IndexFormatError, match="line 3: truncated"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("value", [None, [3], "3", 3.0, True, float("inf")])
+def test_load_rejects_non_integer_path_count(tmp_path, value):
+    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    path = tmp_path / "count.cdx"
+    index.save(path)
+
+    def edit(records):
+        records[1]["path_count"] = value
+
+    _rewrite_records(path, edit)
+    with pytest.raises(IndexFormatError, match="line 3: path_count must be an integer"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("key", ["r", "alpha", "min_blocks"])
+@pytest.mark.parametrize("value", [None, "5", 5.5, False, float("inf")])
+def test_load_rejects_non_integer_header_values(tmp_path, key, value):
+    path = tmp_path / "header.cdx"
+    make_index([make_program("a", [1])]).save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(IndexFormatError, match=f"line 1: {key} must be an integer"):
         load_index(path)
 
 

@@ -349,6 +349,41 @@ def test_kernel_matches_oracles(a_bits, b_bits, alpha, mode):
     assert report.min_distance == min_distance
 
 
+def _boundary_pair(gap):
+    """Two programs whose closest fingerprints are exactly `gap` bits
+    apart (gap <= 16, or 64). Every other cross pair is at least gap + 1
+    apart, and the close pair sits in neither side's first row, so the
+    kernel's early exit must look at the whole matrix."""
+    if gap == 64:
+        return make_program("a", [0]), make_program("b", [2**64 - 1])
+    top = 1 << 63
+    a = make_program("a", [0xFFFF << 32, top | ((1 << gap) - 1)])
+    b = make_program("b", [0xFFFF << 16, 0x7FFF << 48, top])
+    return a, b
+
+
+@pytest.mark.parametrize("mode", ["containment", "resemblance"])
+@pytest.mark.parametrize("alpha, gap", [(0, 0), (0, 1), (5, 5), (5, 6), (64, 64)])
+def test_early_exit_boundary_matches_oracles(alpha, gap, mode):
+    a, b = _boundary_pair(gap)
+    for x, y in ((a, b), (b, a)):
+        matched, denominator = oracle_counts(x.bits, y.bits, alpha, mode)
+        evidence, min_distance = oracle_report(x.bits, y.bits, alpha)
+        assert min_distance == gap
+
+        score = score_pair(x, y, alpha, mode)
+        assert (score.matched_count, score.denominator) == (matched, denominator)
+        assert score.value == matched / denominator
+        report = pair_report(x, y, alpha, mode)
+        assert report.score == score
+        assert report.evidence == evidence
+        assert report.min_distance == min_distance
+        if gap > alpha:
+            assert (matched, report.evidence) == (0, ())
+        else:
+            assert matched > 0 and report.evidence
+
+
 def test_pair_report_tie_goes_to_lowest_partner_bits():
     a = make_program("a", [0b0100])
     b = make_program("b", [0b0000, 0b0101, 0b0110])  # all at distance 1
