@@ -15,7 +15,7 @@ from cfgprint import (
     enumerate_paths,
     filter_paths,
     fingerprint_program,
-    hamming,
+    hamming_bits,
     normalize_source,
     to_hex,
 )
@@ -50,11 +50,12 @@ for path in path_set.paths:
 kept = filter_paths(path_set.paths, config.min_blocks)
 print(f"\nafter the min-blocks filter: {len(kept)} paths")
 
-# one 64-bit fingerprint per distinct path
+# one 64-bit fingerprint per distinct path: a program's fingerprints
+# are plain ints, ascending
 program = fingerprint_program(kept, cfg, "demo", width=config.r)
 print("\npath fingerprints:")
-for fp in program.fingerprints:
-    print(f"  {to_hex(fp.bits)}")
+for bits in program.fingerprints:
+    print(f"  {to_hex(bits)}")
 
 # paths that differ by one statement land a few bits apart, paths
 # through different arms land farther apart
@@ -62,4 +63,4 @@ pairs = [(a, b) for i, a in enumerate(program.fingerprints)
          for b in program.fingerprints[i + 1:]]
 print("\npairwise Hamming distances:")
 for a, b in pairs:
-    print(f"  {to_hex(a.bits)} vs {to_hex(b.bits)}: {hamming(a, b)}")
+    print(f"  {to_hex(a)} vs {to_hex(b)}: {hamming_bits(a, b)}")

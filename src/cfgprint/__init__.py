@@ -45,13 +45,11 @@ from .cfg_builder import (
 )
 from .path_enum import ExecutionPath, PathSet, enumerate_paths, filter_paths
 from .fingerprint import (
-    PathFingerprint,
     ProgramFingerprint,
     fingerprint_path,
     fingerprint_program,
     fnv1a64,
     from_hex,
-    hamming,
     hamming_bits,
     simhash_bits,
     to_hex,
@@ -64,11 +62,9 @@ from .similarity import (
     PairReport,
     SimilarityScore,
     classify,
+    distance_matrix,
     pair_report,
-    path_distance_set,
     score_pair,
-    similarity_containment,
-    similarity_resemblance,
 )
 from .index_store import (
     CloneCandidate,
@@ -117,7 +113,6 @@ __all__ = [
     "NORMALIZATION_VERSION",
     "NormalizedStatement",
     "PairReport",
-    "PathFingerprint",
     "PathSet",
     "PipelineResult",
     "ProgramFingerprint",
@@ -128,6 +123,7 @@ __all__ = [
     "build_cfg",
     "cfg_from_statements",
     "classify",
+    "distance_matrix",
     "enumerate_paths",
     "export_dot",
     "filter_paths",
@@ -137,7 +133,6 @@ __all__ = [
     "fingerprint_source",
     "fnv1a64",
     "from_hex",
-    "hamming",
     "hamming_bits",
     "index_directory",
     "load_index",
@@ -145,12 +140,9 @@ __all__ = [
     "normalize_source",
     "pair_report",
     "parse",
-    "path_distance_set",
     "record_from_program",
     "run_pipeline",
     "score_pair",
-    "similarity_containment",
-    "similarity_resemblance",
     "simhash_bits",
     "to_hex",
     "tokenize",

@@ -15,30 +15,16 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .config import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_PATHS,
-    DEFAULT_MIN_BLOCKS,
-    DEFAULT_MODE,
-    DEFAULT_R,
-    DEFAULT_THRESHOLD,
-    HASH_NAME,
-    MODES,
-    NORMALIZATION_VERSION,
-    RunConfig,
-)
+from .config import HASH_NAME, MODES, NORMALIZATION_VERSION, ConfigStamp, RunConfig
 from .cfg_builder import cfg_from_statements, export_dot
-from .frontend import MiniProcSyntaxError, normalize_source
-from .index_store import (
-    FingerprintIndex,
-    IndexCompatibilityError,
-    IndexFormatError,
-    load_index,
-)
+from .fingerprint import to_hex
+from .frontend import normalize_source
+from .index_store import IndexCompatibilityError, load_index
 from .pipeline import index_directory, run_pipeline
-from .similarity import classify, pair_report, path_distance_set
+from .similarity import classify, distance_matrix, pair_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,6 +96,28 @@ class UsageError(Exception):
     pass
 
 
+_CONFIG_FLAGS = ("alpha", "threshold", "min_blocks", "max_paths", "mode")
+
+
+def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> RunConfig:
+    """The flags given, over the defaults. Against an index the header
+    supplies the default alpha, and min_blocks and r come from it: an
+    explicit --min-blocks must agree with the header."""
+    if stamp is None:
+        defaults = RunConfig()
+    else:
+        if args.min_blocks is not None and args.min_blocks != stamp.min_blocks:
+            raise IndexCompatibilityError(
+                f"incompatible index configuration: --min-blocks {args.min_blocks} "
+                f"vs index min_blocks {stamp.min_blocks}"
+            )
+        defaults = RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks, r=stamp.r)
+    given = {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    config = replace(defaults, **{k: v for k, v in given.items() if v is not None})
+    config.validate()
+    return config
+
+
 def _config_echo(config: RunConfig) -> dict:
     return {
         "alpha": config.alpha,
@@ -147,14 +155,7 @@ def _config_line(config: RunConfig) -> str:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        threshold=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD,
-        min_blocks=args.min_blocks if args.min_blocks is not None else DEFAULT_MIN_BLOCKS,
-        max_paths=args.max_paths if args.max_paths is not None else DEFAULT_MAX_PATHS,
-        mode=args.mode if args.mode is not None else DEFAULT_MODE,
-    )
-    config.validate()
+    config = _run_config(args)
     jobs = _resolve_jobs(args)
 
     build = index_directory(args.directory, config, jobs=jobs)
@@ -191,27 +192,6 @@ def cmd_index(args: argparse.Namespace) -> int:
 # -- query ---------------------------------------------------------------
 
 
-def _query_config(args: argparse.Namespace, index: FingerprintIndex) -> RunConfig:
-    """Merge flags with the index header. Fingerprint-shaping values
-    must agree with the header when given explicitly."""
-    stamp = index.config_stamp
-    if args.min_blocks is not None and args.min_blocks != stamp.min_blocks:
-        raise IndexCompatibilityError(
-            f"incompatible index configuration: --min-blocks {args.min_blocks} "
-            f"vs index min_blocks {stamp.min_blocks}"
-        )
-    config = RunConfig(
-        alpha=args.alpha if args.alpha is not None else stamp.alpha,
-        threshold=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD,
-        min_blocks=stamp.min_blocks,
-        max_paths=args.max_paths if args.max_paths is not None else DEFAULT_MAX_PATHS,
-        mode=args.mode if args.mode is not None else DEFAULT_MODE,
-        r=stamp.r,
-    )
-    config.validate()
-    return config
-
-
 def _candidate_json(candidate) -> dict:
     return {
         "program_id": candidate.program_id,
@@ -230,7 +210,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     index = load_index(args.index_path)
     t_load = (time.perf_counter() - t0) * 1000.0
-    config = _query_config(args, index)
+    config = _run_config(args, index.config_stamp)
 
     source = Path(args.file).read_text(encoding="utf-8")
     # if the probe file is itself indexed, adopt the record's id so the
@@ -323,14 +303,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
-        threshold=args.threshold if args.threshold is not None else DEFAULT_THRESHOLD,
-        min_blocks=args.min_blocks if args.min_blocks is not None else DEFAULT_MIN_BLOCKS,
-        max_paths=args.max_paths if args.max_paths is not None else DEFAULT_MAX_PATHS,
-        mode=args.mode if args.mode is not None else DEFAULT_MODE,
-    )
-    config.validate()
+    config = _run_config(args)
 
     results = {}
     timings: dict[str, float] = {}
@@ -368,18 +341,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     containment = pair_report(a, b, config.alpha, "containment")
     resemblance = pair_report(a, b, config.alpha, "resemblance")
-    pair_set = path_distance_set(a, b)
+    distances = distance_matrix(a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0
 
-    na, nb = pair_set.size_a, pair_set.size_b
-    matrix = [
-        list(pair_set.distances[i * nb : (i + 1) * nb]) for i in range(na)
-    ]
-    row_hex = [format(bits, "016x") for bits in a.bits]
-    col_hex = [format(bits, "016x") for bits in b.bits]
+    na, nb = distances.shape
+    matrix = distances.tolist()
+    row_hex = [to_hex(bits) for bits in a.fingerprints]
+    col_hex = [to_hex(bits) for bits in b.fingerprints]
     path_grades = [
-        {"probe": row_hex[i], "distance": min(matrix[i]), "grade": classify(min(matrix[i]))}
-        for i in range(na)
+        {"probe": h, "distance": d, "grade": classify(d)}
+        for h, d in zip(row_hex, distances.min(axis=1).tolist())
     ]
 
     report = {
@@ -455,18 +426,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     index = load_index(args.index_path)
     t_load = (time.perf_counter() - t0) * 1000.0
-    stamp = index.config_stamp
-    alpha = args.alpha if args.alpha is not None else stamp.alpha
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    mode = args.mode if args.mode is not None else DEFAULT_MODE
-    config = RunConfig(
-        alpha=alpha, threshold=threshold, min_blocks=stamp.min_blocks,
-        mode=mode, r=stamp.r,
-    )
-    config.validate()
+    config = _run_config(args, index.config_stamp)
 
     t1 = time.perf_counter()
-    groups = index.cluster(alpha, threshold, mode)
+    groups = index.cluster(config.alpha, config.threshold, config.mode)
     timings = {"load": t_load, "cluster": (time.perf_counter() - t1) * 1000.0}
 
     report = {
@@ -502,22 +465,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MiniProcSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (IndexFormatError, IndexCompatibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        # MiniProcSyntaxError, IndexFormatError and IndexCompatibilityError
+        # are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

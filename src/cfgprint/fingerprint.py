@@ -14,6 +14,10 @@ statements into one row per block, and gets every path's tally by
 multiplying the path-by-block visit counts with those rows.
 `fingerprint_path` and `simhash_bits` compute the same bits one path
 at a time and are kept as the reference.
+
+A program's fingerprints are plain ints: the ascending tuple of its
+distinct path values, the same tuple an index record stores and the
+scorer reads (as `bits_array`).
 """
 
 from __future__ import annotations
@@ -71,43 +75,32 @@ def simhash_bits(hashes: Iterable[int], width: int = 64) -> int:
 
 
 @dataclass(frozen=True)
-class PathFingerprint:
-    bits: int
-    source_path_id: tuple[str, int]  # (program id, path index)
-    width: int = 64
-
-
-@dataclass(frozen=True)
 class ProgramFingerprint:
     """Deduplicated path fingerprints for one program.
 
-    fingerprints are sorted by bits; source_path_id keeps the first
-    path that produced each value. path_count is the pre-dedup count,
-    truncated echoes the enumeration flag. `bits` and `bits_array` are
-    computed on first use and kept; they are not fields, so equality
-    and hashing see only the fields above.
+    fingerprints are the distinct path fingerprint values, ascending.
+    path_count is the pre-dedup count, truncated echoes the enumeration
+    flag. `bits_array` is computed on first use and kept; it is not a
+    field, so equality and hashing see only the fields above.
     """
 
     program_id: str
-    fingerprints: tuple[PathFingerprint, ...]
+    fingerprints: tuple[int, ...]
     path_count: int
     truncated: bool
     width: int = 64
 
     @cached_property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(f.bits for f in self.fingerprints)
-
-    @cached_property
     def bits_array(self) -> np.ndarray:
-        """`bits` as a read-only uint64 array, the form the scorer reads."""
-        array = np.array(self.bits, dtype=np.uint64)
+        """`fingerprints` as a read-only uint64 array, the form the
+        scorer reads."""
+        array = np.array(self.fingerprints, dtype=np.uint64)
         array.flags.writeable = False
         return array
 
     def __getstate__(self) -> dict:
-        # pickle the fields only; a copy rebuilds the cached values (and
-        # the array's read-only flag) on first use
+        # pickle the fields only; a copy rebuilds the cached array (and
+        # its read-only flag) on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
@@ -144,14 +137,9 @@ def fingerprint_program(
     unscoreable fingerprint rather than an error: the caller decides
     how to report it.
     """
-    first_seen: dict[int, PathFingerprint] = {}
-    if paths:
-        for idx, bits in enumerate(_path_bits(paths, cfg, width)):
-            if bits not in first_seen:
-                first_seen[bits] = PathFingerprint(bits, (program_id, idx), width)
     return ProgramFingerprint(
         program_id=program_id,
-        fingerprints=tuple(sorted(first_seen.values(), key=lambda f: f.bits)),
+        fingerprints=tuple(sorted(set(_path_bits(paths, cfg, width)))) if paths else (),
         path_count=len(paths),
         truncated=truncated,
         width=width,
@@ -220,13 +208,6 @@ def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
             raise ValueError("empty path")
         out.extend(((tally[:, :width] > 0) @ weights).tolist())
     return out
-
-
-def hamming(a: PathFingerprint, b: PathFingerprint) -> int:
-    """Number of differing bits between two path fingerprints."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return (a.bits ^ b.bits).bit_count()
 
 
 def hamming_bits(a: int, b: int) -> int:

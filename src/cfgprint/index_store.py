@@ -3,9 +3,12 @@
 On disk an index is JSON Lines with extension `.cdx`: the first line is
 a header stamping the fingerprint configuration, each following line is
 one program record. Records append cleanly and the whole file reloads
-byte-for-byte reproducibly. Queries are a linear scan: every scoreable
-record is scored against the probe, so cost grows with record count and
-nothing else.
+byte-for-byte reproducibly. A record holds its fingerprints as the
+ascending tuple of ints parsed from the hex, and its ProgramFingerprint
+shares that tuple. Queries are a linear scan: every scoreable record is
+scored against the probe, so cost grows with record count and nothing
+else. `cluster` scores every pair of scoreable records and joins the
+linked ones by union-find.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-
 from .config import (
     INDEX_FORMAT,
     INDEX_FORMAT_VERSION,
@@ -26,7 +25,7 @@ from .config import (
     NORMALIZATION_VERSION,
     ConfigStamp,
 )
-from .fingerprint import PathFingerprint, ProgramFingerprint, from_hex, to_hex
+from .fingerprint import ProgramFingerprint, from_hex, to_hex
 from .similarity import SimilarityScore, classify, pair_report
 
 
@@ -42,7 +41,7 @@ class IndexCompatibilityError(ValueError):
 class IndexRecord:
     program_id: str
     source_path: str
-    fingerprints: tuple[int, ...]  # ascending bits
+    fingerprints: tuple[int, ...]  # ascending
     path_count: int
     truncated: bool
     config_stamp: ConfigStamp
@@ -56,10 +55,7 @@ class IndexRecord:
     def _program(self) -> ProgramFingerprint:
         return ProgramFingerprint(
             program_id=self.program_id,
-            fingerprints=tuple(
-                PathFingerprint(bits, (self.program_id, i), self.config_stamp.r)
-                for i, bits in enumerate(self.fingerprints)
-            ),
+            fingerprints=self.fingerprints,
             path_count=self.path_count,
             truncated=self.truncated,
             width=self.config_stamp.r,
@@ -76,7 +72,7 @@ def record_from_program(
     return IndexRecord(
         program_id=program.program_id,
         source_path=source_path,
-        fingerprints=program.bits,
+        fingerprints=program.fingerprints,
         path_count=program.path_count,
         truncated=program.truncated,
         config_stamp=stamp,
@@ -160,23 +156,29 @@ class FingerprintIndex:
 
         ids = sorted(pid for pid, r in self.records.items() if r.fingerprints)
         n = len(ids)
-        if n == 0:
-            return []
         programs = {pid: self.records[pid].to_program_fingerprint() for pid in ids}
+        # union-find over the linked pairs; each root is its component's
+        # smallest index
+        root = list(range(n))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
         score_of: dict[tuple[int, int], float] = {}
-        rows, cols = [], []
         for i in range(n):
             for j in range(i + 1, n):
                 value = score_pair(programs[ids[i]], programs[ids[j]], alpha, mode).value
                 score_of[(i, j)] = value
                 if value >= threshold:
-                    rows.append(i)
-                    cols.append(j)
-        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        count, labels = connected_components(graph, directed=False)
+                    ri, rj = find(i), find(j)
+                    root[max(ri, rj)] = min(ri, rj)
+        # members ascend, and groups come in order of their smallest member
         members_of: dict[int, list[int]] = {}
-        for i, label in enumerate(labels):
-            members_of.setdefault(int(label), []).append(i)
+        for i in range(n):
+            members_of.setdefault(find(i), []).append(i)
         groups = []
         for member_idx in members_of.values():
             if len(member_idx) < 2:
@@ -188,11 +190,10 @@ class FingerprintIndex:
             ]
             groups.append(
                 CloneGroup(
-                    members=tuple(ids[i] for i in sorted(member_idx)),
+                    members=tuple(ids[i] for i in member_idx),
                     mean_score=sum(pair_scores) / len(pair_scores),
                 )
             )
-        groups.sort(key=lambda g: g.members[0])
         return groups
 
     def save(self, path: str | Path) -> None:
@@ -231,6 +232,14 @@ def _int_field(row: dict, key: str) -> int:
     value = row[key]
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _str_field(row: dict, key: str) -> str:
+    """A JSON string field; any other type is a format error."""
+    value = row[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -307,8 +316,8 @@ def load_index(path: str | Path) -> FingerprintIndex:
             if not isinstance(truncated, bool):
                 raise ValueError(f"truncated must be true or false, got {truncated!r}")
             record = IndexRecord(
-                program_id=str(row["program_id"]),
-                source_path=str(row["source_path"]),
+                program_id=_str_field(row, "program_id"),
+                source_path=_str_field(row, "source_path"),
                 fingerprints=_parse_fingerprints(row["fingerprints"], stamp.r),
                 path_count=_int_field(row, "path_count"),
                 truncated=truncated,

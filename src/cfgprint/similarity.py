@@ -5,15 +5,15 @@ is within alpha bits. Containment asks how much of the smaller program
 is matched by the larger one (so a file pasted into a bigger file still
 scores 1.0); resemblance is symmetric and rewards mutual coverage.
 
-Every public scorer is a thin caller of one kernel, `_score`, which
-builds the uint8 Hamming distance matrix once from each side's cached
-`bits_array` and takes its smallest entry in one flat reduction. When
-that exceeds alpha, as it does for nearly every pair of unrelated
-programs, the score is zero and the call returns at once; only pairs
-within alpha get row and column minima, match counts and (in
-`pair_report`) evidence. An index record builds its
-`ProgramFingerprint` once, so repeated queries and clustering reuse
-the same arrays.
+`score_pair` and `pair_report` are thin callers of one kernel,
+`_score`, which builds the uint8 Hamming distance matrix once
+(`distance_matrix`, from each side's cached `bits_array`) and takes its
+smallest entry in one flat reduction. When that exceeds alpha, as it
+does for nearly every pair of unrelated programs, the score is zero and
+the call returns at once; only pairs within alpha get row and column
+minima, match counts and (in `pair_report`) evidence. An index record
+builds its `ProgramFingerprint` once, so repeated queries and
+clustering reuse the same arrays.
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ GRADE_IDENTICAL = "identical"
 GRADE_NEAR_IDENTICAL = "near-identical"
 GRADE_SIMILAR = "similar"
 GRADE_DISSIMILAR = "dissimilar"
-
-
-@dataclass(frozen=True)
-class PairDistanceSet:
-    """All pairwise Hamming distances between two fingerprint sets,
-    row-major: distances[i * size_b + j] pairs fingerprint i of A with
-    fingerprint j of B (both sides in ascending bits order)."""
-
-    distances: tuple[int, ...]
-    size_a: int
-    size_b: int
 
 
 @dataclass(frozen=True)
@@ -65,17 +54,21 @@ class PairReport:
 _MODES = ("containment", "resemblance")
 
 
+def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
+    """uint8 Hamming distances, row i pairing fingerprint i of A with
+    every fingerprint of B (both in ascending order)."""
+    return np.bitwise_count(a.bits_array[:, None] ^ b.bits_array)
+
+
 def _score(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
 ) -> tuple[SimilarityScore, np.ndarray, np.ndarray | None, int]:
     """The one scoring kernel: (score, distance matrix, row minima,
     smallest distance).
 
-    The matrix is uint8, row i pairing fingerprint i of A with every
-    fingerprint of B (both in ascending bits order); row minima are
-    each A path's nearest distance in B, and None when no path is
-    within alpha: the smallest distance, one flat reduction, settles
-    that before any per-row or per-column minimum is taken.
+    Row minima are each A path's nearest distance in B, and None when
+    no path is within alpha: the smallest distance, one flat reduction,
+    settles that before any per-row or per-column minimum is taken.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
@@ -85,7 +78,7 @@ def _score(
         raise ValueError(f"unscoreable program: {b.program_id!r} has no fingerprints")
     if a.width != b.width:
         raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    matrix = np.bitwise_count(a.bits_array[:, None] ^ b.bits_array)
+    matrix = distance_matrix(a, b)
     min_distance = int(np.minimum.reduce(matrix, axis=None))
     if min_distance > alpha:
         row_min = None
@@ -111,35 +104,12 @@ def _score(
     return score, matrix, row_min, min_distance
 
 
-def path_distance_set(a: ProgramFingerprint, b: ProgramFingerprint) -> PairDistanceSet:
-    matrix = _score(a, b, 0, "containment")[1]
-    return PairDistanceSet(
-        distances=tuple(matrix.ravel().tolist()),
-        size_a=matrix.shape[0],
-        size_b=matrix.shape[1],
-    )
-
-
-def similarity_containment(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int
-) -> SimilarityScore:
-    """Matched share of the smaller program's paths.
-
-    When the sets are the same size, the better direction counts.
-    """
-    return _score(a, b, alpha, "containment")[0]
-
-
-def similarity_resemblance(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int
-) -> SimilarityScore:
-    """Mutual matched share: both directions over both sizes."""
-    return _score(a, b, alpha, "resemblance")[0]
-
-
 def score_pair(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str = "containment"
 ) -> SimilarityScore:
+    """Containment: matched share of the smaller program's paths (on
+    equal sizes the better direction counts). Resemblance: matched
+    paths of both sides over both sizes."""
     return _score(a, b, alpha, mode)[0]
 
 
@@ -154,7 +124,7 @@ def pair_report(
     # ties go to the lowest partner bits; columns are in ascending bits
     # order, so argmin already lands there
     partners = matrix[matched_rows].argmin(axis=1)
-    a_bits, b_bits = a.bits, b.bits
+    a_bits, b_bits = a.fingerprints, b.fingerprints
     evidence = tuple(
         (to_hex(a_bits[i]), to_hex(b_bits[j]), d)
         for i, j, d in zip(

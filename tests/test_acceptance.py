@@ -25,7 +25,6 @@ from cfgprint.cloneforge import (
 )
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import (
-    PathFingerprint,
     ProgramFingerprint,
     fingerprint_path,
     fnv1a64,
@@ -96,12 +95,8 @@ def _exhaustive_simple_paths(n, edges, entry, exit_id):
 
 
 def _program_of_bits(program_id, bit_values):
-    unique = sorted(set(bit_values))
     return ProgramFingerprint(
-        program_id,
-        tuple(PathFingerprint(b, (program_id, i), 64) for i, b in enumerate(unique)),
-        len(bit_values),
-        False,
+        program_id, tuple(sorted(set(bit_values))), len(bit_values), False
     )
 
 
@@ -327,7 +322,7 @@ def test_criterion_10_similarity_properties_and_reference():
             assert 0.0 <= value <= 1.0
             assert value == score_pair(b, a, alpha, mode).value
             assert value == pytest.approx(
-                _reference_score(a.bits, b.bits, alpha, mode)
+                _reference_score(a.fingerprints, b.fingerprints, alpha, mode)
             )
             assert score_pair(a, a_twin, alpha, mode).value == 1.0
             if alpha < 16:

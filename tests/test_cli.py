@@ -5,6 +5,9 @@ stays honest.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -365,6 +368,20 @@ def test_cluster_empty_result_is_success(corpus, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["query", "cluster"])
+def test_index_backed_commands_check_min_blocks_and_echo_max_paths(
+    corpus, tmp_path, capsys, command
+):
+    idx = _indexed(corpus, tmp_path, capsys)
+    argv = [str(idx)] if command == "cluster" else [str(corpus / "clone_a.mp"), str(idx)]
+    captured = run_cli(capsys, command, *argv, "--min-blocks", "9", "--max-paths", "7",
+                       expect=1)
+    assert "--min-blocks 9 vs index min_blocks 3" in captured.err
+    report = run_json(capsys, command, *argv, "--min-blocks", "3", "--max-paths", "7")
+    assert (report["config"]["min_blocks"], report["config"]["max_paths"]) == (3, 7)
+    run_cli(capsys, command, *argv, "--max-paths", "0", expect=1)
+
+
 # -- flags and plumbing -------------------------------------------------------------
 
 
@@ -414,3 +431,18 @@ def test_config_echoed_in_all_reports(corpus, tmp_path, capsys):
         assert config["hash"] == "fnv1a64"
         assert config["normalization"] == "miniproc-1"
         assert config["r"] == 64
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, cfgprint.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,13 +12,11 @@ from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph, cfg_from_statemen
 from cfgprint.cloneforge import SizeSpec, generate_program
 from cfgprint.config import RunConfig
 from cfgprint.fingerprint import (
-    PathFingerprint,
     ProgramFingerprint,
     fingerprint_path,
     fingerprint_program,
     fnv1a64,
     from_hex,
-    hamming,
     hamming_bits,
     simhash_bits,
     to_hex,
@@ -163,13 +161,6 @@ def test_hamming_is_a_metric(a, b, c):
     assert hamming_bits(a, c) <= hamming_bits(a, b) + hamming_bits(b, c)
 
 
-def test_hamming_width_mismatch_rejected():
-    fa = PathFingerprint(bits=1, source_path_id=("p", 0), width=64)
-    fb = PathFingerprint(bits=1, source_path_id=("p", 1), width=32)
-    with pytest.raises(ValueError):
-        hamming(fa, fb)
-
-
 # -- hex round trip ----------------------------------------------------------------
 
 
@@ -246,21 +237,8 @@ def test_fingerprint_program_dedups_identical_paths():
     program = fingerprint_program(paths, cfg, "demo")
     assert program.path_count == len(paths)
     assert len(program.fingerprints) <= len(paths)
-    assert len(set(program.bits)) == len(program.bits)
-    assert program.bits == tuple(sorted(program.bits))
-
-
-def test_fingerprint_program_keeps_first_source_path():
-    src = "if (x > 0) output x; else output x; endif"
-    cfg, paths = _pipeline_pieces(src)
-    program = fingerprint_program(paths, cfg, "demo")
-    indexes = [fp.source_path_id[1] for fp in program.fingerprints]
-    assert all(i < len(paths) for i in indexes)
-    bit_to_first = {}
-    for i, path in enumerate(paths):
-        bits = fingerprint_path(path.block_ids, cfg, 64)
-        bit_to_first.setdefault(bits, i)
-    assert sorted(indexes) == sorted(bit_to_first.values())
+    assert len(set(program.fingerprints)) == len(program.fingerprints)
+    assert program.fingerprints == tuple(sorted(program.fingerprints))
 
 
 def test_scoreable_flag():
@@ -276,9 +254,8 @@ def test_bits_array_is_cached_read_only_copy_of_bits():
     program = fingerprint_program(paths, cfg, "p")
     array = program.bits_array
     assert array.dtype == np.uint64
-    assert array.tolist() == list(program.bits)
+    assert array.tolist() == list(program.fingerprints)
     assert program.bits_array is array
-    assert program.bits is program.bits
     assert not array.flags.writeable
     with pytest.raises(ValueError):
         array[0] = 0
@@ -294,7 +271,7 @@ def test_cached_bits_leave_equality_hashing_and_pickling_alone():
     copy = pickle.loads(pickle.dumps(used))
     assert copy == fresh
     assert not copy.bits_array.flags.writeable
-    assert copy.bits_array.tolist() == list(fresh.bits)
+    assert copy.bits_array.tolist() == list(fresh.fingerprints)
     empty = ProgramFingerprint("e", (), 0, False)
     assert empty.bits_array.dtype == np.uint64 and empty.bits_array.size == 0
 
@@ -316,10 +293,7 @@ def fingerprint_program_oracle(paths, cfg, width):
 def assert_matches_oracle(paths, cfg, width, truncated=False):
     program = fingerprint_program(paths, cfg, "prog", width=width, truncated=truncated)
     expected = fingerprint_program_oracle(paths, cfg, width)
-    assert [(f.bits, f.source_path_id) for f in program.fingerprints] == [
-        (bits, ("prog", idx)) for bits, idx in expected
-    ]
-    assert all(f.width == width for f in program.fingerprints)
+    assert program.fingerprints == tuple(bits for bits, _ in expected)
     assert (program.path_count, program.truncated, program.width) == (
         len(paths),
         truncated,

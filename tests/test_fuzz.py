@@ -156,10 +156,22 @@ _JSON_VALUES = st.recursive(
 
 @st.composite
 def corrupted(draw, lines):
-    """The index with one line corrupted in one of five ways."""
+    """(index text, whether loading must fail): the index with one line
+    corrupted in one of six ways."""
     lines = list(lines)
     i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    how = draw(st.sampled_from(["truncate", "wrong_type", "shuffle", "duplicate_fp", "duplicate_record"]))
+    how = draw(st.sampled_from(
+        ["truncate", "wrong_type", "non_string_id", "shuffle", "duplicate_fp", "duplicate_record"]
+    ))
+    if how == "non_string_id":
+        # a record's id or path as any JSON value but a string
+        i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        row = json.loads(lines[i])
+        row[draw(st.sampled_from(["program_id", "source_path"]))] = draw(
+            _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+        )
+        lines[i] = json.dumps(row)
+        return "\n".join(lines) + "\n", True
     row = json.loads(lines[i])
     if how == "truncate":
         lines[i] = lines[i][: draw(st.integers(min_value=0, max_value=len(lines[i]) - 1))]
@@ -175,16 +187,19 @@ def corrupted(draw, lines):
         lines[i] = json.dumps(row)
     else:
         lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), lines[max(i, 1)])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", False
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), command=st.sampled_from(["query", "cluster"]))
 def test_query_and_cluster_on_corrupt_index_never_raise(workdir, index_lines, data, command):
     cdx = workdir / "corrupt.cdx"
-    cdx.write_text(data.draw(corrupted(index_lines)), encoding="utf-8")
+    text, must_fail = data.draw(corrupted(index_lines))
+    cdx.write_text(text, encoding="utf-8")
     (workdir / "probe.mp").write_text(PROGRAM)
     if command == "query":
-        run_main("query", workdir / "probe.mp", cdx, "--json")
+        code = run_main("query", workdir / "probe.mp", cdx, "--json")
     else:
-        run_main("cluster", cdx, "--json")
+        code = run_main("cluster", cdx, "--json")
+    if must_fail:
+        assert code == 1

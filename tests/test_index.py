@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cfgprint.config import ConfigStamp, RunConfig
-from cfgprint.fingerprint import PathFingerprint, ProgramFingerprint
+from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.index_store import (
     FingerprintIndex,
     IndexCompatibilityError,
@@ -21,11 +21,9 @@ STAMP = ConfigStamp.from_config(RunConfig())
 
 
 def make_program(program_id, bit_values, truncated=False):
-    unique = sorted(set(bit_values))
-    fps = tuple(
-        PathFingerprint(bits, (program_id, i), 64) for i, bits in enumerate(unique)
+    return ProgramFingerprint(
+        program_id, tuple(sorted(set(bit_values))), len(bit_values), truncated
     )
-    return ProgramFingerprint(program_id, fps, len(bit_values), truncated)
 
 
 def make_index(programs, stamp=STAMP):
@@ -69,7 +67,7 @@ def test_add_rejects_alpha_only_stamp_mismatch():
 
 
 def test_record_from_program_rejects_width_mismatch():
-    short = ProgramFingerprint("w", (PathFingerprint(1, ("w", 0), 32),), 1, False, width=32)
+    short = ProgramFingerprint("w", (1,), 1, False, width=32)
     with pytest.raises(ValueError):
         record_from_program(short, "w.mp", STAMP)
 
@@ -140,15 +138,11 @@ def test_record_builds_its_program_fingerprint_once():
     record = record_from_program(program, "p.mp", STAMP)
     built = record.to_program_fingerprint()
     fresh = ProgramFingerprint(
-        record.program_id,
-        tuple(PathFingerprint(b, (record.program_id, i), 64)
-              for i, b in enumerate(record.fingerprints)),
-        record.path_count,
-        record.truncated,
+        record.program_id, record.fingerprints, record.path_count, record.truncated
     )
     assert built == fresh
     assert record.to_program_fingerprint() is built
-    assert built.bits == record.fingerprints
+    assert built.fingerprints is record.fingerprints
     # the cache is not a field: equality and hashing are unchanged
     assert record == record_from_program(program, "p.mp", STAMP)
     assert hash(record) == hash(record_from_program(program, "p.mp", STAMP))
@@ -195,8 +189,8 @@ def test_cluster_matches_bfs_oracle():
     for _ in range(25):
         programs = _random_programs(rng, 12)
         # plant some identical twins so clusters exist
-        programs[1] = make_program("p001", list(programs[0].bits))
-        programs[5] = make_program("p005", list(programs[4].bits))
+        programs[1] = make_program("p001", list(programs[0].fingerprints))
+        programs[5] = make_program("p005", list(programs[4].fingerprints))
         index = make_index(programs)
         alpha, threshold = rng.randint(0, 6), 0.6
         groups = index.cluster(alpha, threshold, "containment")
@@ -211,6 +205,28 @@ def test_cluster_matches_bfs_oracle():
                     linked.add((a, b))
         expected = bfs_components(ids, linked)
         assert [list(g.members) for g in groups] == expected
+
+
+def test_cluster_matches_bfs_oracle_on_chained_links():
+    # programs drawn from a small pool of far-apart fingerprints link in
+    # long chains and stars, in every order a pair scan meets them
+    pool = [(2**64 - 1) // 255 * k for k in range(1, 9)]  # bytes 0x01..0x08, repeated
+    rng = random.Random(77)
+    for _ in range(40):
+        programs = [
+            make_program(f"p{i:03d}", rng.sample(pool, rng.randint(1, 3)))
+            for i in range(rng.randint(2, 14))
+        ]
+        index = make_index(programs)
+        groups = index.cluster(0, 0.5, "containment")
+        ids = [p.program_id for p in programs]
+        linked = {
+            (a.program_id, b.program_id)
+            for i, a in enumerate(programs)
+            for b in programs[i + 1 :]
+            if score_pair(a, b, 0, "containment").value >= 0.5
+        }
+        assert [list(g.members) for g in groups] == bfs_components(ids, linked)
 
 
 def test_cluster_group_mean_score():
@@ -390,6 +406,21 @@ def test_load_rejects_non_integer_path_count(tmp_path, value):
         load_index(path)
 
 
+@pytest.mark.parametrize("key", ["program_id", "source_path"])
+@pytest.mark.parametrize("value", [None, 1, True, ["a"], {"a": 1}])
+def test_load_rejects_non_string_id_or_path(tmp_path, key, value):
+    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    path = tmp_path / "ids.cdx"
+    index.save(path)
+
+    def edit(records):
+        records[1][key] = value
+
+    _rewrite_records(path, edit)
+    with pytest.raises(IndexFormatError, match=f"line 3: {key} must be a string"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("key", ["r", "alpha", "min_blocks"])
 @pytest.mark.parametrize("value", [None, "5", 5.5, False, float("inf")])
 def test_load_rejects_non_integer_header_values(tmp_path, key, value):
@@ -430,7 +461,7 @@ def test_load_rejects_bad_fingerprint_lists(tmp_path, fingerprints, message):
 
 def test_load_rejects_fingerprint_wider_than_r(tmp_path):
     stamp = ConfigStamp.from_config(RunConfig(r=32, alpha=5))
-    narrow = ProgramFingerprint("a", (PathFingerprint(7, ("a", 0), 32),), 1, False, width=32)
+    narrow = ProgramFingerprint("a", (7,), 1, False, width=32)
     path = tmp_path / "narrow.cdx"
     make_index([narrow], stamp).save(path)
     assert load_index(path).records["a"].fingerprints == (7,)

@@ -6,29 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgprint.fingerprint import PathFingerprint, ProgramFingerprint
+from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.similarity import (
     GRADE_DISSIMILAR,
     GRADE_IDENTICAL,
     GRADE_NEAR_IDENTICAL,
     GRADE_SIMILAR,
     classify,
+    distance_matrix,
     pair_report,
-    path_distance_set,
     score_pair,
-    similarity_containment,
-    similarity_resemblance,
 )
 
 
 def make_program(program_id, bit_values):
-    unique = sorted(set(bit_values))
-    fps = tuple(
-        PathFingerprint(bits, (program_id, i), 64) for i, bits in enumerate(unique)
-    )
     return ProgramFingerprint(
         program_id=program_id,
-        fingerprints=fps,
+        fingerprints=tuple(sorted(set(bit_values))),
         path_count=len(bit_values),
         truncated=False,
     )
@@ -85,10 +79,10 @@ def test_containment_matches_oracle():
         a = make_program("a", _random_bits(rng))
         b = make_program("b", _random_bits(rng))
         alpha = rng.randint(0, 12)
-        got = similarity_containment(a, b, alpha)
-        assert got.value == pytest.approx(oracle_containment(a.bits, b.bits, alpha))
+        got = score_pair(a, b, alpha, "containment")
+        assert got.value == pytest.approx(oracle_containment(a.fingerprints, b.fingerprints, alpha))
         assert got.mode == "containment"
-        assert got.denominator == min(len(a.bits), len(b.bits))
+        assert got.denominator == min(len(a.fingerprints), len(b.fingerprints))
 
 
 def test_resemblance_matches_oracle():
@@ -97,9 +91,9 @@ def test_resemblance_matches_oracle():
         a = make_program("a", _random_bits(rng))
         b = make_program("b", _random_bits(rng))
         alpha = rng.randint(0, 12)
-        got = similarity_resemblance(a, b, alpha)
-        assert got.value == pytest.approx(oracle_resemblance(a.bits, b.bits, alpha))
-        assert got.denominator == len(a.bits) + len(b.bits)
+        got = score_pair(a, b, alpha, "resemblance")
+        assert got.value == pytest.approx(oracle_resemblance(a.fingerprints, b.fingerprints, alpha))
+        assert got.denominator == len(a.fingerprints) + len(b.fingerprints)
 
 
 def test_score_pair_dispatch():
@@ -117,23 +111,23 @@ def test_score_pair_dispatch():
 def test_identical_sets_score_one():
     a = make_program("a", [10, 20, 30])
     b = make_program("b", [10, 20, 30])
-    assert similarity_containment(a, b, 0).value == 1.0
-    assert similarity_resemblance(a, b, 0).value == 1.0
+    assert score_pair(a, b, 0, "containment").value == 1.0
+    assert score_pair(a, b, 0, "resemblance").value == 1.0
 
 
 def test_disjoint_far_sets_score_zero():
     a = make_program("a", [0])
     b = make_program("b", [2**64 - 1])
-    assert similarity_containment(a, b, 5).value == 0.0
-    assert similarity_resemblance(a, b, 5).value == 0.0
+    assert score_pair(a, b, 5, "containment").value == 0.0
+    assert score_pair(a, b, 5, "resemblance").value == 0.0
 
 
 def test_containment_ignores_extra_paths_in_larger_program():
     small = make_program("s", [100, 200])
     rng = random.Random(5)
     big = make_program("b", [100, 200] + _random_bits(rng, 6, 6))
-    assert similarity_containment(small, big, 0).value == 1.0
-    assert similarity_resemblance(small, big, 0).value < 1.0
+    assert score_pair(small, big, 0, "containment").value == 1.0
+    assert score_pair(small, big, 0, "resemblance").value < 1.0
 
 
 def test_containment_tie_takes_best_direction():
@@ -142,38 +136,35 @@ def test_containment_tie_takes_best_direction():
     b = make_program("b", [0b0000, 0b0111])
     # at alpha 1: a->b matches both (0 exact, 1 via 0b0000); b->a matches 0b0000 only...
     # both directions actually: b 0b0111 to a nearest is 0b0001 at distance 2
-    a_to_b = _matched(a.bits, b.bits, 1)
-    b_to_a = _matched(b.bits, a.bits, 1)
+    a_to_b = _matched(a.fingerprints, b.fingerprints, 1)
+    b_to_a = _matched(b.fingerprints, a.fingerprints, 1)
     assert a_to_b != b_to_a
     expected = max(a_to_b, b_to_a) / 2
-    assert similarity_containment(a, b, 1).value == expected
+    assert score_pair(a, b, 1, "containment").value == expected
 
 
 def test_alpha_widens_matches():
     a = make_program("a", [0b1111_0000])
     b = make_program("b", [0b1111_0110])
-    assert similarity_containment(a, b, 1).value == 0.0
-    assert similarity_containment(a, b, 2).value == 1.0
+    assert score_pair(a, b, 1, "containment").value == 0.0
+    assert score_pair(a, b, 2, "containment").value == 1.0
 
 
 def test_unscoreable_raises():
     empty = ProgramFingerprint("empty", (), 0, False)
     full = make_program("full", [1])
     with pytest.raises(ValueError, match="unscoreable program"):
-        similarity_containment(empty, full, 0)
+        score_pair(empty, full, 0, "containment")
     with pytest.raises(ValueError, match="unscoreable program"):
-        similarity_resemblance(full, empty, 0)
+        score_pair(full, empty, 0, "resemblance")
     with pytest.raises(ValueError, match="empty"):
         score_pair(empty, empty, 0, "containment")
 
 
 def test_width_mismatch_rejected():
-    a = ProgramFingerprint("a", (PathFingerprint(1, ("a", 0), 32),), 1, False, width=32)
+    a = ProgramFingerprint("a", (1,), 1, False, width=32)
     b = make_program("b", [1])
     scorers = [
-        path_distance_set,
-        lambda x, y: similarity_containment(x, y, 0),
-        lambda x, y: similarity_resemblance(x, y, 0),
         lambda x, y: score_pair(x, y, 0, "containment"),
         lambda x, y: score_pair(x, y, 0, "resemblance"),
         lambda x, y: pair_report(x, y, 0, "containment"),
@@ -239,7 +230,7 @@ def test_containment_dominates_resemblance_at_equal_sizes(a_bits, b_bits, alpha)
     # side, which can be the weaker direction.
     a = make_program("a", a_bits)
     b = make_program("b", b_bits)
-    if len(a.bits) != len(b.bits):
+    if len(a.fingerprints) != len(b.fingerprints):
         return  # dedup may shrink one side; property only claimed for ties
     assert (
         score_pair(a, b, alpha, "containment").value
@@ -250,16 +241,14 @@ def test_containment_dominates_resemblance_at_equal_sizes(a_bits, b_bits, alpha)
 # -- distance matrix and report ---------------------------------------------------
 
 
-def test_path_distance_set_layout():
+def test_distance_matrix_layout():
     a = make_program("a", [0b00, 0b11])
     b = make_program("b", [0b01, 0b10, 0b111])
-    dist = path_distance_set(a, b)
-    assert (dist.size_a, dist.size_b) == (2, 3)
-    expected = []
-    for x in a.bits:
-        for y in b.bits:
-            expected.append(_popcount(x ^ y))
-    assert list(dist.distances) == expected
+    matrix = distance_matrix(a, b)
+    assert matrix.shape == (2, 3)
+    assert matrix.tolist() == [
+        [_popcount(x ^ y) for y in b.fingerprints] for x in a.fingerprints
+    ]
 
 
 def test_pair_report_evidence():
@@ -277,7 +266,7 @@ def test_pair_report_evidence():
 def test_pair_report_evidence_covers_every_matched_probe_path():
     rng = random.Random(8)
     a = make_program("a", _random_bits(rng, 5, 5))
-    b = make_program("b", list(a.bits)[:3] + _random_bits(rng, 3, 3))
+    b = make_program("b", list(a.fingerprints)[:3] + _random_bits(rng, 3, 3))
     report = pair_report(a, b, alpha=0, mode="containment")
     matched_probes = {p for p, _, _ in report.evidence}
     assert len(matched_probes) == report.score.matched_count
@@ -333,15 +322,13 @@ _NEAR_BITS = st.lists(
 def test_kernel_matches_oracles(a_bits, b_bits, alpha, mode):
     a = make_program("a", a_bits)
     b = make_program("b", b_bits)
-    matched, denominator = oracle_counts(a.bits, b.bits, alpha, mode)
-    evidence, min_distance = oracle_report(a.bits, b.bits, alpha)
+    matched, denominator = oracle_counts(a.fingerprints, b.fingerprints, alpha, mode)
+    evidence, min_distance = oracle_report(a.fingerprints, b.fingerprints, alpha)
 
     score = score_pair(a, b, alpha, mode)
     assert (score.matched_count, score.denominator) == (matched, denominator)
     assert type(score.matched_count) is int  # reports serialize it as JSON
     assert score.value == matched / denominator
-    scorer = similarity_containment if mode == "containment" else similarity_resemblance
-    assert scorer(a, b, alpha) == score
 
     report = pair_report(a, b, alpha, mode)
     assert report.score == score
@@ -367,8 +354,8 @@ def _boundary_pair(gap):
 def test_early_exit_boundary_matches_oracles(alpha, gap, mode):
     a, b = _boundary_pair(gap)
     for x, y in ((a, b), (b, a)):
-        matched, denominator = oracle_counts(x.bits, y.bits, alpha, mode)
-        evidence, min_distance = oracle_report(x.bits, y.bits, alpha)
+        matched, denominator = oracle_counts(x.fingerprints, y.fingerprints, alpha, mode)
+        evidence, min_distance = oracle_report(x.fingerprints, y.fingerprints, alpha)
         assert min_distance == gap
 
         score = score_pair(x, y, alpha, mode)
