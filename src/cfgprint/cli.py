@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mode", choices=MODES, default=None,
                         help="program score: containment or resemblance")
     shared.add_argument("--json", action="store_true", help="emit the JSON report")
-    shared.add_argument("--jobs", type=int, default=None,
-                        help="parallel fingerprinting workers (env CFGPRINT_JOBS)")
 
     parser = argparse.ArgumentParser(
         prog="cfgprint",
@@ -52,6 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", parents=[shared], help="fingerprint a directory of .mp files")
     p.add_argument("directory")
     p.add_argument("-o", "--out", required=True, help="index file to write (.cdx)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="parallel fingerprinting workers (env CFGPRINT_JOBS)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", parents=[shared], help="rank index entries against a probe file")
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("dot", parents=[shared], help="emit the control-flow graph in DOT")
+    p = sub.add_parser("dot", help="emit the control-flow graph in DOT")
     p.add_argument("file")
     p.add_argument("-o", "--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_dot)

@@ -17,6 +17,12 @@ Control constructs are keyword-delimited, conditions in parentheses:
 Comments run from `#` to end of line. Keywords are case-insensitive.
 Identifiers are case-sensitive. Files use the `.mp` extension.
 
+Tokens are plain tuples (`Token` is a NamedTuple), and no token spans a
+line. So `tokenize` scans line by line: one compiled pattern matches
+every lexeme of an ASCII line, and a line that is not ASCII keeps the
+per-character rules of `str.isdigit` and `str.isalpha`, which no `re`
+class reproduces. Expressions are parsed in one loop, not by recursion.
+
 Normalization abstracts away naming and values so that consistently
 renamed programs come out byte-identical: identifiers introduced by
 `declare` become `L-Var`, every other identifier becomes `G-Var`,
@@ -29,7 +35,9 @@ visible downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     {
@@ -65,8 +73,7 @@ class MiniProcSyntaxError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | literal | operator | punctuation
     lexeme: str
     line: int
@@ -114,35 +121,87 @@ class NormalizedStatement:
     condition: str = ""
 
 
+# One ASCII lexeme per match, tried in order: a string closed on its
+# line, a number, a word, a comment (rest of the line), a two-character
+# operator, then any single character that is not blank.
+_LEXEME = re.compile(
+    r'"[^"]*"|\d+(?:\.\d+)?|[A-Za-z_]\w*|#.*|==|!=|<=|>=|&&|\|\||[^ \t\r]',
+    re.ASCII,
+)
+
+
+def _lexeme_kind(lexeme: str) -> tuple[str, str]:
+    """(kind, lexeme as emitted) for one lexeme `_LEXEME` matched."""
+    c = lexeme[0]
+    if c == '"':
+        # a lone quote is an unterminated string, left for the parser
+        return ("literal" if len(lexeme) > 1 else "operator"), lexeme
+    if c.isdigit():
+        return "literal", lexeme
+    if c.isalpha() or c == "_":
+        word = lexeme.lower()
+        if word in KEYWORDS:
+            return "keyword", word
+        return "identifier", lexeme
+    if c in _PUNCTUATION:
+        return "punctuation", lexeme
+    return "operator", lexeme
+
+
+_new_tuple = tuple.__new__
+
+
 def tokenize(source: str) -> list[Token]:
-    """Split source into tokens. Comments and whitespace vanish.
+    r"""Split source into tokens. Comments and whitespace vanish.
 
     Never raises: characters that fit nothing become single-character
     operator tokens and are left for the parser to reject.
+
+    No token spans a line: strings and comments end at the line's end,
+    and only `\n` advances the line number. So the source is scanned
+    line by line, an ASCII line with one `_LEXEME.findall`, each
+    distinct lexeme classified once per call. A line that is not ASCII
+    keeps the per-character rules of `_scan_chars`, because
+    `str.isdigit`, `str.isalpha` and `str.isalnum` have no `re`
+    equivalent there: `\d` matches only decimal digits, not `²`, and
+    `\w` also matches numerics such as `½`, which `str.isalpha` does
+    not let start a word.
     """
     tokens: list[Token] = []
-    line = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
+    append = tokens.append
+    kinds: dict[str, tuple[str, str]] = {}
+    findall = _LEXEME.findall
+    for line, text in enumerate(source.split("\n"), 1):
+        if not text.isascii():
+            _scan_chars(text, line, tokens)
             continue
+        for lexeme in findall(text):
+            known = kinds.get(lexeme)
+            if known is None:
+                if lexeme[0] == "#":
+                    break  # a comment is always the line's last match
+                known = kinds[lexeme] = _lexeme_kind(lexeme)
+            # tuple.__new__ skips the Python-level NamedTuple constructor
+            append(_new_tuple(Token, (*known, line)))
+    return tokens
+
+
+def _scan_chars(text: str, line: int, tokens: list[Token]) -> None:
+    """Tokenize one line with `str` character classes, one character
+    per step; `tokenize` uses it for lines that are not ASCII."""
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
         if c in " \t\r":
             i += 1
             continue
         if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
+            return
         if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j < n and source[j] == '"':
-                tokens.append(Token("literal", source[i : j + 1], line))
+            j = text.find('"', i + 1)
+            if j >= 0:
+                tokens.append(Token("literal", text[i : j + 1], line))
                 i = j + 1
                 continue
             # unterminated string: emit the quote alone, parser rejects it
@@ -151,20 +210,20 @@ def tokenize(source: str) -> list[Token]:
             continue
         if c.isdigit():
             j = i + 1
-            while j < n and source[j].isdigit():
+            while j < n and text[j].isdigit():
                 j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and text[j].isdigit():
                     j += 1
-            tokens.append(Token("literal", source[i:j], line))
+            tokens.append(Token("literal", text[i:j], line))
             i = j
             continue
         if c.isalpha() or c == "_":
             j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            word = source[i:j]
+            word = text[i:j]
             if word.lower() in KEYWORDS:
                 tokens.append(Token("keyword", word.lower(), line))
             else:
@@ -176,14 +235,13 @@ def tokenize(source: str) -> list[Token]:
             i += 1
             continue
         for op in _OPERATORS:
-            if source.startswith(op, i):
+            if text.startswith(op, i):
                 tokens.append(Token("operator", op, line))
                 i += len(op)
                 break
         else:
             tokens.append(Token("operator", c, line))
             i += 1
-    return tokens
 
 
 class _Parser:
@@ -226,45 +284,57 @@ class _Parser:
         return tok is not None and tok.kind == "keyword" and tok.lexeme in names
 
     # -- expressions ---------------------------------------------------
-    # expr := unary (binop unary)* ; only shape is checked, no precedence
-    # tree is needed because normalization works on the token stream.
+    # expr    := unary (binop unary)*
+    # unary   := ('!' | '-')* primary
+    # primary := identifier | literal | '(' expr ')'
+    # Only the shape is checked: normalization works on the token stream,
+    # so no precedence tree is built and an expression is the contiguous
+    # run of tokens it spans.
 
     _BINOPS = frozenset({"+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=", "&&", "||"})
 
     def _expression(self) -> list[Token]:
-        out = self._unary()
+        """Consume one expression in a single loop over the tokens.
+
+        Each open parenthesis enters a nesting level through `_descend`
+        and the matching `)` leaves it, so MAX_NESTING bounds
+        parentheses without recursion.
+        """
+        tokens = self.tokens
+        n = len(tokens)
+        pos = start = self.pos
+        outer = self.depth
+        binops = self._BINOPS
         while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "operator" and tok.lexeme in self._BINOPS:
-                out.append(self._take())
-                out.extend(self._unary())
-            else:
-                return out
-
-    def _unary(self) -> list[Token]:
-        out = []
-        tok = self._peek()
-        while tok is not None and tok.kind == "operator" and tok.lexeme in ("!", "-"):
-            out.append(self._take())
-            tok = self._peek()
-        out.extend(self._primary())
-        return out
-
-    def _primary(self) -> list[Token]:
-        tok = self._peek()
-        if tok is None:
-            raise MiniProcSyntaxError("expected expression, got end of input",
-                                      self.tokens[-1].line if self.tokens else 1)
-        if tok.kind in ("identifier", "literal"):
-            return [self._take()]
-        if tok.kind == "punctuation" and tok.lexeme == "(":
-            self._descend(tok)
-            out = [self._take()]
-            out.extend(self._expression())
-            out.append(self._expect("punctuation", ")"))
-            self.depth -= 1
-            return out
-        raise MiniProcSyntaxError(f"expected expression, got {tok.lexeme!r}", tok.line)
+            # operand: unary operators, then a primary
+            while pos < n and tokens[pos].kind == "operator" and tokens[pos].lexeme in ("!", "-"):
+                pos += 1
+            if pos == n:
+                raise MiniProcSyntaxError("expected expression, got end of input",
+                                          tokens[-1].line if tokens else 1)
+            tok = tokens[pos]
+            if tok.kind == "punctuation" and tok.lexeme == "(":
+                self._descend(tok)
+                pos += 1
+                continue
+            if tok.kind not in ("identifier", "literal"):
+                raise MiniProcSyntaxError(f"expected expression, got {tok.lexeme!r}", tok.line)
+            pos += 1
+            # after an operand: a binary operator, a ')' closing an open
+            # parenthesis, or the end of the expression
+            while True:
+                tok = tokens[pos] if pos < n else None
+                if tok is not None and tok.kind == "operator" and tok.lexeme in binops:
+                    pos += 1
+                    break
+                if self.depth == outer:
+                    self.pos = pos
+                    return tokens[start:pos]
+                if tok is None or tok.kind != "punctuation" or tok.lexeme != ")":
+                    self.pos = pos
+                    self._expect("punctuation", ")")  # raises
+                pos += 1
+                self.depth -= 1
 
     def _paren_condition(self) -> list[Token]:
         open_tok = self._expect("punctuation", "(")
@@ -304,21 +374,13 @@ class _Parser:
         tok = self._peek()
         assert tok is not None
         if tok.kind == "keyword":
-            handler = {
-                "declare": self._declare,
-                "call": self._call,
-                "output": self._output,
-                "if": self._if,
-                "while": self._while,
-                "for": self._for,
-                "case": self._case,
-            }.get(tok.lexeme)
+            handler = self._HANDLERS.get(tok.lexeme)
             if handler is None:
                 raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
             if tok.lexeme not in _CONSTRUCT_KEYWORDS:
-                return handler()
+                return handler(self)
             self._descend(tok)
-            node = handler()
+            node = handler(self)
             self.depth -= 1
             return node
         if tok.kind == "identifier":
@@ -451,6 +513,17 @@ class _Parser:
         end = self._end_marker("endcase", "case", kw.line)
         children.append(end)
         return Statement("case", kw.line, end.end_line, tuple(cond), tuple(children))
+
+    # statement keyword -> handler, built once rather than per statement
+    _HANDLERS = {
+        "declare": _declare,
+        "call": _call,
+        "output": _output,
+        "if": _if,
+        "while": _while,
+        "for": _for,
+        "case": _case,
+    }
 
 
 def parse(tokens: list[Token]) -> Statement:

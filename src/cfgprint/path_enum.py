@@ -45,8 +45,10 @@ def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = 10000) -> PathSet:
     # separate existence probe
     collected = _walk(cfg, max_paths + 1)
     truncated = len(collected) > max_paths
+    # a simple path holds each block once, so the virtual blocks on it
+    # are exactly the ids it shares with `virtual`
     paths = tuple(
-        ExecutionPath(ids, sum(1 for i in ids if i not in virtual))
+        ExecutionPath(ids, len(ids) - len(virtual.intersection(ids)))
         for ids in collected[:max_paths]
     )
     return PathSet(paths=paths, truncated=truncated)

@@ -393,6 +393,30 @@ def test_jobs_flag_parity(corpus, tmp_path, capsys):
     assert seq.read_text().splitlines()[1:] == par.read_text().splitlines()[1:]
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("dot", ["--alpha", "999"]),
+        ("dot", ["--jobs", "-4"]),
+        ("dot", ["--json"]),
+        ("query", ["--jobs", "2"]),
+        ("compare", ["--jobs", "-3"]),
+        ("cluster", ["--jobs", "0"]),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(corpus, tmp_path, capsys, command, flags):
+    idx = _indexed(corpus, tmp_path, capsys)
+    probe = str(corpus / "clone_a.mp")
+    positional = {
+        "dot": [probe],
+        "query": [probe, str(idx)],
+        "compare": [probe, str(corpus / "clone_b.mp")],
+        "cluster": [str(idx)],
+    }[command]
+    captured = run_cli(capsys, command, *positional, *flags, expect=2)
+    assert "unrecognized arguments" in captured.err
+
+
 def test_jobs_env_fallback(corpus, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CFGPRINT_JOBS", "2")
     run_json(capsys, "index", str(corpus), "-o", str(tmp_path / "env.cdx"))

@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgprint.cloneforge import build_corpus
 from cfgprint.frontend import (
+    _OPERATORS,
+    _PUNCTUATION,
+    KEYWORDS,
     MAX_NESTING,
     MiniProcSyntaxError,
+    Token,
     normalize,
     normalize_source,
     parse,
@@ -78,6 +83,131 @@ def test_tokenize_unterminated_string_left_for_parser():
         parse(tokenize('x = "oops;'))
 
 
+def test_token_is_an_immutable_named_triple():
+    tok = Token("keyword", "if", 1)
+    assert Token._fields == ("kind", "lexeme", "line")
+    assert repr(tok) == "Token(kind='keyword', lexeme='if', line=1)"
+    with pytest.raises(AttributeError):
+        tok.kind = "identifier"
+    same = Token("keyword", "if", 1)
+    assert tok == same and hash(tok) == hash(same)
+    assert tok != Token("keyword", "if", 2)
+
+
+def tokenize_oracle(source):
+    """The character-at-a-time tokenizer `tokenize` replaced, kept as
+    the reference its output must equal on any input."""
+    tokens = []
+    line = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j < n and source[j] == '"':
+                tokens.append(Token("literal", source[i : j + 1], line))
+                i = j + 1
+                continue
+            tokens.append(Token("operator", c, line))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i + 1
+            while j < n and source[j].isdigit():
+                j += 1
+            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+                j += 1
+                while j < n and source[j].isdigit():
+                    j += 1
+            tokens.append(Token("literal", source[i:j], line))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            if word.lower() in KEYWORDS:
+                tokens.append(Token("keyword", word.lower(), line))
+            else:
+                tokens.append(Token("identifier", word, line))
+            i = j
+            continue
+        if c in _PUNCTUATION:
+            tokens.append(Token("punctuation", c, line))
+            i += 1
+            continue
+        for op in _OPERATORS:
+            if source.startswith(op, i):
+                tokens.append(Token("operator", op, line))
+                i += len(op)
+                break
+        else:
+            tokens.append(Token("operator", c, line))
+            i += 1
+    return tokens
+
+
+def _triples(tokens):
+    return [(t.kind, t.lexeme, t.line) for t in tokens]
+
+
+# every operator and punctuation character, quotes, comments, blanks
+# that are and are not skipped, and characters `str.isdigit`,
+# `str.isalpha` and `str.isalnum` classify beyond ASCII
+_SOURCE_PIECES = st.sampled_from(
+    list("+-*/%<>=!&|(),;\"#._ \t\r\x0b\x0c\n")
+    + list("0123456789aZ_")
+    + ["x", "If", "ENDIF", "declare", "1.5", "2.", ".7", "==", "<=", "||", '"s"']
+    + list("éß²٣½Ⅻ\u00a0")
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(_SOURCE_PIECES, max_size=40))
+def test_tokenize_matches_character_oracle(pieces):
+    source = "".join(pieces)
+    assert _triples(tokenize(source)) == _triples(tokenize_oracle(source))
+
+
+def test_tokenize_matches_character_oracle_on_corpus(tmp_path):
+    build_corpus(tmp_path, 20, 20, seed=1)
+    programs = sorted(tmp_path.glob("*.mp"))
+    assert programs
+    for path in programs:
+        source = path.read_text(encoding="utf-8")
+        assert _triples(tokenize(source)) == _triples(tokenize_oracle(source)), path.name
+
+
+def test_tokenize_non_ascii_line_keeps_character_rules():
+    assert _kinds("café = ²3 + ½;\nx = 1;") == [
+        ("identifier", "café"),
+        ("operator", "="),
+        ("literal", "²3"),
+        ("operator", "+"),
+        ("operator", "½"),
+        ("punctuation", ";"),
+        ("identifier", "x"),
+        ("operator", "="),
+        ("literal", "1"),
+        ("punctuation", ";"),
+    ]
+
+
 # -- parser ------------------------------------------------------------------
 
 
@@ -140,6 +270,28 @@ def test_parse_error_carries_line():
         parse(tokenize("x = 1;\ny = ;"))
     assert info.value.line == 2
     assert "line 2:" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "source, message, line",
+    [
+        ("x = ;", "expected expression, got ';'", 1),
+        ("x = 1 +;", "expected expression, got ';'", 1),
+        ("x = (1 + 2;", "expected ')', got ';'", 1),
+        ("x = -;", "expected expression, got ';'", 1),
+        ("output (a;", "expected ')', got ';'", 1),
+        ("call f(1,);", "expected expression, got ')'", 1),
+        ("x = 1 2;", "expected ';', got '2'", 1),
+        ("declare a;\nx = a +", "expected expression, got end of input", 2),
+        ("declare a;\nx = (a\n", "expected ')', got end of input", 2),
+        ("x = (1 +\n\n2));", "expected ';', got ')'", 3),
+    ],
+)
+def test_parse_expression_errors_keep_message_and_line(source, message, line):
+    with pytest.raises(MiniProcSyntaxError) as info:
+        parse(tokenize(source))
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
 
 
 def test_parse_unclosed_construct_points_at_opener():
