@@ -24,6 +24,8 @@ that runs off the end of the program flows there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 from .frontend import NormalizedStatement
 
@@ -45,14 +47,13 @@ class ControlFlowGraph:
     exit_id names the block paths terminate at (the synthetic exit for
     graphs built from source; any block with out-degree 0 for directly
     constructed graphs). unreachable_ids holds blocks that lie on no
-    entry-to-exit walk.
+    entry-to-exit walk; it is computed on first read and kept.
     """
 
     blocks: tuple[BasicBlock, ...]
     edges: frozenset[tuple[int, int]]
     entry_id: int
     exit_id: int
-    unreachable_ids: frozenset[int] = field(init=False)
     _succ: dict[int, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -61,21 +62,23 @@ class ControlFlowGraph:
             raise ValueError("block ids must be contiguous from 0")
         if self.entry_id not in ids or self.exit_id not in ids:
             raise ValueError("entry_id and exit_id must name existing blocks")
+        succ: dict[int, list[int]] = {b.id: [] for b in self.blocks}
         for src, dst in self.edges:
             if src not in ids or dst not in ids:
                 raise ValueError(f"edge ({src}, {dst}) references a missing block")
-        succ: dict[int, list[int]] = {b.id: [] for b in self.blocks}
-        pred: dict[int, list[int]] = {b.id: [] for b in self.blocks}
-        for src, dst in self.edges:
             succ[src].append(dst)
-            pred[dst].append(src)
         if succ[self.exit_id]:
             raise ValueError("exit block must have no successors")
         self._succ = {i: tuple(sorted(s)) for i, s in succ.items()}
 
+    @cached_property
+    def unreachable_ids(self) -> frozenset[int]:
+        pred: dict[int, list[int]] = {i: [] for i in self._succ}
+        for src, dst in self.edges:
+            pred[dst].append(src)
         forward = _reach(self.entry_id, self._succ)
-        backward = _reach(self.exit_id, {i: tuple(p) for i, p in pred.items()})
-        self.unreachable_ids = frozenset(ids - (forward & backward))
+        backward = _reach(self.exit_id, pred)
+        return frozenset(self._succ.keys() - (forward & backward))
 
     def successors(self, block_id: int) -> tuple[int, ...]:
         return self._succ[block_id]
@@ -85,7 +88,7 @@ class ControlFlowGraph:
         return tuple(b for b in self.blocks if not b.is_virtual_exit)
 
 
-def _reach(start: int, neighbors: dict[int, tuple[int, ...]]) -> set[int]:
+def _reach(start: int, neighbors: dict[int, Sequence[int]]) -> set[int]:
     seen = {start}
     frontier = [start]
     while frontier:
@@ -203,7 +206,11 @@ def find_leaders(statements: list[NormalizedStatement]) -> list[int]:
     or control-end statement; the end marker of every selection
     construct (target of the implicit branch-exit joins).
     """
-    structure = _Structure(statements)
+    return _leaders(_Structure(statements))
+
+
+def _leaders(structure: _Structure) -> list[int]:
+    statements = structure.statements
     n = len(statements)
     leaders = {0}
     for s in statements:
@@ -240,7 +247,10 @@ def build_cfg(
     blocks: list[BasicBlock], statements: list[NormalizedStatement]
 ) -> ControlFlowGraph:
     """Wire blocks into a CFG, appending the synthetic exit block."""
-    structure = _Structure(statements)
+    return _wire(blocks, _Structure(statements))
+
+
+def _wire(blocks: list[BasicBlock], structure: _Structure) -> ControlFlowGraph:
     block_of_leader = {b.statements[0].ordinal: b.id for b in blocks}
     exit_id = len(blocks)
     edges: set[tuple[int, int]] = set()
@@ -265,9 +275,10 @@ def build_cfg(
 
 
 def cfg_from_statements(statements: list[NormalizedStatement]) -> ControlFlowGraph:
-    """find_leaders + build_blocks + build_cfg in one step."""
-    leaders = find_leaders(statements)
-    return build_cfg(build_blocks(statements, leaders), statements)
+    """find_leaders + build_blocks + build_cfg in one step, over one
+    construct structure."""
+    structure = _Structure(statements)
+    return _wire(build_blocks(statements, _leaders(structure)), structure)
 
 
 def _dot_escape(text: str) -> str:

@@ -11,7 +11,9 @@ The tally is a sum, so a path's tally is the sum of its blocks'
 tallies. `fingerprint_program` uses this: it hashes each distinct
 statement text once per program, sums the votes of each block's
 statements into one row per block, and gets every path's tally by
-multiplying the path-by-block visit counts with those rows.
+multiplying the path-by-block visit counts with those rows. The counts
+and rows are float64, so the product runs in BLAS; every cell is an
+integer sum far below 2**53, so float64 holds it exactly.
 `fingerprint_path` and `simhash_bits` compute the same bits one path
 at a time and are kept as the reference.
 
@@ -137,6 +139,8 @@ def fingerprint_program(
     unscoreable fingerprint rather than an error: the caller decides
     how to report it.
     """
+    if not 1 <= width <= 64:
+        raise ValueError(f"width must be in 1..64, got {width}")
     return ProgramFingerprint(
         program_id=program_id,
         fingerprints=tuple(sorted(set(_path_bits(paths, cfg, width)))) if paths else (),
@@ -146,13 +150,14 @@ def fingerprint_program(
     )
 
 
-# int64 cells in one per-chunk temporary (about 64 KB)
+# float64 cells in one per-chunk temporary (about 64 KB)
 _CHUNK_CELLS = 8192
 
 
 def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
-    """One int64 row per block: columns 0..width-1 sum the +1/-1 votes
-    of the block's statements per bit, column `width` counts them."""
+    """One float64 row per block: columns 0..width-1 sum the +1/-1 votes
+    of the block's statements per bit, columns width..63 stay 0, and
+    column 64 counts the statements."""
     distinct: list[NormalizedStatement] = []
     row_of: dict[str, int] = {}
     order: list[int] = []  # distinct-text row of every statement, block by block
@@ -163,19 +168,20 @@ def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
                 row = row_of[statement.text] = len(distinct)
                 distinct.append(statement)
             order.append(row)
-    votes = np.zeros((len(cfg.blocks), width + 1), dtype=np.int64)
+    votes = np.zeros((len(cfg.blocks), 65), dtype=np.float64)
     if not order:
         return votes
     sizes = np.array([len(b.statements) for b in cfg.blocks], dtype=np.intp)
     hashes = np.array([hash_statement(s) for s in distinct], dtype=np.uint64)
-    statement_votes = np.ones((len(hashes), width + 1), dtype=np.int8)
+    statement_votes = np.zeros((len(hashes), 65), dtype=np.int8)
+    statement_votes[:, 64] = 1
     bytes_le = hashes.astype("<u8").view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(bytes_le, axis=1, bitorder="little")[:, :width]
     statement_votes[:, :width] = 2 * bits.view(np.int8) - 1
     filled = np.flatnonzero(sizes)
     starts = np.cumsum(sizes)[filled] - sizes[filled]
     votes[filled] = np.add.reduceat(
-        statement_votes[order], starts, axis=0, dtype=np.int64
+        statement_votes[order], starts, axis=0, dtype=np.float64
     )
     return votes
 
@@ -183,15 +189,14 @@ def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
 def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
     """SimHash bits of every path, in order, from per-block vote rows.
 
-    Paths go through in chunks small enough that the visit-count matrix
-    and the tally matrix each stay within _CHUNK_CELLS cells.
+    Visit counts and tallies are float64 so the product runs in BLAS;
+    they are integer sums far below 2**53, so every value is exact. Paths
+    go through in chunks small enough that the visit-count matrix and the
+    tally matrix each stay within _CHUNK_CELLS cells.
     """
-    if not 1 <= width <= 64:
-        raise ValueError(f"width must be in 1..64, got {width}")
     votes = _block_votes(cfg, width)
     n_blocks = len(cfg.blocks)
-    rows = max(1, _CHUNK_CELLS // max(n_blocks, width + 1))
-    weights = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+    rows = max(1, _CHUNK_CELLS // max(n_blocks, 65))
     out: list[int] = []
     for lo in range(0, len(paths), rows):
         chunk = paths[lo : lo + rows]
@@ -203,10 +208,12 @@ def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
         )
         cells += np.repeat(np.arange(len(chunk), dtype=np.intp) * n_blocks, lengths)
         counts = np.bincount(cells, minlength=len(chunk) * n_blocks)
-        tally = counts.reshape(len(chunk), n_blocks) @ votes
-        if not tally[:, width].all():
+        tally = counts.reshape(len(chunk), n_blocks).astype(np.float64) @ votes
+        if not tally[:, 64].all():
             raise ValueError("empty path")
-        out.extend(((tally[:, :width] > 0) @ weights).tolist())
+        # bit i of a path is bit i of its 8 little-endian bytes
+        packed = np.packbits(tally[:, :64] > 0, axis=1, bitorder="little")
+        out.extend(packed.view("<u8")[:, 0].tolist())
     return out
 
 

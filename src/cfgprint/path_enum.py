@@ -9,13 +9,12 @@ makes the output order deterministic (lexicographic by block id).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cfg_builder import ControlFlowGraph
 
 
-@dataclass(frozen=True)
-class ExecutionPath:
+class ExecutionPath(NamedTuple):
     """One entry-to-exit block sequence.
 
     real_block_count excludes the synthetic exit block, so it reflects
@@ -45,11 +44,19 @@ def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = 10000) -> PathSet:
     # separate existence probe
     collected = _walk(cfg, max_paths + 1)
     truncated = len(collected) > max_paths
-    # a simple path holds each block once, so the virtual blocks on it
-    # are exactly the ids it shares with `virtual`
+    del collected[max_paths:]
+    # every path ends at the exit, and a simple path holds each other
+    # block once, so its other virtual blocks are the ids it shares
+    # with `extra` (empty for graphs built from source)
+    at_exit = int(cfg.exit_id in virtual)
+    extra = virtual - {cfg.exit_id}
+    new = tuple.__new__  # skips the Python-level NamedTuple constructor
     paths = tuple(
-        ExecutionPath(ids, len(ids) - len(virtual.intersection(ids)))
-        for ids in collected[:max_paths]
+        new(
+            ExecutionPath,
+            (ids, len(ids) - at_exit - (len(extra.intersection(ids)) if extra else 0)),
+        )
+        for ids in collected
     )
     return PathSet(paths=paths, truncated=truncated)
 
@@ -74,10 +81,11 @@ def _walk(cfg: ControlFlowGraph, limit: int) -> list[tuple[int, ...]]:
     entry, exit_id = cfg.entry_id, cfg.exit_id
     if entry == exit_id:
         return [(entry,)]
+    succ = [cfg.successors(i) for i in range(len(cfg.blocks))]
     collected: list[tuple[int, ...]] = []
     trail = [entry]
     on_trail = {entry}
-    pending = [iter(cfg.successors(entry))]  # unexplored successors per trail block
+    pending = [iter(succ[entry])]  # unexplored successors per trail block
     while pending:
         for nxt in pending[-1]:
             if nxt in on_trail:
@@ -89,7 +97,7 @@ def _walk(cfg: ControlFlowGraph, limit: int) -> list[tuple[int, ...]]:
                 continue
             trail.append(nxt)
             on_trail.add(nxt)
-            pending.append(iter(cfg.successors(nxt)))
+            pending.append(iter(succ[nxt]))
             break
         else:
             on_trail.discard(trail.pop())

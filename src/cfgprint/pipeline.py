@@ -84,6 +84,8 @@ def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, objec
         source = Path(source_path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return (program_id, "error", f"not UTF-8 text: {exc}")
+    except OSError as exc:
+        return (program_id, "error", f"cannot read: {exc}")
     try:
         program = fingerprint_source(source, program_id, config)
     except MiniProcSyntaxError as exc:
@@ -96,10 +98,11 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
 
     Files are discovered recursively and processed in sorted relative
     path order, so the resulting index is deterministic regardless of
-    filesystem ordering or worker count. Files that are not UTF-8 or do
-    not parse are skipped with a diagnostic; programs with no surviving
-    paths are indexed with an empty fingerprint list and reported as
-    unscoreable.
+    filesystem ordering or worker count. Directories named `*.mp` are
+    not programs and are not listed. Files that cannot be read, are not
+    UTF-8 or do not parse are skipped with a diagnostic; programs with
+    no surviving paths are indexed with an empty fingerprint list and
+    reported as unscoreable.
     """
     config.validate()
     root = Path(directory)
@@ -109,8 +112,12 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
         raise NotADirectoryError(f"not a directory: {root}")
 
     t0 = time.perf_counter()
-    files = sorted(root.rglob("*.mp"), key=lambda p: p.relative_to(root).as_posix())
-    tasks = [(p.relative_to(root).as_posix(), str(p), config) for p in files]
+    # relative names are unique, so the sort never compares the later fields
+    tasks = sorted(
+        (p.relative_to(root).as_posix(), str(p), config)
+        for p in root.rglob("*.mp")
+        if not p.is_dir()
+    )
     t1 = time.perf_counter()
 
     if jobs > 1 and len(tasks) > 1:

@@ -315,6 +315,25 @@ def test_oracle_agreement_on_generated_corpus():
         check_against_oracle(source)
 
 
+def test_one_step_build_matches_the_three_public_steps():
+    for seed in range(150):
+        statements = normalize_source(
+            generate_program(seed, SizeSpec(statements=10 + seed % 25))
+        )
+        one_step = cfg_from_statements(statements)
+        three_steps = build_cfg(
+            build_blocks(statements, find_leaders(statements)), statements
+        )
+        assert one_step.blocks == three_steps.blocks
+        assert one_step.edges == three_steps.edges
+        assert (one_step.entry_id, one_step.exit_id) == (
+            three_steps.entry_id,
+            three_steps.exit_id,
+        )
+        for block in one_step.blocks:
+            assert one_step.successors(block.id) == three_steps.successors(block.id)
+
+
 # -- direct graph construction --------------------------------------------------
 
 
@@ -328,7 +347,9 @@ def _graph(edges, n, exit_id):
 def test_direct_graph_unreachable_flagging():
     # block 2 dangles off the walkable component
     cfg = _graph({(0, 1), (0, 2), (1, 3)}, 4, 3)
+    assert "unreachable_ids" not in vars(cfg)  # computed on first read
     assert cfg.unreachable_ids == frozenset({2})
+    assert cfg.unreachable_ids is cfg.unreachable_ids
 
 
 def test_direct_graph_rejects_exit_successors():

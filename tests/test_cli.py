@@ -131,6 +131,27 @@ def test_index_skips_non_utf8_files(corpus, tmp_path, capsys):
     assert sorted(load_index(out).records) == ["clone_a.mp", "clone_b.mp", "unrelated.mp"]
 
 
+def test_index_does_not_list_directories_named_like_programs(corpus, tmp_path, capsys):
+    (corpus / "sub.mp").mkdir()
+    (corpus / "sub.mp" / "inner.mp").write_text(CLONE_A)
+    out = tmp_path / "c.cdx"
+    report = run_json(capsys, "index", str(corpus), "-o", str(out))
+    assert report["indexed"] == 4
+    assert report["skipped"] == []
+    assert "sub.mp" not in load_index(out).records
+    assert "sub.mp/inner.mp" in load_index(out).records
+
+
+def test_index_skips_unreadable_entries(corpus, tmp_path, capsys):
+    (corpus / "broken.mp").symlink_to(tmp_path / "missing.mp")
+    out = tmp_path / "c.cdx"
+    report = run_json(capsys, "index", str(corpus), "-o", str(out))
+    assert report["indexed"] == 3
+    assert [s["program_id"] for s in report["skipped"]] == ["broken.mp"]
+    assert "cannot read" in report["skipped"][0]["error"]
+    assert sorted(load_index(out).records) == ["clone_a.mp", "clone_b.mp", "unrelated.mp"]
+
+
 def test_index_skips_too_deeply_nested_files(corpus, tmp_path, capsys):
     (corpus / "deep.mp").write_text(DEEP)
     report = run_json(capsys, "index", str(corpus), "-o", str(tmp_path / "c.cdx"))

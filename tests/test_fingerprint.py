@@ -278,7 +278,7 @@ def test_cached_bits_leave_equality_hashing_and_pickling_alone():
 
 # -- program fingerprints against the per-path oracle ---------------------------------
 
-WIDTHS = (1, 7, 32, 64)
+WIDTHS = (1, 7, 8, 9, 32, 63, 64)
 
 
 def fingerprint_program_oracle(paths, cfg, width):
@@ -360,6 +360,7 @@ def test_fingerprint_program_rejects_path_without_statements():
 
 def test_fingerprint_program_width_validation():
     cfg, paths = _pipeline_pieces("output 1;")
-    for width in (0, 65):
-        with pytest.raises(ValueError, match="width"):
-            fingerprint_program(paths, cfg, "p", width=width)
+    for width in (0, 65, 99):
+        for some_paths in (paths, []):
+            with pytest.raises(ValueError, match="width"):
+                fingerprint_program(some_paths, cfg, "p", width=width)

@@ -103,6 +103,45 @@ def test_real_block_count_on_direct_graph_without_virtual_exit():
     assert paths[0].real_block_count == 2
 
 
+def test_real_block_count_with_a_virtual_block_besides_the_exit():
+    # block 1 is virtual but is not the exit, so it must not count
+    blocks = (
+        BasicBlock(0, ()),
+        BasicBlock(1, (), is_virtual_exit=True),
+        BasicBlock(2, ()),
+        BasicBlock(3, (), is_virtual_exit=True),
+    )
+    cfg = ControlFlowGraph(
+        blocks=blocks,
+        edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}),
+        entry_id=0,
+        exit_id=3,
+    )
+    paths = enumerate_paths(cfg).paths
+    assert [(p.block_ids, p.real_block_count) for p in paths] == [
+        ((0, 1, 2, 3), 2),
+        ((0, 2, 3), 2),
+    ]
+
+
+def test_execution_path_contract():
+    path = ExecutionPath((0, 1, 2), 2)
+    assert ExecutionPath._fields == ("block_ids", "real_block_count")
+    assert (path.block_ids, path.real_block_count) == ((0, 1, 2), 2)
+    assert path == ExecutionPath(block_ids=(0, 1, 2), real_block_count=2)
+    assert hash(path) == hash(ExecutionPath((0, 1, 2), 2))
+    with pytest.raises(AttributeError):
+        path.block_ids = (0,)
+    with pytest.raises(AttributeError):
+        path.real_block_count = 5
+    assert repr(path) == "ExecutionPath(block_ids=(0, 1, 2), real_block_count=2)"
+    # enumerated paths are the same type as constructed ones
+    cfg = cfg_from_statements(normalize_source("if (x > 0) output 1; endif"))
+    for enumerated in enumerate_paths(cfg).paths:
+        assert type(enumerated) is ExecutionPath
+        assert enumerated == ExecutionPath(*enumerated)
+
+
 def test_truncation_flag_and_cap():
     # complete DAG on 12 blocks has far more than 20 entry->exit paths
     n = 12
