@@ -52,7 +52,7 @@ print(f"\nafter the min-blocks filter: {len(kept)} paths")
 
 # one 64-bit fingerprint per distinct path: a program's fingerprints
 # are plain ints, ascending
-program = fingerprint_program(kept, cfg, "demo", width=config.r)
+program = fingerprint_program(kept, cfg, "demo")
 print("\npath fingerprints:")
 for bits in program.fingerprints:
     print(f"  {to_hex(bits)}")

@@ -18,8 +18,8 @@ from .config import (
     DEFAULT_MAX_PATHS,
     DEFAULT_MIN_BLOCKS,
     DEFAULT_MODE,
-    DEFAULT_R,
     DEFAULT_THRESHOLD,
+    FINGERPRINT_BITS,
     HASH_NAME,
     NORMALIZATION_VERSION,
     ConfigStamp,
@@ -96,9 +96,9 @@ __all__ = [
     "DEFAULT_MAX_PATHS",
     "DEFAULT_MIN_BLOCKS",
     "DEFAULT_MODE",
-    "DEFAULT_R",
     "DEFAULT_THRESHOLD",
     "ExecutionPath",
+    "FINGERPRINT_BITS",
     "FingerprintIndex",
     "GRADE_DISSIMILAR",
     "GRADE_IDENTICAL",

@@ -18,7 +18,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import HASH_NAME, MODES, NORMALIZATION_VERSION, ConfigStamp, RunConfig
+from .config import (
+    FINGERPRINT_BITS,
+    HASH_NAME,
+    MODES,
+    NORMALIZATION_VERSION,
+    ConfigStamp,
+    RunConfig,
+)
 from .cfg_builder import cfg_from_statements, export_dot
 from .fingerprint import to_hex
 from .frontend import normalize_source
@@ -101,7 +108,7 @@ _CONFIG_FLAGS = ("alpha", "threshold", "min_blocks", "max_paths", "mode")
 
 def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> RunConfig:
     """The flags given, over the defaults. Against an index the header
-    supplies the default alpha, and min_blocks and r come from it: an
+    supplies the default alpha, and min_blocks comes from it: an
     explicit --min-blocks must agree with the header."""
     if stamp is None:
         defaults = RunConfig()
@@ -111,7 +118,7 @@ def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> R
                 f"incompatible index configuration: --min-blocks {args.min_blocks} "
                 f"vs index min_blocks {stamp.min_blocks}"
             )
-        defaults = RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks, r=stamp.r)
+        defaults = RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks)
     given = {name: getattr(args, name) for name in _CONFIG_FLAGS}
     config = replace(defaults, **{k: v for k, v in given.items() if v is not None})
     config.validate()
@@ -125,7 +132,7 @@ def _config_echo(config: RunConfig) -> dict:
         "min_blocks": config.min_blocks,
         "max_paths": config.max_paths,
         "mode": config.mode,
-        "r": config.r,
+        "r": FINGERPRINT_BITS,
         "hash": HASH_NAME,
         "normalization": NORMALIZATION_VERSION,
     }
@@ -143,11 +150,10 @@ def _fmt_timings(timings: dict) -> str:
 
 
 def _config_line(config: RunConfig) -> str:
-    return (
-        f"config: alpha={config.alpha} threshold={config.threshold:g} "
-        f"min_blocks={config.min_blocks} max_paths={config.max_paths} "
-        f"mode={config.mode} r={config.r} hash={HASH_NAME} "
-        f"normalization={NORMALIZATION_VERSION}"
+    """The `_config_echo` fields in order, floats in `:g` form."""
+    return "config: " + " ".join(
+        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in _config_echo(config).items()
     )
 
 

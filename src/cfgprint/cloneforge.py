@@ -23,7 +23,7 @@ from typing import Sequence
 from .config import ConfigStamp, RunConfig
 from .frontend import PLAIN_KINDS, Statement, Token, parse, tokenize
 from .index_store import FingerprintIndex, record_from_program
-from .pipeline import run_pipeline
+from .pipeline import program_files, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -571,8 +571,7 @@ def evaluate(
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)
     sizes: dict[str, tuple[int, int]] = {}
-    for path in sorted(root.rglob("*.mp"), key=lambda p: p.relative_to(root).as_posix()):
-        program_id = path.relative_to(root).as_posix()
+    for program_id, path in program_files(root):
         source = path.read_text(encoding="utf-8")
         result = run_pipeline(source, program_id, config)
         index.add_program(record_from_program(result.program, str(path), stamp))
@@ -587,9 +586,7 @@ def evaluate(
         labeled.add(pair)
 
     probes = {
-        pid: record.to_program_fingerprint()
-        for pid, record in sorted(index.records.items())
-        if record.fingerprints
+        pid: record for pid, record in sorted(index.records.items()) if record.fingerprints
     }
 
     results: list[EvalResult] = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 HASH_NAME = "fnv1a64"
+FINGERPRINT_BITS = 64
 NORMALIZATION_VERSION = "miniproc-1"
 INDEX_FORMAT = "cfgprint-index"
 INDEX_FORMAT_VERSION = 1
@@ -14,7 +15,6 @@ DEFAULT_THRESHOLD = 0.5
 DEFAULT_MIN_BLOCKS = 3
 DEFAULT_MAX_PATHS = 10000
 DEFAULT_MODE = "containment"
-DEFAULT_R = 64
 
 MODES = ("containment", "resemblance")
 
@@ -23,9 +23,10 @@ MODES = ("containment", "resemblance")
 class RunConfig:
     """Knobs that shape fingerprinting and scoring.
 
-    alpha, threshold, and mode are per-query parameters; min_blocks,
-    max_paths, and r bake into the fingerprints and therefore into any
-    index built with them.
+    alpha, threshold, and mode are per-query parameters. Of the knobs
+    that shape the fingerprints, only min_blocks is stamped into an
+    index (with alpha as its default query alpha); max_paths shows only
+    as each record's `truncated` flag.
     """
 
     alpha: int = DEFAULT_ALPHA
@@ -33,13 +34,10 @@ class RunConfig:
     min_blocks: int = DEFAULT_MIN_BLOCKS
     max_paths: int = DEFAULT_MAX_PATHS
     mode: str = DEFAULT_MODE
-    r: int = DEFAULT_R
 
     def validate(self) -> None:
-        if not 1 <= self.r <= 64:
-            raise ValueError(f"r must be in 1..64, got {self.r}")
-        if not 0 <= self.alpha <= self.r:
-            raise ValueError(f"alpha must be in 0..{self.r}, got {self.alpha}")
+        if not 0 <= self.alpha <= FINGERPRINT_BITS:
+            raise ValueError(f"alpha must be in 0..{FINGERPRINT_BITS}, got {self.alpha}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.min_blocks < 1:
@@ -57,18 +55,14 @@ class ConfigStamp:
     The stamp is exact, alpha included: a record joins an index only
     when its stamp equals the index's in every field. The stamped alpha
     is the index's default query alpha; a query may still pass its own.
+    The fingerprint width, hash and normalization are format constants:
+    `save` writes them into the header and `load_index` rejects any
+    other value.
     """
 
-    r: int = DEFAULT_R
     alpha: int = DEFAULT_ALPHA
     min_blocks: int = DEFAULT_MIN_BLOCKS
-    hash_name: str = HASH_NAME
-    normalization: str = NORMALIZATION_VERSION
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "ConfigStamp":
-        return cls(
-            r=config.r,
-            alpha=config.alpha,
-            min_blocks=config.min_blocks,
-        )
+        return cls(alpha=config.alpha, min_blocks=config.min_blocks)

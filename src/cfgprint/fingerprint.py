@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cfg_builder import ControlFlowGraph
+from .config import FINGERPRINT_BITS
 from .frontend import NormalizedStatement
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -53,24 +54,22 @@ def hash_statement(statement: NormalizedStatement) -> int:
     return fnv1a64(statement.text.encode("utf-8"))
 
 
-def simhash_bits(hashes: Iterable[int], width: int = 64) -> int:
-    """Majority vote per bit over a multiset of hashes.
+def simhash_bits(hashes: Iterable[int]) -> int:
+    """Majority vote per bit over a multiset of 64-bit hashes.
 
     Bit i of the result is 1 iff strictly more inputs have bit i set
     than clear (ties produce 0). Order-independent by construction.
     """
-    if not 1 <= width <= 64:
-        raise ValueError(f"width must be in 1..64, got {width}")
-    counts = [0] * width
+    counts = [0] * FINGERPRINT_BITS
     n = 0
     for h in hashes:
         n += 1
-        for i in range(width):
+        for i in range(FINGERPRINT_BITS):
             counts[i] += 1 if (h >> i) & 1 else -1
     if n == 0:
         raise ValueError("empty path")
     out = 0
-    for i in range(width):
+    for i in range(FINGERPRINT_BITS):
         if counts[i] > 0:
             out |= 1 << i
     return out
@@ -90,7 +89,6 @@ class ProgramFingerprint:
     fingerprints: tuple[int, ...]
     path_count: int
     truncated: bool
-    width: int = 64
 
     @cached_property
     def bits_array(self) -> np.ndarray:
@@ -110,9 +108,7 @@ class ProgramFingerprint:
         return len(self.fingerprints) > 0
 
 
-def fingerprint_path(
-    path_block_ids: Sequence[int], cfg: ControlFlowGraph, width: int = 64
-) -> int:
+def fingerprint_path(path_block_ids: Sequence[int], cfg: ControlFlowGraph) -> int:
     """SimHash over every statement in every real block on the path."""
     hashes = [
         hash_statement(s)
@@ -121,14 +117,13 @@ def fingerprint_path(
     ]
     if not hashes:
         raise ValueError("empty path")
-    return simhash_bits(hashes, width)
+    return simhash_bits(hashes)
 
 
 def fingerprint_program(
     paths: Sequence,  # ExecutionPath
     cfg: ControlFlowGraph,
     program_id: str,
-    width: int = 64,
     truncated: bool = False,
 ) -> ProgramFingerprint:
     """Fingerprint each path and deduplicate by bits.
@@ -139,14 +134,11 @@ def fingerprint_program(
     unscoreable fingerprint rather than an error: the caller decides
     how to report it.
     """
-    if not 1 <= width <= 64:
-        raise ValueError(f"width must be in 1..64, got {width}")
     return ProgramFingerprint(
         program_id=program_id,
-        fingerprints=tuple(sorted(set(_path_bits(paths, cfg, width)))) if paths else (),
+        fingerprints=tuple(sorted(set(_path_bits(paths, cfg)))) if paths else (),
         path_count=len(paths),
         truncated=truncated,
-        width=width,
     )
 
 
@@ -154,10 +146,10 @@ def fingerprint_program(
 _CHUNK_CELLS = 8192
 
 
-def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
-    """One float64 row per block: columns 0..width-1 sum the +1/-1 votes
-    of the block's statements per bit, columns width..63 stay 0, and
-    column 64 counts the statements."""
+def _block_votes(cfg: ControlFlowGraph) -> np.ndarray:
+    """One float64 row per block: columns 0..63 sum the +1/-1 votes of
+    the block's statements per bit, and column 64 counts the
+    statements."""
     distinct: list[NormalizedStatement] = []
     row_of: dict[str, int] = {}
     order: list[int] = []  # distinct-text row of every statement, block by block
@@ -176,8 +168,8 @@ def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
     statement_votes = np.zeros((len(hashes), 65), dtype=np.int8)
     statement_votes[:, 64] = 1
     bytes_le = hashes.astype("<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(bytes_le, axis=1, bitorder="little")[:, :width]
-    statement_votes[:, :width] = 2 * bits.view(np.int8) - 1
+    bits = np.unpackbits(bytes_le, axis=1, bitorder="little")
+    statement_votes[:, :64] = 2 * bits.view(np.int8) - 1
     filled = np.flatnonzero(sizes)
     starts = np.cumsum(sizes)[filled] - sizes[filled]
     votes[filled] = np.add.reduceat(
@@ -186,7 +178,7 @@ def _block_votes(cfg: ControlFlowGraph, width: int) -> np.ndarray:
     return votes
 
 
-def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
+def _path_bits(paths: Sequence, cfg: ControlFlowGraph) -> list[int]:
     """SimHash bits of every path, in order, from per-block vote rows.
 
     Visit counts and tallies are float64 so the product runs in BLAS;
@@ -194,7 +186,7 @@ def _path_bits(paths: Sequence, cfg: ControlFlowGraph, width: int) -> list[int]:
     go through in chunks small enough that the visit-count matrix and the
     tally matrix each stay within _CHUNK_CELLS cells.
     """
-    votes = _block_votes(cfg, width)
+    votes = _block_votes(cfg)
     n_blocks = len(cfg.blocks)
     rows = max(1, _CHUNK_CELLS // max(n_blocks, 65))
     out: list[int] = []

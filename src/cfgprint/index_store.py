@@ -3,25 +3,25 @@
 On disk an index is JSON Lines with extension `.cdx`: the first line is
 a header stamping the fingerprint configuration, each following line is
 one program record. Records append cleanly and the whole file reloads
-byte-for-byte reproducibly. A record holds its fingerprints as the
-ascending tuple of ints parsed from the hex, and its ProgramFingerprint
-shares that tuple. Queries are a linear scan: every scoreable record is
-scored against the probe, so cost grows with record count and nothing
-else. `cluster` scores every pair of scoreable records and joins the
-linked ones by union-find.
+byte-for-byte reproducibly. A record is a ProgramFingerprint (the
+ascending tuple of ints parsed from the hex) plus its source path and
+stamp, and the scorer reads it directly. Queries are a linear scan:
+every scoreable record is scored against the probe, so cost grows with
+record count and nothing else. `cluster` scores every pair of
+scoreable records and joins the linked ones by union-find.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .config import (
+    FINGERPRINT_BITS,
+    HASH_NAME,
     INDEX_FORMAT,
     INDEX_FORMAT_VERSION,
-    HASH_NAME,
     NORMALIZATION_VERSION,
     ConfigStamp,
 )
@@ -38,37 +38,17 @@ class IndexCompatibilityError(ValueError):
 
 
 @dataclass(frozen=True)
-class IndexRecord:
-    program_id: str
+class IndexRecord(ProgramFingerprint):
+    """One indexed program: its fingerprints plus where they came from
+    and the stamp they were made under."""
+
     source_path: str
-    fingerprints: tuple[int, ...]  # ascending
-    path_count: int
-    truncated: bool
     config_stamp: ConfigStamp
-
-    def to_program_fingerprint(self) -> ProgramFingerprint:
-        """The record as a ProgramFingerprint: built on the first call,
-        then the same object (and its cached bit arrays) every time."""
-        return self._program
-
-    @cached_property
-    def _program(self) -> ProgramFingerprint:
-        return ProgramFingerprint(
-            program_id=self.program_id,
-            fingerprints=self.fingerprints,
-            path_count=self.path_count,
-            truncated=self.truncated,
-            width=self.config_stamp.r,
-        )
 
 
 def record_from_program(
     program: ProgramFingerprint, source_path: str, stamp: ConfigStamp
 ) -> IndexRecord:
-    if program.width != stamp.r:
-        raise IndexCompatibilityError(
-            f"incompatible index configuration: fingerprint width {program.width} vs r={stamp.r}"
-        )
     return IndexRecord(
         program_id=program.program_id,
         source_path=source_path,
@@ -130,7 +110,7 @@ class FingerprintIndex:
                 continue
             if not record.fingerprints:
                 continue
-            report = pair_report(probe, record.to_program_fingerprint(), alpha, mode)
+            report = pair_report(probe, record, alpha, mode)
             scorings += 1
             if report.score.value >= threshold:
                 candidates.append(
@@ -156,7 +136,7 @@ class FingerprintIndex:
 
         ids = sorted(pid for pid, r in self.records.items() if r.fingerprints)
         n = len(ids)
-        programs = {pid: self.records[pid].to_program_fingerprint() for pid in ids}
+        programs = [self.records[pid] for pid in ids]
         # union-find over the linked pairs; each root is its component's
         # smallest index
         root = list(range(n))
@@ -170,7 +150,7 @@ class FingerprintIndex:
         score_of: dict[tuple[int, int], float] = {}
         for i in range(n):
             for j in range(i + 1, n):
-                value = score_pair(programs[ids[i]], programs[ids[j]], alpha, mode).value
+                value = score_pair(programs[i], programs[j], alpha, mode).value
                 score_of[(i, j)] = value
                 if value >= threshold:
                     ri, rj = find(i), find(j)
@@ -199,15 +179,14 @@ class FingerprintIndex:
     def save(self, path: str | Path) -> None:
         """Write header + records as JSON Lines. Deterministic bytes:
         sorted keys, records in insertion order."""
-        stamp = self.config_stamp
         header = {
             "format": INDEX_FORMAT,
             "version": INDEX_FORMAT_VERSION,
-            "r": stamp.r,
-            "alpha": stamp.alpha,
-            "min_blocks": stamp.min_blocks,
-            "hash": stamp.hash_name,
-            "normalization": stamp.normalization,
+            "r": FINGERPRINT_BITS,
+            "alpha": self.config_stamp.alpha,
+            "min_blocks": self.config_stamp.min_blocks,
+            "hash": HASH_NAME,
+            "normalization": NORMALIZATION_VERSION,
         }
         lines = [json.dumps(header, sort_keys=True)]
         for record in self.records.values():
@@ -243,9 +222,9 @@ def _str_field(row: dict, key: str) -> str:
     return value
 
 
-def _parse_fingerprints(value: object, r: int) -> tuple[int, ...]:
-    """A record's fingerprint list: hex strings, strictly ascending,
-    each within r bits (what `save` writes and the scorer relies on)."""
+def _parse_fingerprints(value: object) -> tuple[int, ...]:
+    """A record's fingerprint list: 16-digit hex strings, strictly
+    ascending (what `save` writes and the scorer relies on)."""
     if not isinstance(value, list):
         raise ValueError(f"fingerprints must be a list, got {value!r}")
     bits = tuple(from_hex(text) for text in value)
@@ -254,8 +233,6 @@ def _parse_fingerprints(value: object, r: int) -> tuple[int, ...]:
             raise ValueError(
                 f"fingerprints must be strictly ascending: {to_hex(after)} after {to_hex(before)}"
             )
-    if bits and bits[-1] >> r:
-        raise ValueError(f"fingerprint {to_hex(bits[-1])} does not fit in r={r} bits")
     return bits
 
 
@@ -294,19 +271,19 @@ def load_index(path: str | Path) -> FingerprintIndex:
             f"{header.get('normalization')!r} (expected {NORMALIZATION_VERSION!r})"
         )
     try:
+        r = _int_field(header, "r")
         stamp = ConfigStamp(
-            r=_int_field(header, "r"),
             alpha=_int_field(header, "alpha"),
             min_blocks=_int_field(header, "min_blocks"),
-            hash_name=header["hash"],
-            normalization=header["normalization"],
         )
     except KeyError as exc:
         raise IndexFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except ValueError as exc:
         raise IndexFormatError(f"{path}: line 1: {exc}") from exc
-    if not 1 <= stamp.r <= 64:
-        raise IndexCompatibilityError(f"incompatible index configuration: r={stamp.r}")
+    if r != FINGERPRINT_BITS:
+        raise IndexCompatibilityError(
+            f"incompatible index configuration: r={r} (expected {FINGERPRINT_BITS})"
+        )
 
     index = FingerprintIndex(config_stamp=stamp)
     for i in range(1, len(lines)):
@@ -318,7 +295,7 @@ def load_index(path: str | Path) -> FingerprintIndex:
             record = IndexRecord(
                 program_id=_str_field(row, "program_id"),
                 source_path=_str_field(row, "source_path"),
-                fingerprints=_parse_fingerprints(row["fingerprints"], stamp.r),
+                fingerprints=_parse_fingerprints(row["fingerprints"]),
                 path_count=_int_field(row, "path_count"),
                 truncated=truncated,
                 config_stamp=stamp,

@@ -48,9 +48,7 @@ def run_pipeline(source: str, program_id: str, config: RunConfig) -> PipelineRes
     t3 = time.perf_counter()
     timings["paths"] = (t3 - t2) * 1000.0
 
-    program = fingerprint_program(
-        kept, cfg, program_id, width=config.r, truncated=path_set.truncated
-    )
+    program = fingerprint_program(kept, cfg, program_id, truncated=path_set.truncated)
     t4 = time.perf_counter()
     timings["fingerprint"] = (t4 - t3) * 1000.0
 
@@ -76,6 +74,16 @@ class IndexBuild:
     timings_ms: dict[str, float]
 
 
+def program_files(root: Path) -> list[tuple[str, Path]]:
+    """Every `.mp` file under root as (relative POSIX name, path), sorted
+    by that name. Directories named `*.mp` are not programs and are not
+    listed."""
+    # relative names are unique, so the sort never compares the paths
+    return sorted(
+        (p.relative_to(root).as_posix(), p) for p in root.rglob("*.mp") if not p.is_dir()
+    )
+
+
 def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, object]:
     """Worker for parallel indexing: (id, "ok", ProgramFingerprint) or
     (id, "error", message). Module-level so it pickles."""
@@ -96,10 +104,9 @@ def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, objec
 def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> IndexBuild:
     """Fingerprint every .mp file under directory into a fresh index.
 
-    Files are discovered recursively and processed in sorted relative
-    path order, so the resulting index is deterministic regardless of
-    filesystem ordering or worker count. Directories named `*.mp` are
-    not programs and are not listed. Files that cannot be read, are not
+    Files are discovered by `program_files` and processed in its order,
+    so the resulting index is deterministic regardless of filesystem
+    ordering or worker count. Files that cannot be read, are not
     UTF-8 or do not parse are skipped with a diagnostic; programs with
     no surviving paths are indexed with an empty fingerprint list and
     reported as unscoreable.
@@ -112,12 +119,7 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
         raise NotADirectoryError(f"not a directory: {root}")
 
     t0 = time.perf_counter()
-    # relative names are unique, so the sort never compares the later fields
-    tasks = sorted(
-        (p.relative_to(root).as_posix(), str(p), config)
-        for p in root.rglob("*.mp")
-        if not p.is_dir()
-    )
+    tasks = [(name, str(p), config) for name, p in program_files(root)]
     t1 = time.perf_counter()
 
     if jobs > 1 and len(tasks) > 1:

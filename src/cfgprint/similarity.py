@@ -12,8 +12,8 @@ smallest entry in one flat reduction. When that exceeds alpha, as it
 does for nearly every pair of unrelated programs, the score is zero and
 the call returns at once; only pairs within alpha get row and column
 minima, match counts and (in `pair_report`) evidence. An index record
-builds its `ProgramFingerprint` once, so repeated queries and
-clustering reuse the same arrays.
+is itself a `ProgramFingerprint`, so repeated queries and clustering
+reuse the array each record builds once.
 """
 
 from __future__ import annotations
@@ -76,8 +76,6 @@ def _score(
         raise ValueError(f"unscoreable program: {a.program_id!r} has no fingerprints")
     if not b.fingerprints:
         raise ValueError(f"unscoreable program: {b.program_id!r} has no fingerprints")
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
     matrix = distance_matrix(a, b)
     min_distance = int(np.minimum.reduce(matrix, axis=None))
     if min_distance > alpha:

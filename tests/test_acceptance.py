@@ -48,9 +48,9 @@ def _popcount(x: int) -> int:
     return count
 
 
-def _majority_simhash(hashes, width=64):
+def _majority_simhash(hashes):
     out = 0
-    for bit in range(width):
+    for bit in range(64):
         vote = 0
         for h in hashes:
             vote += 1 if (h >> bit) & 1 else -1
@@ -214,10 +214,8 @@ def test_criterion_06_simhash_oracle_equivalence():
             entry_id=0,
             exit_id=1,
         )
-        got = fingerprint_path((0, 1), cfg, width=64)
-        expected = _majority_simhash(
-            [fnv1a64(t.encode("utf-8")) for t in texts], width=64
-        )
+        got = fingerprint_path((0, 1), cfg)
+        expected = _majority_simhash([fnv1a64(t.encode("utf-8")) for t in texts])
         assert got == expected
     assert time.perf_counter() - t0 < 10.0
 

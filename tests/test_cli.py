@@ -282,6 +282,17 @@ def test_corrupt_fingerprint_list_exits_one(corpus, tmp_path, capsys, command, f
     assert len(captured.err.splitlines()) == 1
 
 
+def test_query_index_of_another_width_exits_one(corpus, tmp_path, capsys):
+    idx = _indexed(corpus, tmp_path, capsys)
+    lines = idx.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["r"] = 32
+    lines[0] = json.dumps(header, sort_keys=True)
+    idx.write_text("\n".join(lines) + "\n")
+    captured = run_cli(capsys, "query", str(corpus / "clone_a.mp"), str(idx), expect=1)
+    assert captured.err == "error: incompatible index configuration: r=32 (expected 64)\n"
+
+
 def test_query_too_deeply_nested_probe_exits_one(corpus, tmp_path, capsys):
     idx = _indexed(corpus, tmp_path, capsys)
     probe = tmp_path / "deep.mp"
@@ -476,6 +487,24 @@ def test_config_echoed_in_all_reports(corpus, tmp_path, capsys):
         assert config["hash"] == "fnv1a64"
         assert config["normalization"] == "miniproc-1"
         assert config["r"] == 64
+
+
+@pytest.mark.parametrize(
+    "flags, threshold",
+    [([], "0.5"), (["--threshold", "1"], "1"), (["--threshold", "0.25"], "0.25")],
+)
+def test_config_line_matches_the_json_echo(corpus, capsys, flags, threshold):
+    argv = ["compare", str(corpus / "clone_a.mp"), str(corpus / "clone_b.mp"), *flags]
+    line = run_cli(capsys, *argv).out.splitlines()[1]
+    assert line == (
+        f"config: alpha=5 threshold={threshold} min_blocks=3 max_paths=10000 "
+        "mode=containment r=64 hash=fnv1a64 normalization=miniproc-1"
+    )
+    # the JSON report sorts its keys, so compare the fields as a set
+    echo = run_json(capsys, *argv)["config"]
+    assert set(line.removeprefix("config: ").split()) == {
+        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in echo.items()
+    }
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -218,6 +218,18 @@ def test_evaluate_writes_csv_and_json(tmp_path):
     assert loaded[0]["candidates"] == results[0].candidates
 
 
+def test_evaluate_does_not_read_directories_named_like_programs(tmp_path):
+    build_corpus(tmp_path / "c", originals=3, unrelated=3, seed=1)
+
+    def rows():
+        results = evaluate(tmp_path / "c", RunConfig(), alpha_values=[0, 5])
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_time_s"} for r in results]
+
+    before = rows()
+    (tmp_path / "c" / "notes.mp").mkdir()
+    assert rows() == before
+
+
 def test_evaluate_requires_manifest(tmp_path):
     (tmp_path / "c").mkdir()
     (tmp_path / "c" / "a.mp").write_text("output 1;")

@@ -55,10 +55,10 @@ def test_fnv1a64_stays_in_64_bits():
 # -- simhash ---------------------------------------------------------------------
 
 
-def simhash_oracle(hashes, width):
-    """Per-bit majority vote, the long way."""
+def simhash_oracle(hashes):
+    """Per-bit majority vote over 64 bits, the long way."""
     out = 0
-    for bit in range(width):
+    for bit in range(64):
         count = 0
         for h in hashes:
             count += 1 if (h >> bit) & 1 else -1
@@ -69,15 +69,15 @@ def simhash_oracle(hashes, width):
 
 def test_simhash_small_example():
     # bit set only where strictly more inputs have it set than clear
-    assert simhash_bits([0b1100, 0b1010, 0b1001], width=4) == 0b1000
+    assert simhash_bits([0b1100, 0b1010, 0b1001]) == 0b1000
 
 
 def test_simhash_singleton_is_identity():
-    assert simhash_bits([0xDEADBEEF], width=32) == 0xDEADBEEF
+    assert simhash_bits([0xDEADBEEF]) == 0xDEADBEEF
 
 
 def test_simhash_tie_clears_bit():
-    assert simhash_bits([0b01, 0b10], width=2) == 0
+    assert simhash_bits([0b01, 0b10]) == 0
 
 
 def test_simhash_empty_rejected():
@@ -85,19 +85,12 @@ def test_simhash_empty_rejected():
         simhash_bits([])
 
 
-def test_simhash_width_validation():
-    with pytest.raises(ValueError):
-        simhash_bits([1], width=0)
-    with pytest.raises(ValueError):
-        simhash_bits([1], width=65)
-
-
 def test_simhash_oracle_equivalence():
     rng = random.Random(12345)
     for _ in range(1000):
-        width = rng.choice([8, 16, 32, 64])
-        hashes = [rng.randrange(2**width) for _ in range(rng.randint(1, 30))]
-        assert simhash_bits(hashes, width) == simhash_oracle(hashes, width)
+        span = rng.choice([8, 16, 32, 64])
+        hashes = [rng.randrange(2**span) for _ in range(rng.randint(1, 30))]
+        assert simhash_bits(hashes) == simhash_oracle(hashes)
 
 
 def test_simhash_order_insensitive():
@@ -216,17 +209,17 @@ def test_fingerprint_path_uses_block_statements():
     cfg, paths = _pipeline_pieces(
         "declare x; if (x > 0) output 1; else output 2; endif output x;"
     )
-    fp = fingerprint_path(paths[0].block_ids, cfg, width=64)
+    fp = fingerprint_path(paths[0].block_ids, cfg)
     texts = []
     for block_id in paths[0].block_ids:
         texts.extend(s.text for s in cfg.blocks[block_id].statements)
-    assert fp == simhash_oracle([fnv1a64(t.encode("utf-8")) for t in texts], 64)
+    assert fp == simhash_oracle([fnv1a64(t.encode("utf-8")) for t in texts])
 
 
 def test_virtual_exit_contributes_nothing():
     cfg, paths = _pipeline_pieces("if (x > 0) output 1; endif")
-    with_exit = fingerprint_path(paths[0].block_ids, cfg, width=64)
-    without = fingerprint_path(paths[0].block_ids[:-1], cfg, width=64)
+    with_exit = fingerprint_path(paths[0].block_ids, cfg)
+    without = fingerprint_path(paths[0].block_ids[:-1], cfg)
     assert with_exit == without
 
 
@@ -278,27 +271,20 @@ def test_cached_bits_leave_equality_hashing_and_pickling_alone():
 
 # -- program fingerprints against the per-path oracle ---------------------------------
 
-WIDTHS = (1, 7, 8, 9, 32, 63, 64)
-
-
-def fingerprint_program_oracle(paths, cfg, width):
+def fingerprint_program_oracle(paths, cfg):
     """(bits, first path index) pairs, sorted by bits: fingerprint_path on
     every path, then first-seen dedup."""
     first_seen = {}
     for idx, path in enumerate(paths):
-        first_seen.setdefault(fingerprint_path(path.block_ids, cfg, width), idx)
+        first_seen.setdefault(fingerprint_path(path.block_ids, cfg), idx)
     return sorted(first_seen.items())
 
 
-def assert_matches_oracle(paths, cfg, width, truncated=False):
-    program = fingerprint_program(paths, cfg, "prog", width=width, truncated=truncated)
-    expected = fingerprint_program_oracle(paths, cfg, width)
+def assert_matches_oracle(paths, cfg, truncated=False):
+    program = fingerprint_program(paths, cfg, "prog", truncated=truncated)
+    expected = fingerprint_program_oracle(paths, cfg)
     assert program.fingerprints == tuple(bits for bits, _ in expected)
-    assert (program.path_count, program.truncated, program.width) == (
-        len(paths),
-        truncated,
-        width,
-    )
+    assert (program.path_count, program.truncated) == (len(paths), truncated)
 
 
 @pytest.fixture(scope="module")
@@ -313,15 +299,13 @@ def cloneforge_programs():
     return [(r.kept_paths, r.cfg) for r in results]
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_fingerprint_program_matches_oracle_on_cloneforge(cloneforge_programs, width):
+def test_fingerprint_program_matches_oracle_on_cloneforge(cloneforge_programs):
     assert sum(len(paths) for paths, _ in cloneforge_programs) > 1000
     for paths, cfg in cloneforge_programs:
-        assert_matches_oracle(paths, cfg, width)
+        assert_matches_oracle(paths, cfg)
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_fingerprint_program_matches_oracle_on_truncated_branchy_program(width):
+def test_fingerprint_program_matches_oracle_on_truncated_branchy_program():
     # 20 sequential ifs: 2**20 paths, cut at the cap; the kept paths span
     # several chunks of the tally computation
     source = "declare x; " + " ".join(
@@ -331,15 +315,14 @@ def test_fingerprint_program_matches_oracle_on_truncated_branchy_program(width):
     path_set = enumerate_paths(cfg, max_paths=1000)
     assert path_set.truncated
     kept = filter_paths(path_set.paths)
-    assert_matches_oracle(kept, cfg, width, truncated=True)
+    assert_matches_oracle(kept, cfg, truncated=True)
 
 
-@pytest.mark.parametrize("width", WIDTHS)
-def test_fingerprint_program_empty_path_list(width):
+def test_fingerprint_program_empty_path_list():
     cfg, _ = _pipeline_pieces("output 1;")
-    program = fingerprint_program([], cfg, "q", width=width, truncated=True)
+    program = fingerprint_program([], cfg, "q", truncated=True)
     assert program.fingerprints == ()
-    assert (program.path_count, program.truncated, program.width) == (0, True, width)
+    assert (program.path_count, program.truncated) == (0, True)
 
 
 def test_fingerprint_program_rejects_path_without_statements():
@@ -356,11 +339,3 @@ def test_fingerprint_program_rejects_path_without_statements():
             fingerprint_program(paths, cfg, "bad")
         with pytest.raises(ValueError, match="empty path"):
             fingerprint_path(paths[-1].block_ids, cfg)
-
-
-def test_fingerprint_program_width_validation():
-    cfg, paths = _pipeline_pieces("output 1;")
-    for width in (0, 65, 99):
-        for some_paths in (paths, []):
-            with pytest.raises(ValueError, match="width"):
-                fingerprint_program(some_paths, cfg, "p", width=width)

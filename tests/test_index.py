@@ -66,12 +66,6 @@ def test_add_rejects_alpha_only_stamp_mismatch():
         index.add_program(record_from_program(make_program("a", [1]), "a.mp", other))
 
 
-def test_record_from_program_rejects_width_mismatch():
-    short = ProgramFingerprint("w", (1,), 1, False, width=32)
-    with pytest.raises(ValueError):
-        record_from_program(short, "w.mp", STAMP)
-
-
 # -- query ------------------------------------------------------------------------
 
 
@@ -132,20 +126,23 @@ def test_query_candidate_evidence_is_hex():
     assert distance == 0
 
 
-def test_record_builds_its_program_fingerprint_once():
+def test_record_builds_its_bits_array_once():
     rng = random.Random(12)
-    (program,) = _random_programs(rng, 1)
-    record = record_from_program(program, "p.mp", STAMP)
-    built = record.to_program_fingerprint()
-    fresh = ProgramFingerprint(
-        record.program_id, record.fingerprints, record.path_count, record.truncated
-    )
-    assert built == fresh
-    assert record.to_program_fingerprint() is built
-    assert built.fingerprints is record.fingerprints
+    programs = _random_programs(rng, 4)
+    index = make_index(programs)
+    record = index.records["p001"]
+    assert isinstance(record, ProgramFingerprint)
+    assert record.fingerprints is programs[1].fingerprints
+    assert "bits_array" not in record.__dict__
+    # the scan scores the record itself, so it builds the record's array
+    index.query(programs[0], 5, 0.0, "containment")
+    built = record.__dict__["bits_array"]
+    index.cluster(5, 0.5, "containment")
+    index.query(programs[2], 64, 0.0, "resemblance")
+    assert record.bits_array is built
     # the cache is not a field: equality and hashing are unchanged
-    assert record == record_from_program(program, "p.mp", STAMP)
-    assert hash(record) == hash(record_from_program(program, "p.mp", STAMP))
+    assert record == record_from_program(programs[1], "p001.mp", STAMP)
+    assert hash(record) == hash(record_from_program(programs[1], "p001.mp", STAMP))
 
 
 def test_save_bytes_unchanged_by_queries_and_clustering(tmp_path):
@@ -434,6 +431,31 @@ def test_load_rejects_non_integer_header_values(tmp_path, key, value):
         load_index(path)
 
 
+@pytest.mark.parametrize("r", [32, 63, 65])
+def test_load_rejects_r_other_than_64(tmp_path, r):
+    path = tmp_path / "width.cdx"
+    make_index([make_program("a", [1])]).save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["r"] == 64
+    header["r"] = r
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(IndexCompatibilityError, match=f"r={r} \\(expected 64\\)"):
+        load_index(path)
+
+
+def test_load_rejects_fingerprint_wider_than_r(tmp_path):
+    path = tmp_path / "wide.cdx"
+    make_index([make_program("a", [7])]).save(path)
+
+    def edit(records):
+        records[0]["fingerprints"] = ["0000000000000007", "10000000000000000"]
+
+    _rewrite_records(path, edit)
+    with pytest.raises(IndexFormatError, match="line 2: .*16 lower-case hex digits"):
+        load_index(path)
+
+
 @pytest.mark.parametrize(
     "fingerprints, message",
     [
@@ -456,21 +478,4 @@ def test_load_rejects_bad_fingerprint_lists(tmp_path, fingerprints, message):
 
     _rewrite_records(path, edit)
     with pytest.raises(IndexFormatError, match=f"line 3: .*{message}"):
-        load_index(path)
-
-
-def test_load_rejects_fingerprint_wider_than_r(tmp_path):
-    stamp = ConfigStamp.from_config(RunConfig(r=32, alpha=5))
-    narrow = ProgramFingerprint("a", (7,), 1, False, width=32)
-    path = tmp_path / "narrow.cdx"
-    make_index([narrow], stamp).save(path)
-    assert load_index(path).records["a"].fingerprints == (7,)
-
-    def edit(records):
-        records[0]["fingerprints"] = ["0000000000000007", "0000000100000000"]
-
-    _rewrite_records(path, edit)
-    with pytest.raises(
-        IndexFormatError, match="line 2: fingerprint 0000000100000000 does not fit in r=32"
-    ):
         load_index(path)

@@ -161,22 +161,6 @@ def test_unscoreable_raises():
         score_pair(empty, empty, 0, "containment")
 
 
-def test_width_mismatch_rejected():
-    a = ProgramFingerprint("a", (1,), 1, False, width=32)
-    b = make_program("b", [1])
-    scorers = [
-        lambda x, y: score_pair(x, y, 0, "containment"),
-        lambda x, y: score_pair(x, y, 0, "resemblance"),
-        lambda x, y: pair_report(x, y, 0, "containment"),
-        lambda x, y: pair_report(x, y, 0, "resemblance"),
-    ]
-    for scorer in scorers:
-        with pytest.raises(ValueError, match="width mismatch: 32 vs 64"):
-            scorer(a, b)
-        with pytest.raises(ValueError, match="width mismatch: 64 vs 32"):
-            scorer(b, a)
-
-
 # -- property tests -----------------------------------------------------------------
 
 
