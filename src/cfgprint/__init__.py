@@ -63,6 +63,7 @@ from .similarity import (
     SimilarityScore,
     classify,
     distance_matrix,
+    min_distances,
     pair_report,
     score_pair,
 )
@@ -136,6 +137,7 @@ __all__ = [
     "hamming_bits",
     "index_directory",
     "load_index",
+    "min_distances",
     "normalize",
     "normalize_source",
     "pair_report",

@@ -23,7 +23,7 @@ from typing import Sequence
 from .config import ConfigStamp, RunConfig
 from .frontend import PLAIN_KINDS, Statement, Token, parse, tokenize
 from .index_store import FingerprintIndex, record_from_program
-from .pipeline import program_files, run_pipeline
+from .pipeline import program_files, run_pipeline, run_program_file
 
 
 @dataclass(frozen=True)
@@ -559,7 +559,10 @@ def evaluate(
 ) -> list[EvalResult]:
     """Index the corpus once, sweep alpha, score candidate pairs
     against the manifest. Precision is TP / (TP + FP); the
-    false-positive rate quoted elsewhere is 1 - precision."""
+    false-positive rate quoted elsewhere is 1 - precision. A file that
+    `index_directory` would skip (unreadable, not UTF-8, unparseable)
+    is left out here too; if the manifest names it, that is the usual
+    missing-program error."""
     config.validate()
     root = Path(corpus_dir)
     manifest_path = root / "manifest.json"
@@ -572,8 +575,10 @@ def evaluate(
     index = FingerprintIndex(config_stamp=stamp)
     sizes: dict[str, tuple[int, int]] = {}
     for program_id, path in program_files(root):
-        source = path.read_text(encoding="utf-8")
-        result = run_pipeline(source, program_id, config)
+        outcome = run_program_file(program_id, path, config)
+        if isinstance(outcome, str):
+            continue
+        source, result = outcome
         index.add_program(record_from_program(result.program, str(path), stamp))
         sizes[program_id] = (len(result.cfg.real_blocks), len(source.splitlines()))
 

@@ -7,8 +7,12 @@ byte-for-byte reproducibly. A record is a ProgramFingerprint (the
 ascending tuple of ints parsed from the hex) plus its source path and
 stamp, and the scorer reads it directly. Queries are a linear scan:
 every scoreable record is scored against the probe, so cost grows with
-record count and nothing else. `cluster` scores every pair of
-scoreable records and joins the linked ones by union-find.
+record count and nothing else. `query` takes the probe's smallest
+distance to every record in one `min_distances` pass, and `cluster`
+does the same once per row against the records after it; each per-pair
+call gets that minimum as `min_distance`, so a pair with nothing within
+alpha is scored zero without a distance matrix. `cluster` joins the
+linked pairs by union-find.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .config import (
     ConfigStamp,
 )
 from .fingerprint import ProgramFingerprint, from_hex, to_hex
-from .similarity import SimilarityScore, classify, pair_report
+from .similarity import SimilarityScore, classify, min_distances, pair_report
 
 
 class IndexFormatError(ValueError):
@@ -100,18 +104,24 @@ class FingerprintIndex:
     ) -> list[CloneCandidate]:
         """Scan every scoreable record, keep scores >= threshold, rank
         by score descending then program_id ascending. A record with
-        the probe's own id is skipped, as are unscoreable records."""
+        the probe's own id is skipped, as are unscoreable records.
+
+        One `min_distances` pass gives the probe's smallest distance to
+        every scanned record, and each record is then scored by one
+        `pair_report` call that is handed that minimum. The benchmark
+        tracer counts those calls; once it counts work instead (ROADMAP
+        item 1), records past alpha need no call at all and the
+        `min_distance` parameter can go."""
         if not probe.scoreable:
             raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
-        scorings = 0
+        scanned = [
+            record
+            for record in self.records.values()
+            if record.fingerprints and record.program_id != probe.program_id
+        ]
         candidates: list[CloneCandidate] = []
-        for record in self.records.values():
-            if record.program_id == probe.program_id:
-                continue
-            if not record.fingerprints:
-                continue
-            report = pair_report(probe, record, alpha, mode)
-            scorings += 1
+        for record, nearest in zip(scanned, min_distances(probe, scanned)):
+            report = pair_report(probe, record, alpha, mode, min_distance=nearest)
             if report.score.value >= threshold:
                 candidates.append(
                     CloneCandidate(
@@ -121,7 +131,7 @@ class FingerprintIndex:
                         matched_path_evidence=report.evidence,
                     )
                 )
-        self.last_query_scorings = scorings
+        self.last_query_scorings = len(scanned)
         candidates.sort(key=lambda c: (-c.score.value, c.program_id))
         return candidates
 
@@ -131,7 +141,9 @@ class FingerprintIndex:
         """Single-linkage clone groups: connected components of the
         "scores >= threshold" graph over scoreable records. Groups are
         ordered by their smallest member id; singletons are omitted.
-        mean_score averages all intra-group pairwise scores."""
+        mean_score averages all intra-group pairwise scores. Each row's
+        smallest distances to the records after it come from one
+        `min_distances` pass, handed to `score_pair` as in `query`."""
         from .similarity import score_pair
 
         ids = sorted(pid for pid, r in self.records.items() if r.fingerprints)
@@ -149,8 +161,9 @@ class FingerprintIndex:
 
         score_of: dict[tuple[int, int], float] = {}
         for i in range(n):
-            for j in range(i + 1, n):
-                value = score_pair(programs[i], programs[j], alpha, mode).value
+            nearest = min_distances(programs[i], programs[i + 1 :])
+            for j, d in enumerate(nearest, start=i + 1):
+                value = score_pair(programs[i], programs[j], alpha, mode, min_distance=d).value
                 score_of[(i, j)] = value
                 if value >= threshold:
                     ri, rj = find(i), find(j)

@@ -84,21 +84,32 @@ def program_files(root: Path) -> list[tuple[str, Path]]:
     )
 
 
-def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, object]:
-    """Worker for parallel indexing: (id, "ok", ProgramFingerprint) or
-    (id, "error", message). Module-level so it pickles."""
-    program_id, source_path, config = task
+def run_program_file(
+    program_id: str, source_path: str | Path, config: RunConfig
+) -> tuple[str, PipelineResult] | str:
+    """Read one program file and run the pipeline on it: (source,
+    result), or the diagnostic for a file that cannot be read, is not
+    UTF-8 or does not parse. Every caller skips such a file."""
     try:
         source = Path(source_path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        return (program_id, "error", f"not UTF-8 text: {exc}")
+        return f"not UTF-8 text: {exc}"
     except OSError as exc:
-        return (program_id, "error", f"cannot read: {exc}")
+        return f"cannot read: {exc}"
     try:
-        program = fingerprint_source(source, program_id, config)
+        return source, run_pipeline(source, program_id, config)
     except MiniProcSyntaxError as exc:
-        return (program_id, "error", str(exc))
-    return (program_id, "ok", program)
+        return str(exc)
+
+
+def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, object]:
+    """Worker for parallel indexing: (id, "ok", ProgramFingerprint) or
+    (id, "error", message). Module-level so it pickles."""
+    program_id = task[0]
+    outcome = run_program_file(*task)
+    if isinstance(outcome, str):
+        return (program_id, "error", outcome)
+    return (program_id, "ok", outcome[1].program)
 
 
 def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> IndexBuild:

@@ -11,14 +11,22 @@ scores 1.0); resemblance is symmetric and rewards mutual coverage.
 smallest entry in one flat reduction. When that exceeds alpha, as it
 does for nearly every pair of unrelated programs, the score is zero and
 the call returns at once; only pairs within alpha get row and column
-minima, match counts and (in `pair_report`) evidence. An index record
-is itself a `ProgramFingerprint`, so repeated queries and clustering
-reuse the array each record builds once.
+minima, match counts and (in `pair_report`) evidence.
+
+`min_distances` gives one program's smallest distance to each of many
+others in one chunked pass. `FingerprintIndex.query` runs it once per
+probe and `cluster` once per row, and each hands a record's minimum to
+the per-pair call as `min_distance`: past alpha the kernel returns the
+zero score without building a matrix, so the per-pair calls only
+assemble reports. An index record is itself a `ProgramFingerprint`, so
+repeated queries and clustering reuse the array each record builds
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +61,14 @@ class PairReport:
 
 _MODES = ("containment", "resemblance")
 
+# the largest distance block `min_distances` builds: 1 << 15 uint64
+# XORs, 256 KB
+_CHUNK_CELLS = 1 << 15
+
+
+def _unscoreable(program: ProgramFingerprint) -> ValueError:
+    return ValueError(f"unscoreable program: {program.program_id!r} has no fingerprints")
+
 
 def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
     """uint8 Hamming distances, row i pairing fingerprint i of A with
@@ -60,32 +76,75 @@ def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
     return np.bitwise_count(a.bits_array[:, None] ^ b.bits_array)
 
 
+def min_distances(a: ProgramFingerprint, others: Sequence[ProgramFingerprint]) -> list[int]:
+    """Each other program's smallest Hamming distance to A, in order:
+    `int(distance_matrix(a, b).min())` for every b, from one pass.
+
+    The others' fingerprints are laid end to end in one flat array and
+    compared with A's in blocks of at most `_CHUNK_CELLS` cells, so no
+    distance block exceeds 256 KB whatever the probe's size (a probe
+    with more fingerprints than that is split by rows too). Each block is reduced
+    to column minima, and one `np.minimum.reduceat` over the records'
+    offsets gives each record's minimum. Every program must be
+    scoreable.
+    """
+    if not a.fingerprints:
+        raise _unscoreable(a)
+    sizes = [len(b.fingerprints) for b in others]
+    if 0 in sizes:
+        raise _unscoreable(others[sizes.index(0)])
+    if not others:
+        return []
+    flat = np.concatenate([b.bits_array for b in others])
+    starts = np.cumsum([0, *sizes[:-1]])
+    rows = a.bits_array
+    row_step = min(len(rows), _CHUNK_CELLS)
+    col_step = _CHUNK_CELLS // row_step
+    col_min = np.empty(len(flat), dtype=np.uint8)
+    for lo in range(0, len(flat), col_step):
+        cols = flat[lo : lo + col_step]
+        out = col_min[lo : lo + col_step]
+        np.bitwise_count(rows[:row_step, None] ^ cols).min(axis=0, out=out)
+        for r in range(row_step, len(rows), row_step):
+            block = np.bitwise_count(rows[r : r + row_step, None] ^ cols)
+            np.minimum(out, block.min(axis=0), out=out)
+    return np.minimum.reduceat(col_min, starts).tolist()
+
+
 def _score(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
-) -> tuple[SimilarityScore, np.ndarray, np.ndarray | None, int]:
+    a: ProgramFingerprint,
+    b: ProgramFingerprint,
+    alpha: int,
+    mode: str,
+    min_distance: int | None = None,
+) -> tuple[SimilarityScore, np.ndarray | None, np.ndarray | None, int]:
     """The one scoring kernel: (score, distance matrix, row minima,
     smallest distance).
 
     Row minima are each A path's nearest distance in B, and None when
     no path is within alpha: the smallest distance, one flat reduction,
-    settles that before any per-row or per-column minimum is taken.
+    settles that before any per-row or per-column minimum is taken. A
+    caller that already has the exact smallest distance (from
+    `min_distances`) passes it as `min_distance`; when it exceeds alpha
+    the zero score comes back with no matrix built, and otherwise the
+    kernel runs as without it.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
     if not a.fingerprints:
-        raise ValueError(f"unscoreable program: {a.program_id!r} has no fingerprints")
+        raise _unscoreable(a)
     if not b.fingerprints:
-        raise ValueError(f"unscoreable program: {b.program_id!r} has no fingerprints")
-    matrix = distance_matrix(a, b)
-    min_distance = int(np.minimum.reduce(matrix, axis=None))
-    if min_distance > alpha:
-        row_min = None
-        a_to_b = b_to_a = 0
-    else:
-        row_min = matrix.min(axis=1)
-        a_to_b = int(np.count_nonzero(row_min <= alpha))
-        b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
-    na, nb = matrix.shape
+        raise _unscoreable(b)
+    matrix = row_min = None
+    a_to_b = b_to_a = 0
+    if min_distance is None or min_distance <= alpha:
+        matrix = distance_matrix(a, b)
+        min_distance = int(np.minimum.reduce(matrix, axis=None))
+        if min_distance <= alpha:
+            row_min = matrix.min(axis=1)
+            a_to_b = int(np.count_nonzero(row_min <= alpha))
+            b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
+    na, nb = len(a.fingerprints), len(b.fingerprints)
     if mode == "resemblance":
         matched, denominator = a_to_b + b_to_a, na + nb
     else:
@@ -103,19 +162,32 @@ def _score(
 
 
 def score_pair(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str = "containment"
+    a: ProgramFingerprint,
+    b: ProgramFingerprint,
+    alpha: int,
+    mode: str = "containment",
+    *,
+    min_distance: int | None = None,
 ) -> SimilarityScore:
     """Containment: matched share of the smaller program's paths (on
     equal sizes the better direction counts). Resemblance: matched
-    paths of both sides over both sizes."""
-    return _score(a, b, alpha, mode)[0]
+    paths of both sides over both sizes. `min_distance`, if given, must
+    be the pair's exact smallest distance (see `_score`)."""
+    return _score(a, b, alpha, mode, min_distance)[0]
 
 
 def pair_report(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str = "containment"
+    a: ProgramFingerprint,
+    b: ProgramFingerprint,
+    alpha: int,
+    mode: str = "containment",
+    *,
+    min_distance: int | None = None,
 ) -> PairReport:
-    """Score plus per-path evidence, computed off one distance matrix."""
-    score, matrix, row_min, min_distance = _score(a, b, alpha, mode)
+    """Score plus per-path evidence, computed off one distance matrix.
+    `min_distance`, if given, must be the pair's exact smallest
+    distance (see `_score`)."""
+    score, matrix, row_min, min_distance = _score(a, b, alpha, mode, min_distance)
     if row_min is None:
         return PairReport(score, (), min_distance)
     matched_rows = np.flatnonzero(row_min <= alpha)

@@ -18,7 +18,7 @@ from cfgprint.cloneforge import (
 )
 from cfgprint.config import RunConfig
 from cfgprint.frontend import normalize_source, parse, tokenize
-from cfgprint.pipeline import fingerprint_source
+from cfgprint.pipeline import fingerprint_source, index_directory
 from cfgprint.similarity import score_pair
 
 
@@ -228,6 +228,29 @@ def test_evaluate_does_not_read_directories_named_like_programs(tmp_path):
     before = rows()
     (tmp_path / "c" / "notes.mp").mkdir()
     assert rows() == before
+
+
+@pytest.mark.parametrize("payload", [b"\xff", b"x = ;"], ids=["not-utf8", "syntax-error"])
+def test_evaluate_skips_files_index_directory_skips(tmp_path, payload):
+    build_corpus(tmp_path / "c", originals=3, unrelated=3, seed=1)
+
+    def rows():
+        results = evaluate(tmp_path / "c", RunConfig(), alpha_values=[0, 5])
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_time_s"} for r in results]
+
+    before = rows()
+    (tmp_path / "c" / "bad.mp").write_bytes(payload)
+    assert [name for name, _ in index_directory(tmp_path / "c", RunConfig()).skipped] == [
+        "bad.mp"
+    ]
+    assert rows() == before
+    # a skipped file the manifest names is a missing program
+    manifest_path = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.append({"original": "orig_000.mp", "mutant": "bad.mp", "type": "type1"})
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="manifest names 'bad.mp' but the corpus lacks it"):
+        evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
 
 
 def test_evaluate_requires_manifest(tmp_path):

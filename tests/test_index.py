@@ -8,6 +8,7 @@ import pytest
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.index_store import (
+    CloneCandidate,
     FingerprintIndex,
     IndexCompatibilityError,
     IndexFormatError,
@@ -15,7 +16,7 @@ from cfgprint.index_store import (
     load_index,
     record_from_program,
 )
-from cfgprint.similarity import score_pair
+from cfgprint.similarity import classify, pair_report, score_pair
 
 STAMP = ConfigStamp.from_config(RunConfig())
 
@@ -124,6 +125,41 @@ def test_query_candidate_evidence_is_hex():
     assert probe_hex == format(0xDEAD, "016x")
     assert record_hex == format(0xDEAD, "016x")
     assert distance == 0
+
+
+def test_query_matches_a_per_record_pair_report_loop():
+    # the index holds the probe's own id and an unscoreable record;
+    # near twins of the probe give candidates at every alpha
+    rng = random.Random(41)
+    for _ in range(10):
+        probe = make_program("p003", [rng.randrange(2**64) for _ in range(rng.randint(1, 9))])
+        programs = _random_programs(rng, 14)
+        programs[3] = probe
+        programs[7] = make_program("p007", [])
+        for k in (2, 9, 11):
+            flipped = [bits ^ (1 << rng.randrange(64)) for bits in probe.fingerprints]
+            programs[k] = make_program(f"p{k:03d}", flipped[: rng.randint(1, len(flipped))])
+        index = make_index(programs)
+        for alpha in (0, 1, 5, 64):
+            for threshold in (0.0, 0.5):
+                for mode in ("containment", "resemblance"):
+                    expected = []
+                    for record in index.records.values():
+                        if record.program_id == probe.program_id or not record.fingerprints:
+                            continue
+                        report = pair_report(probe, record, alpha, mode)
+                        if report.score.value >= threshold:
+                            expected.append(
+                                CloneCandidate(
+                                    record.program_id,
+                                    report.score,
+                                    classify(report.min_distance),
+                                    report.evidence,
+                                )
+                            )
+                    expected.sort(key=lambda c: (-c.score.value, c.program_id))
+                    assert index.query(probe, alpha, threshold, mode) == expected
+                    assert index.last_query_scorings == 12
 
 
 def test_record_builds_its_bits_array_once():

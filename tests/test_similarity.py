@@ -1,11 +1,15 @@
 """Program-level scoring against pure-Python nested-loop oracles."""
 
 import random
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgprint import similarity
 from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.similarity import (
     GRADE_DISSIMILAR,
@@ -14,6 +18,7 @@ from cfgprint.similarity import (
     GRADE_SIMILAR,
     classify,
     distance_matrix,
+    min_distances,
     pair_report,
     score_pair,
 )
@@ -353,6 +358,111 @@ def test_early_exit_boundary_matches_oracles(alpha, gap, mode):
             assert (matched, report.evidence) == (0, ())
         else:
             assert matched > 0 and report.evidence
+
+
+# -- batched minima and the min_distance hint ----------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a_bits=st.one_of(
+        _BITS, _NEAR_BITS, st.lists(st.integers(0, 2**64 - 1), min_size=9, max_size=20)
+    ),
+    others=st.lists(st.one_of(_BITS, _NEAR_BITS, _BITS.map(lambda bits: bits[:1])), max_size=6),
+    cells=st.sampled_from([1, 2, 3, 5, 8, 1 << 15]),
+)
+def test_min_distances_match_distance_matrix(a_bits, others, cells):
+    # small chunks put chunk edges inside records, and a probe with more
+    # fingerprints than a chunk is split by rows and steps one column
+    a = make_program("a", a_bits)
+    programs = [make_program(f"b{i}", bits) for i, bits in enumerate(others)]
+    with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
+        got = min_distances(a, programs)
+    assert got == [int(distance_matrix(a, b).min()) for b in programs]
+    assert all(type(d) is int for d in got)
+
+
+def test_min_distances_of_no_records_is_empty():
+    assert min_distances(make_program("a", [1, 2]), []) == []
+
+
+def test_min_distances_rejects_unscoreable_programs():
+    empty = ProgramFingerprint("empty", (), 0, False)
+    full = make_program("full", [1])
+    with pytest.raises(ValueError, match="unscoreable program: 'empty'"):
+        min_distances(empty, [full])
+    with pytest.raises(ValueError, match="unscoreable program: 'empty'"):
+        min_distances(full, [full, empty])
+
+
+def test_min_distances_temporaries_stay_within_a_chunk(monkeypatch):
+    # a probe with more fingerprints than one chunk holds cells: the
+    # full 40 000 x 60 block would be about 19 MB
+    rng = random.Random(3)
+    a = make_program("a", [rng.randrange(2**64) for _ in range(40_000)])
+    programs = [make_program(f"b{i}", _random_bits(rng, 1, 11)) for i in range(10)]
+    assert len(a.fingerprints) > similarity._CHUNK_CELLS
+    for program in (a, *programs):
+        program.bits_array  # built before measuring
+    blocks = []
+    count = np.bitwise_count
+
+    def spy(x):
+        blocks.append(x.nbytes)
+        return count(x)
+
+    monkeypatch.setattr(np, "bitwise_count", spy)
+    tracemalloc.start()
+    try:
+        got = min_distances(a, programs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert len(blocks) > 1
+    assert max(blocks) <= 256 * 1024
+    assert peak < 2 * 256 * 1024
+    assert got == [int(distance_matrix(a, b).min()) for b in programs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a_bits=st.one_of(_BITS, _NEAR_BITS),
+    b_bits=st.one_of(_BITS, _NEAR_BITS),
+    alpha=st.one_of(st.sampled_from([0, 64]), st.integers(min_value=0, max_value=64)),
+    mode=st.sampled_from(["containment", "resemblance"]),
+)
+def test_min_distance_hint_changes_nothing(a_bits, b_bits, alpha, mode):
+    a = make_program("a", a_bits)
+    b = make_program("b", b_bits)
+    (nearest,) = min_distances(a, [b])
+    assert score_pair(a, b, alpha, mode, min_distance=nearest) == score_pair(a, b, alpha, mode)
+    assert pair_report(a, b, alpha, mode, min_distance=nearest) == pair_report(a, b, alpha, mode)
+
+
+@pytest.mark.parametrize("mode", ["containment", "resemblance"])
+@pytest.mark.parametrize("alpha, gap", [(0, 0), (0, 1), (5, 5), (5, 6), (64, 64)])
+def test_min_distance_hint_at_the_alpha_boundary(alpha, gap, mode):
+    a, b = _boundary_pair(gap)
+    for x, y in ((a, b), (b, a)):
+        hinted = pair_report(x, y, alpha, mode, min_distance=gap)
+        assert hinted == pair_report(x, y, alpha, mode)
+        assert score_pair(x, y, alpha, mode, min_distance=gap) == hinted.score
+        assert (hinted.score.value > 0) == (gap <= alpha)
+
+
+def test_min_distance_hint_past_alpha_builds_no_matrix(monkeypatch):
+    a = make_program("a", [0, 1])
+    b = make_program("b", [2**64 - 1])
+
+    def no_matrix(*args):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(similarity, "distance_matrix", no_matrix)
+    report = pair_report(a, b, 5, min_distance=63)
+    assert report == similarity.PairReport(
+        similarity.SimilarityScore(0.0, "containment", 5, 0, 1), (), 63
+    )
 
 
 def test_pair_report_tie_goes_to_lowest_partner_bits():
