@@ -7,12 +7,18 @@ byte-for-byte reproducibly. A record is a ProgramFingerprint (the
 ascending tuple of ints parsed from the hex) plus its source path and
 stamp, and the scorer reads it directly. Queries are a linear scan:
 every scoreable record is scored against the probe, so cost grows with
-record count and nothing else. `query` takes the probe's smallest
-distance to every record in one `min_distances` pass, and `cluster`
-does the same once per row against the records after it; each per-pair
-call gets that minimum as `min_distance`, so a pair with nothing within
-alpha is scored zero without a distance matrix. `cluster` joins the
-linked pairs by union-find.
+record count and nothing else. The index keeps its scoreable records'
+fingerprints as one flat uint64 array with each record's start offset,
+in insertion order. The layout is built by the first `query` and tagged
+with the tuple of records it came from; a later `query` rebuilds it
+whenever the records differ from that tag, so `add_program`,
+`load_index` and direct writes to `records` need no hook. `query` takes
+the probe's smallest distance to every record in one `record_minima`
+pass over that array, and `cluster` lays out its records once in
+sorted-id order and runs the pass once per row over the suffix after
+it. Each per-pair call gets that minimum as `min_distance`, so a pair
+with nothing within alpha is scored zero without a distance matrix.
+`cluster` joins the linked pairs by union-find.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .config import (
     FINGERPRINT_BITS,
@@ -30,7 +39,13 @@ from .config import (
     ConfigStamp,
 )
 from .fingerprint import ProgramFingerprint, from_hex, to_hex
-from .similarity import SimilarityScore, classify, min_distances, pair_report
+from .similarity import (
+    SimilarityScore,
+    classify,
+    fingerprint_columns,
+    pair_report,
+    record_minima,
+)
 
 
 class IndexFormatError(ValueError):
@@ -77,11 +92,34 @@ class CloneGroup:
     mean_score: float
 
 
+class _Columns(NamedTuple):
+    """What `query` scans: the scoreable records, in insertion order,
+    and their fingerprints end to end (`fingerprint_columns`), tagged
+    with the tuple of every record they were built from."""
+
+    tag: tuple[IndexRecord, ...]
+    records: list[IndexRecord]
+    flat: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass
 class FingerprintIndex:
     config_stamp: ConfigStamp
     records: dict[str, IndexRecord] = field(default_factory=dict)
     last_query_scorings: int = 0
+    _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _scan_columns(self) -> _Columns:
+        """The columnar layout of the current records, rebuilt whenever
+        the records differ from the ones it was built from, so
+        `add_program`, `load_index` and direct writes to `records` need
+        no hook."""
+        tag = tuple(self.records.values())
+        if self._columns is None or self._columns.tag != tag:
+            records = [r for r in tag if r.fingerprints]
+            self._columns = _Columns(tag, records, *fingerprint_columns(records))
+        return self._columns
 
     def add_program(self, record: IndexRecord) -> None:
         """Insert by program_id. The record must carry the index's
@@ -106,22 +144,23 @@ class FingerprintIndex:
         by score descending then program_id ascending. A record with
         the probe's own id is skipped, as are unscoreable records.
 
-        One `min_distances` pass gives the probe's smallest distance to
-        every scanned record, and each record is then scored by one
-        `pair_report` call that is handed that minimum. The benchmark
-        tracer counts those calls; once it counts work instead (ROADMAP
-        item 1), records past alpha need no call at all and the
-        `min_distance` parameter can go."""
+        One `record_minima` pass over the index's columns gives the
+        probe's smallest distance to every scoreable record, and each
+        scanned record is then scored by one `pair_report` call that is
+        handed that minimum. The benchmark tracer counts those calls;
+        once it counts work instead (ROADMAP item 1), records past alpha
+        need no call at all and the `min_distance` parameter can go."""
         if not probe.scoreable:
             raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
-        scanned = [
-            record
-            for record in self.records.values()
-            if record.fingerprints and record.program_id != probe.program_id
-        ]
+        columns = self._scan_columns()
+        nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
         candidates: list[CloneCandidate] = []
-        for record, nearest in zip(scanned, min_distances(probe, scanned)):
-            report = pair_report(probe, record, alpha, mode, min_distance=nearest)
+        scanned = 0
+        for record, d in zip(columns.records, nearest):
+            if record.program_id == probe.program_id:
+                continue
+            scanned += 1
+            report = pair_report(probe, record, alpha, mode, min_distance=d)
             if report.score.value >= threshold:
                 candidates.append(
                     CloneCandidate(
@@ -131,7 +170,7 @@ class FingerprintIndex:
                         matched_path_evidence=report.evidence,
                     )
                 )
-        self.last_query_scorings = len(scanned)
+        self.last_query_scorings = scanned
         candidates.sort(key=lambda c: (-c.score.value, c.program_id))
         return candidates
 
@@ -141,9 +180,10 @@ class FingerprintIndex:
         """Single-linkage clone groups: connected components of the
         "scores >= threshold" graph over scoreable records. Groups are
         ordered by their smallest member id; singletons are omitted.
-        mean_score averages all intra-group pairwise scores. Each row's
-        smallest distances to the records after it come from one
-        `min_distances` pass, handed to `score_pair` as in `query`."""
+        mean_score averages all intra-group pairwise scores. The records
+        are laid out once; each row's smallest distances to the records
+        after it come from one `record_minima` pass over the suffix of
+        that layout, handed to `score_pair` as in `query`."""
         from .similarity import score_pair
 
         ids = sorted(pid for pid, r in self.records.items() if r.fingerprints)
@@ -159,9 +199,11 @@ class FingerprintIndex:
                 i = root[i]
             return i
 
+        flat, starts = fingerprint_columns(programs)
         score_of: dict[tuple[int, int], float] = {}
-        for i in range(n):
-            nearest = min_distances(programs[i], programs[i + 1 :])
+        for i in range(n - 1):
+            lo = starts[i + 1]
+            nearest = record_minima(programs[i].bits_array, flat[lo:], starts[i + 1 :] - lo)
             for j, d in enumerate(nearest, start=i + 1):
                 value = score_pair(programs[i], programs[j], alpha, mode, min_distance=d).value
                 score_of[(i, j)] = value
@@ -313,6 +355,12 @@ def load_index(path: str | Path) -> FingerprintIndex:
                 truncated=truncated,
                 config_stamp=stamp,
             )
+            # each distinct fingerprint comes from at least one path
+            if record.path_count < len(record.fingerprints):
+                raise ValueError(
+                    f"path_count {record.path_count} is below the record's "
+                    f"{len(record.fingerprints)} fingerprints"
+                )
         except KeyError as exc:
             raise IndexFormatError(f"{path}: line {i + 1}: record missing key {exc}") from exc
         except ValueError as exc:

@@ -13,20 +13,27 @@ does for nearly every pair of unrelated programs, the score is zero and
 the call returns at once; only pairs within alpha get row and column
 minima, match counts and (in `pair_report`) evidence.
 
-`min_distances` gives one program's smallest distance to each of many
-others in one chunked pass. `FingerprintIndex.query` runs it once per
-probe and `cluster` once per row, and each hands a record's minimum to
-the per-pair call as `min_distance`: past alpha the kernel returns the
-zero score without building a matrix, so the per-pair calls only
-assemble reports. An index record is itself a `ProgramFingerprint`, so
-repeated queries and clustering reuse the array each record builds
-once.
+`record_minima` gives one program's smallest distance to each of many
+others in one chunked pass over their fingerprints laid end to end. It
+loops over the shorter side: a probe's rows one at a time against column
+chunks, or, for a probe taller than the columns, the columns one at a
+time against row chunks. `min_distances` lays the others out and runs
+it; `FingerprintIndex.query` runs it once per probe over columns the
+index keeps built, and `cluster` once per row over a suffix of one
+layout. Each hands a record's minimum to the per-pair call as
+`min_distance`: past alpha the kernel works out only the denominator
+and returns the zero score, so the per-pair calls only assemble
+reports. An index record is itself a `ProgramFingerprint`, so repeated
+queries and clustering reuse the array each record builds once.
+
+`SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
+to build, and equal (and hashing alike) to the plain tuples of their
+fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +45,7 @@ GRADE_SIMILAR = "similar"
 GRADE_DISSIMILAR = "dissimilar"
 
 
-@dataclass(frozen=True)
-class SimilarityScore:
+class SimilarityScore(NamedTuple):
     value: float
     mode: str
     alpha: int
@@ -47,8 +53,7 @@ class SimilarityScore:
     denominator: int
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     """Everything one probe-record comparison produces: the score, the
     matched-pair evidence (probe hex, other hex, distance; one entry
     per matched probe path, nearest partner wins), and the smallest
@@ -61,8 +66,8 @@ class PairReport:
 
 _MODES = ("containment", "resemblance")
 
-# the largest distance block `min_distances` builds: 1 << 15 uint64
-# XORs, 256 KB
+# the most fingerprints `record_minima` XORs at once: 1 << 15 uint64s,
+# 256 KB
 _CHUNK_CELLS = 1 << 15
 
 
@@ -78,36 +83,60 @@ def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
 
 def min_distances(a: ProgramFingerprint, others: Sequence[ProgramFingerprint]) -> list[int]:
     """Each other program's smallest Hamming distance to A, in order:
-    `int(distance_matrix(a, b).min())` for every b, from one pass.
-
-    The others' fingerprints are laid end to end in one flat array and
-    compared with A's in blocks of at most `_CHUNK_CELLS` cells, so no
-    distance block exceeds 256 KB whatever the probe's size (a probe
-    with more fingerprints than that is split by rows too). Each block is reduced
-    to column minima, and one `np.minimum.reduceat` over the records'
-    offsets gives each record's minimum. Every program must be
-    scoreable.
+    `int(distance_matrix(a, b).min())` for every b, from one pass over
+    the others' fingerprints laid end to end (see `record_minima`).
+    Every program must be scoreable.
     """
     if not a.fingerprints:
         raise _unscoreable(a)
-    sizes = [len(b.fingerprints) for b in others]
-    if 0 in sizes:
-        raise _unscoreable(others[sizes.index(0)])
-    if not others:
+    for b in others:
+        if not b.fingerprints:
+            raise _unscoreable(b)
+    return record_minima(a.bits_array, *fingerprint_columns(others))
+
+
+def fingerprint_columns(programs: Sequence[ProgramFingerprint]) -> tuple[np.ndarray, np.ndarray]:
+    """The programs' fingerprints end to end as one uint64 array, and
+    the offset where each program's run starts."""
+    if not programs:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intp)
+    starts = np.cumsum([0, *(len(p.fingerprints) for p in programs[:-1])])
+    return np.concatenate([p.bits_array for p in programs]), starts
+
+
+def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> list[int]:
+    """The smallest Hamming distance from any of `rows` to each record
+    of `flat`, the records' fingerprints end to end with record k
+    starting at `starts[k]` (every record non-empty).
+
+    The loop runs over the shorter side. A probe with no more
+    fingerprints than `flat` XORs one row at a time against column
+    chunks of at most `_CHUNK_CELLS` and folds each row's distances into
+    the column minima with an elementwise `np.minimum`. A taller probe
+    is cut into row chunks of that size instead, and each column takes
+    its minimum over them. Either way no temporary exceeds 256 KB, and
+    one `np.minimum.reduceat` over `starts` gives each record's minimum.
+    """
+    if not len(flat):
         return []
-    flat = np.concatenate([b.bits_array for b in others])
-    starts = np.cumsum([0, *sizes[:-1]])
-    rows = a.bits_array
-    row_step = min(len(rows), _CHUNK_CELLS)
-    col_step = _CHUNK_CELLS // row_step
-    col_min = np.empty(len(flat), dtype=np.uint8)
-    for lo in range(0, len(flat), col_step):
-        cols = flat[lo : lo + col_step]
-        out = col_min[lo : lo + col_step]
-        np.bitwise_count(rows[:row_step, None] ^ cols).min(axis=0, out=out)
-        for r in range(row_step, len(rows), row_step):
-            block = np.bitwise_count(rows[r : r + row_step, None] ^ cols)
-            np.minimum(out, block.min(axis=0), out=out)
+    col_min = np.full(len(flat), 64, dtype=np.uint8)
+    if len(rows) <= len(flat):
+        buf = np.empty(min(len(flat), _CHUNK_CELLS), dtype=np.uint64)
+        for lo in range(0, len(flat), _CHUNK_CELLS):
+            cols = flat[lo : lo + _CHUNK_CELLS]
+            out = col_min[lo : lo + _CHUNK_CELLS]
+            xor = buf[: len(cols)]
+            for row in rows:
+                np.bitwise_xor(cols, row, out=xor)
+                np.minimum(out, np.bitwise_count(xor), out=out)
+    else:
+        buf = np.empty(min(len(rows), _CHUNK_CELLS), dtype=np.uint64)
+        for c, col in enumerate(flat):
+            for lo in range(0, len(rows), _CHUNK_CELLS):
+                chunk = rows[lo : lo + _CHUNK_CELLS]
+                xor = buf[: len(chunk)]
+                np.bitwise_xor(chunk, col, out=xor)
+                col_min[c] = min(col_min[c], np.bitwise_count(xor).min())
     return np.minimum.reduceat(col_min, starts).tolist()
 
 
@@ -135,16 +164,18 @@ def _score(
         raise _unscoreable(a)
     if not b.fingerprints:
         raise _unscoreable(b)
-    matrix = row_min = None
-    a_to_b = b_to_a = 0
-    if min_distance is None or min_distance <= alpha:
-        matrix = distance_matrix(a, b)
-        min_distance = int(np.minimum.reduce(matrix, axis=None))
-        if min_distance <= alpha:
-            row_min = matrix.min(axis=1)
-            a_to_b = int(np.count_nonzero(row_min <= alpha))
-            b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
     na, nb = len(a.fingerprints), len(b.fingerprints)
+    if min_distance is not None and min_distance > alpha:
+        denominator = na + nb if mode == "resemblance" else min(na, nb)
+        return SimilarityScore(0.0, mode, alpha, 0, denominator), None, None, min_distance
+    matrix = distance_matrix(a, b)
+    min_distance = int(np.minimum.reduce(matrix, axis=None))
+    row_min = None
+    a_to_b = b_to_a = 0
+    if min_distance <= alpha:
+        row_min = matrix.min(axis=1)
+        a_to_b = int(np.count_nonzero(row_min <= alpha))
+        b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
     if mode == "resemblance":
         matched, denominator = a_to_b + b_to_a, na + nb
     else:

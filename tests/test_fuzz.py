@@ -157,19 +157,24 @@ _JSON_VALUES = st.recursive(
 @st.composite
 def corrupted(draw, lines):
     """(index text, whether loading must fail): the index with one line
-    corrupted in one of six ways."""
+    corrupted in one of seven ways."""
     lines = list(lines)
     i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
     how = draw(st.sampled_from(
-        ["truncate", "wrong_type", "non_string_id", "shuffle", "duplicate_fp", "duplicate_record"]
+        ["truncate", "wrong_type", "non_string_id", "low_path_count", "shuffle", "duplicate_fp",
+         "duplicate_record"]
     ))
-    if how == "non_string_id":
-        # a record's id or path as any JSON value but a string
+    if how in ("non_string_id", "low_path_count"):
         i = draw(st.integers(min_value=1, max_value=len(lines) - 1))
         row = json.loads(lines[i])
-        row[draw(st.sampled_from(["program_id", "source_path"]))] = draw(
-            _JSON_VALUES.filter(lambda value: not isinstance(value, str))
-        )
+        if how == "non_string_id":
+            # a record's id or path as any JSON value but a string
+            row[draw(st.sampled_from(["program_id", "source_path"]))] = draw(
+                _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+            )
+        else:
+            # fewer paths than distinct fingerprints, negative included
+            row["path_count"] = draw(st.integers(max_value=len(row["fingerprints"]) - 1))
         lines[i] = json.dumps(row)
         return "\n".join(lines) + "\n", True
     row = json.loads(lines[i])

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import ProgramFingerprint
@@ -16,7 +18,7 @@ from cfgprint.index_store import (
     load_index,
     record_from_program,
 )
-from cfgprint.similarity import classify, pair_report, score_pair
+from cfgprint.similarity import classify, distance_matrix, pair_report, score_pair
 
 STAMP = ConfigStamp.from_config(RunConfig())
 
@@ -127,6 +129,26 @@ def test_query_candidate_evidence_is_hex():
     assert distance == 0
 
 
+def per_record_query(index, probe, alpha, threshold, mode):
+    """The scan as one unhinted `pair_report` per scoreable record."""
+    expected = []
+    for record in index.records.values():
+        if record.program_id == probe.program_id or not record.fingerprints:
+            continue
+        report = pair_report(probe, record, alpha, mode)
+        if report.score.value >= threshold:
+            expected.append(
+                CloneCandidate(
+                    record.program_id,
+                    report.score,
+                    classify(report.min_distance),
+                    report.evidence,
+                )
+            )
+    expected.sort(key=lambda c: (-c.score.value, c.program_id))
+    return expected
+
+
 def test_query_matches_a_per_record_pair_report_loop():
     # the index holds the probe's own id and an unscoreable record;
     # near twins of the probe give candidates at every alpha
@@ -143,23 +165,83 @@ def test_query_matches_a_per_record_pair_report_loop():
         for alpha in (0, 1, 5, 64):
             for threshold in (0.0, 0.5):
                 for mode in ("containment", "resemblance"):
-                    expected = []
-                    for record in index.records.values():
-                        if record.program_id == probe.program_id or not record.fingerprints:
-                            continue
-                        report = pair_report(probe, record, alpha, mode)
-                        if report.score.value >= threshold:
-                            expected.append(
-                                CloneCandidate(
-                                    record.program_id,
-                                    report.score,
-                                    classify(report.min_distance),
-                                    report.evidence,
-                                )
-                            )
-                    expected.sort(key=lambda c: (-c.score.value, c.program_id))
+                    expected = per_record_query(index, probe, alpha, threshold, mode)
                     assert index.query(probe, alpha, threshold, mode) == expected
                     assert index.last_query_scorings == 12
+
+
+_FINGERPRINTS = st.lists(st.integers(0, 2**64 - 1), max_size=8)
+
+
+@st.composite
+def scan_cases(draw):
+    """(probe, index programs, a program to add later, a record id to
+    overwrite and its new fingerprints). Programs are random, near
+    twins of the probe (a few bits flipped), unscoreable, or the
+    probe's own id."""
+    probe_bits = draw(_FINGERPRINTS.filter(bool))
+    probe = make_program("probe", probe_bits)
+
+    def program(program_id):
+        kind = draw(st.sampled_from(["random", "twin", "empty", "self"]))
+        if kind == "random":
+            return make_program(program_id, draw(_FINGERPRINTS))
+        if kind == "empty":
+            return make_program(program_id, [])
+        flips = draw(st.lists(st.integers(0, 63), max_size=6))
+        bits = [b ^ sum(1 << f for f in set(flips)) for b in probe_bits]
+        return make_program("probe" if kind == "self" else program_id, bits)
+
+    programs = {}
+    for i in range(draw(st.integers(0, 7))):
+        made = program(f"p{i}")
+        programs.setdefault(made.program_id, made)
+    added = program("added")
+    overwrite = draw(st.sampled_from(sorted(programs))) if programs else None
+    return probe, list(programs.values()), added, overwrite, draw(_FINGERPRINTS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=scan_cases(),
+    alpha=st.one_of(st.sampled_from([0, 64]), st.integers(0, 64)),
+    threshold=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+    mode=st.sampled_from(["containment", "resemblance"]),
+)
+def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode):
+    # the prebuilt columns must follow every change to the records: an
+    # add_program, a direct overwrite and a direct delete
+    probe, programs, added, overwrite, new_bits = case
+    index = make_index(programs)
+
+    def check():
+        expected = per_record_query(index, probe, alpha, threshold, mode)
+        assert index.query(probe, alpha, threshold, mode) == expected
+        assert index.last_query_scorings == sum(
+            1
+            for r in index.records.values()
+            if r.fingerprints and r.program_id != probe.program_id
+        )
+        if threshold == 0.0:
+            # a record past alpha is still a candidate: zero score, no
+            # evidence, graded by its smallest distance
+            for hit in expected:
+                record = index.records[hit.program_id]
+                if int(distance_matrix(probe, record).min()) > alpha:
+                    assert hit.score.value == 0.0 and hit.matched_path_evidence == ()
+                    assert hit.grade == classify(int(distance_matrix(probe, record).min()))
+
+    check()
+    if added.program_id not in index.records:
+        index.add_program(record_from_program(added, "added.mp", STAMP))
+        check()
+    if overwrite is not None:
+        index.records[overwrite] = record_from_program(
+            make_program(overwrite, new_bits), f"{overwrite}.mp", STAMP
+        )
+        check()
+        del index.records[overwrite]
+        check()
 
 
 def test_record_builds_its_bits_array_once():
@@ -275,6 +357,30 @@ def test_cluster_group_mean_score():
         score_pair(b, c, 0, "containment").value,
     ]
     assert group.mean_score == pytest.approx(sum(pair_scores) / 3)
+
+
+def test_cluster_mean_scores_match_an_unhinted_pair_loop():
+    # mean_score sums the pair scores in the same order as a plain loop
+    # over sorted ids, so its repr (every float bit) is the same
+    rng = random.Random(8)
+    for _ in range(10):
+        programs = _random_programs(rng, 12)
+        for k in (1, 2, 5):
+            flipped = [b ^ (1 << rng.randrange(64)) for b in programs[0].fingerprints]
+            programs[k] = make_program(f"p{k:03d}", flipped + [rng.randrange(2**64)])
+        programs[7] = make_program("p007", [])
+        index = make_index(programs)
+        for mode in ("containment", "resemblance"):
+            groups = index.cluster(5, 0.3, mode)
+            assert groups
+            for group in groups:
+                members = [index.records[pid] for pid in group.members]
+                scores = [
+                    score_pair(a, b, 5, mode).value
+                    for i, a in enumerate(members)
+                    for b in members[i + 1 :]
+                ]
+                assert repr(group.mean_score) == repr(sum(scores) / len(scores))
 
 
 def test_cluster_no_groups_when_nothing_matches():
@@ -423,6 +529,33 @@ def test_load_rejects_non_boolean_truncated(tmp_path, value):
     _rewrite_records(path, edit)
     with pytest.raises(IndexFormatError, match="line 3: truncated"):
         load_index(path)
+
+
+@pytest.mark.parametrize("path_count", [-5, -1, 0, 1])
+def test_load_rejects_path_count_below_fingerprints(tmp_path, path_count):
+    # two distinct fingerprints need at least two paths
+    index = make_index([make_program("a", [1]), make_program("b", [2, 3])])
+    path = tmp_path / "count.cdx"
+    index.save(path)
+
+    def edit(records):
+        records[1]["path_count"] = path_count
+
+    _rewrite_records(path, edit)
+    with pytest.raises(
+        IndexFormatError, match=f"line 3: path_count {path_count} is below the record's 2"
+    ):
+        load_index(path)
+
+
+def test_load_accepts_path_count_above_fingerprints(tmp_path):
+    # duplicate paths share a fingerprint, so the count may exceed it
+    index = make_index([make_program("a", [1, 1, 1]), make_program("empty", [])])
+    path = tmp_path / "count.cdx"
+    index.save(path)
+    loaded = load_index(path)
+    assert loaded.records["a"].path_count == 3
+    assert loaded.records["empty"].path_count == 0
 
 
 @pytest.mark.parametrize("value", [None, [3], "3", 3.0, True, float("inf")])

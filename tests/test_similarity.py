@@ -425,6 +425,27 @@ def test_min_distances_temporaries_stay_within_a_chunk(monkeypatch):
     assert got == [int(distance_matrix(a, b).min()) for b in programs]
 
 
+@pytest.mark.parametrize("cells", [1, 4, 5, 6, 11, 12, 13, 1 << 15])
+@pytest.mark.parametrize("probe_size", [1, 5, 12, 13, 40])
+def test_min_distances_on_either_side_of_the_columns(probe_size, cells):
+    # 12 columns in records of 5, 1 and 6: probes shorter than, as tall
+    # as and taller than the columns, with chunk edges inside, at and
+    # past every record boundary
+    rng = random.Random(probe_size * 100 + cells)
+    a = make_program("a", [rng.randrange(2**64) for _ in range(probe_size)])
+    programs = [
+        make_program(f"b{i}", [rng.randrange(2**64) for _ in range(size)])
+        for i, size in enumerate((5, 1, 6))
+    ]
+    # one record within a few bits of the probe, so minima differ
+    programs[1] = make_program("b1", [a.fingerprints[-1] ^ 0b101])
+    assert len(a.fingerprints) == probe_size
+    with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
+        got = min_distances(a, programs)
+    assert got == [int(distance_matrix(a, b).min()) for b in programs]
+    assert got[1] <= 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a_bits=st.one_of(_BITS, _NEAR_BITS),
@@ -477,6 +498,51 @@ def test_unknown_mode_rejected_by_every_scorer():
     for scorer in (score_pair, pair_report):
         with pytest.raises(ValueError, match="unknown similarity mode 'jaccard'"):
             scorer(a, a, 0, "jaccard")
+
+
+# -- result types ----------------------------------------------------------------------
+
+
+def test_result_types_are_immutable_named_tuples():
+    score = similarity.SimilarityScore(0.5, "containment", 5, 1, 2)
+    report = similarity.PairReport(score, (("00", "01", 1),), 1)
+    assert similarity.SimilarityScore._fields == (
+        "value", "mode", "alpha", "matched_count", "denominator"
+    )
+    assert similarity.PairReport._fields == ("score", "evidence", "min_distance")
+    assert repr(score) == (
+        "SimilarityScore(value=0.5, mode='containment', alpha=5, matched_count=1, denominator=2)"
+    )
+    assert repr(report) == (
+        "PairReport(score=SimilarityScore(value=0.5, mode='containment', alpha=5, "
+        "matched_count=1, denominator=2), evidence=(('00', '01', 1),), min_distance=1)"
+    )
+    for value, name in ((score, "value"), (report, "score")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    # equal values compare and hash equal, also to the plain tuples
+    same = similarity.PairReport(similarity.SimilarityScore(0.5, "containment", 5, 1, 2),
+                                 (("00", "01", 1),), 1)
+    assert same == report and hash(same) == hash(report)
+    assert report == ((0.5, "containment", 5, 1, 2), (("00", "01", 1),), 1)
+    assert hash(score) == hash((0.5, "containment", 5, 1, 2))
+    assert score != similarity.SimilarityScore(0.5, "resemblance", 5, 1, 2)
+
+
+def test_scorers_return_the_named_tuples():
+    a = make_program("a", [1, 2, 3])
+    b = make_program("b", [1, 2**63])
+    score = score_pair(a, b, 0)
+    assert type(score) is similarity.SimilarityScore
+    assert score == (0.5, "containment", 0, 1, 2)
+    report = pair_report(a, b, 0, "resemblance")
+    assert type(report) is similarity.PairReport
+    assert type(report.score) is similarity.SimilarityScore
+    assert report == (
+        (0.4, "resemblance", 0, 2, 5),
+        (("0000000000000001", "0000000000000001", 0),),
+        0,
+    )
 
 
 # -- classify ------------------------------------------------------------------------
