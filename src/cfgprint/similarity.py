@@ -154,9 +154,9 @@ def _score(
     no path is within alpha: the smallest distance, one flat reduction,
     settles that before any per-row or per-column minimum is taken. A
     caller that already has the exact smallest distance (from
-    `min_distances`) passes it as `min_distance`; when it exceeds alpha
-    the zero score comes back with no matrix built, and otherwise the
-    kernel runs as without it.
+    `record_minima`) passes it as `min_distance`; when it exceeds alpha
+    only the denominator is worked out and the zero score comes back
+    with no matrix built, and otherwise the kernel runs as without it.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
