@@ -18,6 +18,9 @@ pass over that array, and `cluster` lays out its records once in
 sorted-id order and runs the pass once per row over the suffix after
 it. Each per-pair call gets that minimum as `min_distance`, so a pair
 with nothing within alpha is scored zero without a distance matrix.
+A probe's minima do not depend on alpha, so `query_alphas` runs the
+pass once and hands it to one `query` call per alpha; the hand-off
+lives only for that call, so any other `query` runs its own pass.
 `cluster` joins the linked pairs by union-find.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,12 +106,22 @@ class _Columns(NamedTuple):
     starts: np.ndarray
 
 
+class _Minima(NamedTuple):
+    """A probe's `record_minima` over one columns object, handed from
+    `query_alphas` to the `query` calls it makes."""
+
+    columns: _Columns
+    probe: ProgramFingerprint
+    nearest: list[int]
+
+
 @dataclass
 class FingerprintIndex:
     config_stamp: ConfigStamp
     records: dict[str, IndexRecord] = field(default_factory=dict)
     last_query_scorings: int = 0
     _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
+    _minima: _Minima | None = field(default=None, init=False, repr=False, compare=False)
 
     def _scan_columns(self) -> _Columns:
         """The columnar layout of the current records, rebuilt whenever
@@ -147,13 +160,19 @@ class FingerprintIndex:
         One `record_minima` pass over the index's columns gives the
         probe's smallest distance to every scoreable record, and each
         scanned record is then scored by one `pair_report` call that is
-        handed that minimum. The benchmark tracer counts those calls;
-        once it counts work instead (ROADMAP item 1), records past alpha
-        need no call at all and the `min_distance` parameter can go."""
+        handed that minimum. Inside `query_alphas` the pass it ran for
+        this same probe object over these same columns is used instead.
+        The benchmark tracer counts the per-record calls; once it counts
+        work instead (ROADMAP item 1), records past alpha need no call
+        at all and the `min_distance` parameter can go."""
         if not probe.scoreable:
             raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
         columns = self._scan_columns()
-        nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
+        handed = self._minima
+        if handed is not None and handed.columns is columns and handed.probe is probe:
+            nearest = handed.nearest
+        else:
+            nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
         candidates: list[CloneCandidate] = []
         scanned = 0
         for record, d in zip(columns.records, nearest):
@@ -173,6 +192,28 @@ class FingerprintIndex:
         self.last_query_scorings = scanned
         candidates.sort(key=lambda c: (-c.score.value, c.program_id))
         return candidates
+
+    def query_alphas(
+        self,
+        probe: ProgramFingerprint,
+        alphas: Sequence[int],
+        threshold: float,
+        mode: str = "containment",
+    ) -> list[list[CloneCandidate]]:
+        """`query(probe, alpha, threshold, mode)` for each alpha in
+        order, from one `record_minima` pass: a probe's smallest
+        distance to a record does not depend on alpha. The pass is
+        handed to the `query` calls through index state that lasts only
+        for this call."""
+        if not probe.scoreable:
+            raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
+        columns = self._scan_columns()
+        nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
+        self._minima = _Minima(columns, probe, nearest)
+        try:
+            return [self.query(probe, alpha, threshold, mode) for alpha in alphas]
+        finally:
+            self._minima = None
 
     def cluster(
         self, alpha: int, threshold: float, mode: str = "containment"
@@ -200,13 +241,16 @@ class FingerprintIndex:
             return i
 
         flat, starts = fingerprint_columns(programs)
+        # nonzero scores only: most pairs score zero, and adding the
+        # zeros back in `mean_score` is exact
         score_of: dict[tuple[int, int], float] = {}
         for i in range(n - 1):
             lo = starts[i + 1]
             nearest = record_minima(programs[i].bits_array, flat[lo:], starts[i + 1 :] - lo)
             for j, d in enumerate(nearest, start=i + 1):
                 value = score_pair(programs[i], programs[j], alpha, mode, min_distance=d).value
-                score_of[(i, j)] = value
+                if value:
+                    score_of[(i, j)] = value
                 if value >= threshold:
                     ri, rj = find(i), find(j)
                     root[max(ri, rj)] = min(ri, rj)
@@ -219,7 +263,7 @@ class FingerprintIndex:
             if len(member_idx) < 2:
                 continue
             pair_scores = [
-                score_of[(a, b)]
+                score_of.get((a, b), 0.0)
                 for k, a in enumerate(member_idx)
                 for b in member_idx[k + 1 :]
             ]

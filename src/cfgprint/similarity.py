@@ -18,9 +18,11 @@ others in one chunked pass over their fingerprints laid end to end. It
 loops over the shorter side: a probe's rows one at a time against column
 chunks, or, for a probe taller than the columns, the columns one at a
 time against row chunks. `min_distances` lays the others out and runs
-it; `FingerprintIndex.query` runs it once per probe over columns the
-index keeps built, and `cluster` once per row over a suffix of one
-layout. Each hands a record's minimum to the per-pair call as
+it. `FingerprintIndex.query` runs it once per call over columns the
+index keeps built, except inside `FingerprintIndex.query_alphas`, which
+runs it once per probe for a whole alpha sweep and hands the minima to
+each of its `query` calls; `cluster` runs it once per row over a suffix
+of one layout. Each hands a record's minimum to the per-pair call as
 `min_distance`: past alpha the kernel works out only the denominator
 and returns the zero score, so the per-pair calls only assemble
 reports. An index record is itself a `ProgramFingerprint`, so repeated
@@ -65,6 +67,10 @@ class PairReport(NamedTuple):
 
 
 _MODES = ("containment", "resemblance")
+
+# tuple.__new__ skips the Python-level NamedTuple constructor, on the
+# two returns nearly every per-pair call takes
+_new_tuple = tuple.__new__
 
 # the most fingerprints `record_minima` XORs at once: 1 << 15 uint64s,
 # 256 KB
@@ -167,7 +173,8 @@ def _score(
     na, nb = len(a.fingerprints), len(b.fingerprints)
     if min_distance is not None and min_distance > alpha:
         denominator = na + nb if mode == "resemblance" else min(na, nb)
-        return SimilarityScore(0.0, mode, alpha, 0, denominator), None, None, min_distance
+        score = _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
+        return score, None, None, min_distance
     matrix = distance_matrix(a, b)
     min_distance = int(np.minimum.reduce(matrix, axis=None))
     row_min = None
@@ -220,7 +227,7 @@ def pair_report(
     distance (see `_score`)."""
     score, matrix, row_min, min_distance = _score(a, b, alpha, mode, min_distance)
     if row_min is None:
-        return PairReport(score, (), min_distance)
+        return _new_tuple(PairReport, (score, (), min_distance))
     matched_rows = np.flatnonzero(row_min <= alpha)
     # ties go to the lowest partner bits; columns are in ascending bits
     # order, so argmin already lands there

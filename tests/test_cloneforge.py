@@ -7,6 +7,8 @@ import pytest
 
 from cfgprint.cfg_builder import cfg_from_statements
 from cfgprint.cloneforge import (
+    _BLOCK_BUCKETS,
+    _LINE_BUCKETS,
     EditOps,
     MutationSpec,
     SizeSpec,
@@ -14,11 +16,13 @@ from cfgprint.cloneforge import (
     evaluate,
     generate_program,
     mutate,
+    _bucket,
     scaling_run,
 )
-from cfgprint.config import RunConfig
+from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.frontend import normalize_source, parse, tokenize
-from cfgprint.pipeline import fingerprint_source, index_directory
+from cfgprint.index_store import FingerprintIndex, record_from_program
+from cfgprint.pipeline import fingerprint_source, index_directory, program_files, run_program_file
 from cfgprint.similarity import score_pair
 
 
@@ -251,6 +255,68 @@ def test_evaluate_skips_files_index_directory_skips(tmp_path, payload):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest names 'bad.mp' but the corpus lacks it"):
         evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
+
+
+def alpha_major_sweep(corpus_dir, config, alpha_values, threshold):
+    """The sweep as `evaluate` ran it before going probe-major: for each
+    alpha, one plain `index.query` per probe, then the tally. Rows are
+    `to_dict()` without `wall_time_s`."""
+    stamp = ConfigStamp.from_config(config)
+    index = FingerprintIndex(config_stamp=stamp)
+    sizes = {}
+    for program_id, path in program_files(corpus_dir):
+        outcome = run_program_file(program_id, path, config)
+        if isinstance(outcome, str):
+            continue
+        source, result = outcome
+        index.add_program(record_from_program(result.program, str(path), stamp))
+        sizes[program_id] = (len(result.cfg.real_blocks), len(source.splitlines()))
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    labeled = {frozenset({e["original"], e["mutant"]}) for e in manifest}
+    probes = {pid: r for pid, r in sorted(index.records.items()) if r.fingerprints}
+    rows = []
+    for alpha in alpha_values:
+        pairs = set()
+        for pid, probe in probes.items():
+            for candidate in index.query(probe, alpha, threshold, config.mode):
+                pairs.add(frozenset({pid, candidate.program_id}))
+        by_blocks, by_lines = {}, {}
+        tp = fp = 0
+        for pair in pairs:
+            a, b = sorted(pair)
+            hit = pair in labeled
+            tp += hit
+            fp += not hit
+            block_key = _bucket(min(sizes[a][0], sizes[b][0]), _BLOCK_BUCKETS)
+            line_key = _bucket(min(sizes[a][1], sizes[b][1]), _LINE_BUCKETS)
+            for table, key in ((by_blocks, block_key), (by_lines, line_key)):
+                row = table.setdefault(key, {"candidates": 0, "tp": 0, "fp": 0})
+                row["candidates"] += 1
+                row["tp"] += hit
+                row["fp"] += not hit
+        rows.append({
+            "alpha": alpha,
+            "candidates": len(pairs),
+            "tp": tp,
+            "fp": fp,
+            "precision": (tp / len(pairs)) if pairs else None,
+            "by_blocks": by_blocks,
+            "by_lines": by_lines,
+        })
+    return rows
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("mode", ["containment", "resemblance"])
+def test_evaluate_matches_the_alpha_major_sweep(tmp_path, seed, mode):
+    build_corpus(tmp_path / "c", originals=8, unrelated=6, seed=seed)
+    config = RunConfig(mode=mode)
+    for alphas, threshold in ((list(range(11)), 0.5), ([6, 0, 6, 64], 0.2)):
+        results = evaluate(tmp_path / "c", config, alphas, threshold=threshold)
+        rows = [{k: v for k, v in r.to_dict().items() if k != "wall_time_s"} for r in results]
+        assert rows == alpha_major_sweep(tmp_path / "c", config, alphas, threshold)
+        assert all(r.wall_time_s > 0 for r in results)
+    assert evaluate(tmp_path / "c", config, []) == []
 
 
 def test_evaluate_requires_manifest(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgprint import index_store
+from cfgprint.cloneforge import scaling_run
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.index_store import (
@@ -244,6 +246,126 @@ def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode)
         check()
 
 
+# -- query_alphas -------------------------------------------------------------------
+
+
+def _recording_queries(mp):
+    """Wrap `FingerprintIndex.query` on the class, as the benchmark
+    tracer does, and return the list each call appends (alpha, result,
+    last_query_scorings) to."""
+    calls = []
+    plain = FingerprintIndex.query
+
+    def query(self, probe, alpha, threshold, mode="containment"):
+        result = plain(self, probe, alpha, threshold, mode)
+        calls.append((alpha, result, self.last_query_scorings))
+        return result
+
+    mp.setattr(FingerprintIndex, "query", query)
+    return calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=scan_cases(),
+    alphas=st.lists(st.one_of(st.sampled_from([0, 64]), st.integers(0, 64)), max_size=6),
+    threshold=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+    mode=st.sampled_from(["containment", "resemblance"]),
+)
+def test_query_alphas_matches_a_query_per_alpha(case, alphas, threshold, mode):
+    # alpha lists come unsorted, repeated or empty; records include
+    # unscoreable ones, near twins and the probe's own id
+    probe, programs, _, _, _ = case
+    index = make_index(programs)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_queries(mp)
+        swept = index.query_alphas(probe, alphas, threshold, mode)
+        through_sweep = list(calls)
+        calls.clear()
+        one_by_one = [index.query(probe, alpha, threshold, mode) for alpha in alphas]
+    assert swept == one_by_one
+    # one `query` call per alpha, each leaving the same scan count
+    assert through_sweep == calls
+    assert [alpha for alpha, _, _ in through_sweep] == alphas
+    if threshold == 0.0:
+        for alpha, hits in zip(alphas, swept):
+            for hit in hits:
+                nearest = int(distance_matrix(probe, index.records[hit.program_id]).min())
+                assert hit.grade == classify(nearest)
+                if nearest > alpha:
+                    assert hit.score.value == 0.0 and hit.matched_path_evidence == ()
+
+
+@pytest.mark.parametrize("alphas", [[], [5], [7, 0, 7]])
+def test_query_alphas_unscoreable_probe_raises_like_query(alphas):
+    index = make_index([make_program("a", [1])])
+    probe = make_program("probe", [])
+    with pytest.raises(ValueError, match="unscoreable") as from_query:
+        index.query(probe, 0, 0.5, "containment")
+    with pytest.raises(ValueError, match="unscoreable") as from_sweep:
+        index.query_alphas(probe, alphas, 0.5, "containment")
+    assert str(from_sweep.value) == str(from_query.value)
+
+
+def _count_minima_passes(monkeypatch):
+    passes = []
+    plain = index_store.record_minima
+
+    def record_minima(*args):
+        passes.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(index_store, "record_minima", record_minima)
+    return passes
+
+
+def test_query_alphas_hands_off_only_for_its_own_calls(monkeypatch):
+    rng = random.Random(5)
+    index = make_index(_random_programs(rng, 8))
+    probe = make_program("probe", [rng.randrange(2**64) for _ in range(4)])
+    passes = _count_minima_passes(monkeypatch)
+    index.query_alphas(probe, [0, 3, 64], 0.0, "containment")
+    assert len(passes) == 1
+    index.query(probe, 3, 0.0, "containment")
+    assert len(passes) == 2
+    # an unknown mode raises from the first per-pair call, after the
+    # sweep's pass; the next plain query still runs its own
+    with pytest.raises(ValueError, match="unknown similarity mode"):
+        index.query_alphas(probe, [0, 3], 0.0, "jaccard")
+    assert len(passes) == 3
+    index.query(probe, 3, 0.0, "containment")
+    assert len(passes) == 4
+
+
+def test_query_ignores_minima_for_another_probe_or_layout(monkeypatch):
+    # the hand-off is used only for the very probe object and columns
+    # object it was made for: an equal probe or rebuilt columns get a
+    # pass of their own
+    rng = random.Random(6)
+    programs = _random_programs(rng, 6)
+    index = make_index(programs)
+    probe = make_program("probe", list(programs[2].fingerprints))
+    expected = per_record_query(index, probe, 5, 0.0, "containment")
+    columns = index._scan_columns()
+    wrong = [64] * len(columns.records)
+    twin = make_program("probe", list(probe.fingerprints))
+    monkeypatch.setattr(index, "_minima", index_store._Minima(columns, twin, wrong))
+    assert index.query(probe, 5, 0.0, "containment") == expected
+    stale = index_store._Minima(columns, probe, wrong)
+    index.add_program(record_from_program(make_program("later", [1]), "later.mp", STAMP))
+    monkeypatch.setattr(index, "_minima", stale)
+    expected = per_record_query(index, probe, 5, 0.0, "containment")
+    assert index.query(probe, 5, 0.0, "containment") == expected
+
+
+def test_scaling_run_makes_one_minima_pass_per_query(monkeypatch):
+    passes = _count_minima_passes(monkeypatch)
+    calls = _recording_queries(monkeypatch)
+    scaling_run([4, 8], RunConfig(), seed=3, repeats=2, query_loops=3)
+    assert len(calls) == 2 + 2 * 2 * 3
+    assert len(passes) == len(calls)
+
+
 def test_record_builds_its_bits_array_once():
     rng = random.Random(12)
     programs = _random_programs(rng, 4)
@@ -381,6 +503,21 @@ def test_cluster_mean_scores_match_an_unhinted_pair_loop():
                     for b in members[i + 1 :]
                 ]
                 assert repr(group.mean_score) == repr(sum(scores) / len(scores))
+
+
+def test_cluster_mean_score_counts_pairs_that_score_zero():
+    # a chain a - b - c whose ends share nothing within alpha: the a, c
+    # pair scores 0 and still counts in the group's mean
+    a = make_program("a", [1, 2])
+    b = make_program("b", [1, 2, 2**40, 2**41])
+    c = make_program("c", [2**40, 2**41])
+    index = make_index([a, b, c])
+    for mode in ("containment", "resemblance"):
+        (group,) = index.cluster(alpha=0, threshold=0.5, mode=mode)
+        assert group.members == ("a", "b", "c")
+        scores = [score_pair(x, y, 0, mode).value for x, y in ((a, b), (a, c), (b, c))]
+        assert scores[1] == 0.0
+        assert repr(group.mean_score) == repr(sum(scores) / 3)
 
 
 def test_cluster_no_groups_when_nothing_matches():
