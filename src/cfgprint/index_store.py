@@ -16,7 +16,8 @@ whenever the records differ from that tag, so `add_program`,
 the probe's smallest distance to every record in one `record_minima`
 pass over that array, and `cluster` lays out its records once in
 sorted-id order and runs the pass once per row over the suffix after
-it. Each per-pair call gets that minimum as `min_distance`, so a pair
+it, each pass a few 2-D blocks of the row's fingerprints against the
+suffix. Each per-pair call gets that minimum as `min_distance`, so a pair
 with nothing within alpha is scored zero without a distance matrix.
 A probe's minima do not depend on alpha, so `query_alphas` runs the
 pass once and hands it to one `query` call per alpha; the hand-off

@@ -14,12 +14,13 @@ the call returns at once; only pairs within alpha get row and column
 minima, match counts and (in `pair_report`) evidence.
 
 `record_minima` gives one program's smallest distance to each of many
-others in one chunked pass over their fingerprints laid end to end. It
-loops over the shorter side: a probe's rows one at a time against column
-chunks, or, for a probe taller than the columns, the columns one at a
-time against row chunks. `min_distances` lays the others out and runs
-it. `FingerprintIndex.query` runs it once per call over columns the
-index keeps built, except inside `FingerprintIndex.query_alphas`, which
+others in one pass over their fingerprints laid end to end, in 2-D
+blocks of at most 256 KB: the shorter side runs down the rows, the
+longer along the contiguous axis, and each block is one broadcast XOR,
+one popcount and one minimum over the probe's axis, whichever side the
+probe is. `min_distances` lays the others out and runs it.
+`FingerprintIndex.query` runs it once per call over columns the index
+keeps built, except inside `FingerprintIndex.query_alphas`, which
 runs it once per probe for a whole alpha sweep and hands the minima to
 each of its `query` calls; `cluster` runs it once per row over a suffix
 of one layout. Each hands a record's minimum to the per-pair call as
@@ -72,7 +73,7 @@ _MODES = ("containment", "resemblance")
 # two returns nearly every per-pair call takes
 _new_tuple = tuple.__new__
 
-# the most fingerprints `record_minima` XORs at once: 1 << 15 uint64s,
+# the most cells one `record_minima` block holds: 1 << 15 uint64 XORs,
 # 256 KB
 _CHUNK_CELLS = 1 << 15
 
@@ -115,34 +116,32 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
     of `flat`, the records' fingerprints end to end with record k
     starting at `starts[k]` (every record non-empty).
 
-    The loop runs over the shorter side. A probe with no more
-    fingerprints than `flat` XORs one row at a time against column
-    chunks of at most `_CHUNK_CELLS` and folds each row's distances into
-    the column minima with an elementwise `np.minimum`. A taller probe
-    is cut into row chunks of that size instead, and each column takes
-    its minimum over them. Either way no temporary exceeds 256 KB, and
-    one `np.minimum.reduceat` over `starts` gives each record's minimum.
+    One loop over 2-D blocks of at most `_CHUNK_CELLS` cells. The
+    shorter side runs down axis 0 and the longer along the contiguous
+    axis 1, at most a quarter of the cap wide, so every block holds at
+    least four rows of the shorter side (or all of it). Each block's XOR
+    is broadcast into one reused buffer, the minimum of its popcount
+    over the probe's axis folds into the column minima with an
+    elementwise `np.minimum`, and one `np.minimum.reduceat` over
+    `starts` gives each record's minimum. No temporary exceeds 256 KB.
     """
     if not len(flat):
         return []
     col_min = np.full(len(flat), 64, dtype=np.uint8)
-    if len(rows) <= len(flat):
-        buf = np.empty(min(len(flat), _CHUNK_CELLS), dtype=np.uint64)
-        for lo in range(0, len(flat), _CHUNK_CELLS):
-            cols = flat[lo : lo + _CHUNK_CELLS]
-            out = col_min[lo : lo + _CHUNK_CELLS]
-            xor = buf[: len(cols)]
-            for row in rows:
-                np.bitwise_xor(cols, row, out=xor)
-                np.minimum(out, np.bitwise_count(xor), out=out)
-    else:
-        buf = np.empty(min(len(rows), _CHUNK_CELLS), dtype=np.uint64)
-        for c, col in enumerate(flat):
-            for lo in range(0, len(rows), _CHUNK_CELLS):
-                chunk = rows[lo : lo + _CHUNK_CELLS]
-                xor = buf[: len(chunk)]
-                np.bitwise_xor(chunk, col, out=xor)
-                col_min[c] = min(col_min[c], np.bitwise_count(xor).min())
+    probe_axis = int(len(rows) > len(flat))
+    short, long = (flat, rows) if probe_axis else (rows, flat)
+    width = min(len(long), max(1, _CHUNK_CELLS // 4))
+    height = min(len(short), _CHUNK_CELLS // width)
+    buf = np.empty((height, width), dtype=np.uint64)
+    for lo in range(0, len(long), width):
+        cols = long[lo : lo + width]
+        for top in range(0, len(short), height):
+            chunk = short[top : top + height, None]
+            block = buf[: len(chunk), : len(cols)]
+            np.bitwise_xor(chunk, cols, out=block)
+            nearest = np.minimum.reduce(np.bitwise_count(block), axis=probe_axis)
+            out = col_min[top : top + height] if probe_axis else col_min[lo : lo + width]
+            np.minimum(out, nearest, out=out)
     return np.minimum.reduceat(col_min, starts).tolist()
 
 
@@ -166,13 +165,14 @@ def _score(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
-    if not a.fingerprints:
+    na = len(a.fingerprints)
+    if not na:
         raise _unscoreable(a)
-    if not b.fingerprints:
+    nb = len(b.fingerprints)
+    if not nb:
         raise _unscoreable(b)
-    na, nb = len(a.fingerprints), len(b.fingerprints)
     if min_distance is not None and min_distance > alpha:
-        denominator = na + nb if mode == "resemblance" else min(na, nb)
+        denominator = na + nb if mode == "resemblance" else na if na < nb else nb
         score = _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
         return score, None, None, min_distance
     matrix = distance_matrix(a, b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgprint import index_store
+from cfgprint import index_store, similarity
 from cfgprint.cloneforge import scaling_run
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import ProgramFingerprint
@@ -442,6 +442,44 @@ def test_cluster_matches_bfs_oracle():
                     linked.add((a, b))
         expected = bfs_components(ids, linked)
         assert [list(g.members) for g in groups] == expected
+
+
+def test_cluster_in_small_blocks_matches_default_and_oracle(monkeypatch):
+    # 7-cell blocks are one column wide and at most 7 rows tall, so the
+    # suffix passes of rows with 8 or more fingerprints cut blocks on
+    # both axes
+    rng = random.Random(4048)
+    for _ in range(10):
+        programs = _random_programs(rng, 12)
+        programs[1] = make_program("p001", list(programs[0].fingerprints))
+        base = [rng.randrange(2**64) for _ in range(10)]
+        for k in (4, 5, 9):
+            flipped = [b ^ (1 << rng.randrange(64)) for b in base]
+            programs[k] = make_program(f"p{k:03d}", flipped[: rng.randint(8, 10)])
+        index = make_index(programs)
+        assert max(len(p.fingerprints) for p in programs) > 7
+        for mode in ("containment", "resemblance"):
+            alpha, threshold = rng.randint(0, 6), 0.4
+            default = index.cluster(alpha, threshold, mode)
+            monkeypatch.setattr(similarity, "_CHUNK_CELLS", 7)
+            small = index.cluster(alpha, threshold, mode)
+            monkeypatch.undo()
+            assert [(g.members, repr(g.mean_score)) for g in small] == [
+                (g.members, repr(g.mean_score)) for g in default
+            ]
+            ids = [p.program_id for p in programs]
+            score = {
+                (a.program_id, b.program_id): score_pair(a, b, alpha, mode).value
+                for i, a in enumerate(programs)
+                for b in programs[i + 1 :]
+            }
+            linked = {pair for pair, value in score.items() if value >= threshold}
+            assert [list(g.members) for g in small] == bfs_components(ids, linked)
+            for group in small:
+                scores = [
+                    score[(a, b)] for i, a in enumerate(group.members) for b in group.members[i + 1 :]
+                ]
+                assert repr(group.mean_score) == repr(sum(scores) / len(scores))
 
 
 def test_cluster_matches_bfs_oracle_on_chained_links():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgprint import similarity
@@ -18,8 +18,10 @@ from cfgprint.similarity import (
     GRADE_SIMILAR,
     classify,
     distance_matrix,
+    fingerprint_columns,
     min_distances,
     pair_report,
+    record_minima,
     score_pair,
 )
 
@@ -446,6 +448,65 @@ def test_min_distances_on_either_side_of_the_columns(probe_size, cells):
     assert got[1] <= 2
 
 
+# fingerprints a few bits from one base, so minima span 0..64 and
+# differ between records
+_NEAR_BASE = 0x5A5A_0F0F_3C3C_9696
+_MINIMA_BITS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=255).map(lambda low: _NEAR_BASE ^ low),
+    st.integers(min_value=0, max_value=63).map(lambda k: _NEAR_BASE ^ ~(1 << k) % 2**64),
+)
+
+
+def _sized(rng, probe_size, record_sizes):
+    """Distinct random fingerprints, some near the base, in the given
+    shape, as `example` arguments."""
+    values = set()
+    while len(values) < probe_size + sum(record_sizes):
+        values.add(_NEAR_BASE ^ rng.getrandbits(rng.choice((4, 8, 64))))
+    values = list(values)
+    rng.shuffle(values)
+    records, at = [], probe_size
+    for size in record_sizes:
+        records.append(values[at : at + size])
+        at += size
+    return {"probe": values[:probe_size], "records": records}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    probe=st.lists(_MINIMA_BITS, min_size=1, max_size=80),
+    records=st.lists(st.lists(_MINIMA_BITS, min_size=1, max_size=12), min_size=1, max_size=8),
+    cells=st.sampled_from([1, 2, 3, 7, 12, 13, 64, 1 << 15]),
+)
+# short probe, 12 columns in records of 5, 1 and 6, blocks 4 x 3:
+# column edges inside the first and last records and at the second
+# boundary, a block spanning the first boundary, rows cut 4 + 1
+@example(**_sized(random.Random(1), 5, (5, 1, 6)), cells=12)
+# tall probe, the 12 columns on axis 0 in blocks of 4 rows: row edges at
+# the first boundary and inside the last record, a block spanning the
+# second boundary; the 40 probe fingerprints cut into widths of 3
+@example(**_sized(random.Random(2), 40, (4, 2, 6)), cells=13)
+# probe as tall as the columns: the probe stays on axis 0
+@example(**_sized(random.Random(3), 12, (5, 1, 6)), cells=7)
+# the largest shapes
+@example(**_sized(random.Random(4), 80, (12,) * 8), cells=64)
+# blocks 4 x 16 over 77 x 79: a partial last block on both axes
+@example(**_sized(random.Random(5), 77, (12,) * 6 + (7,)), cells=64)
+def test_record_minima_matches_nested_loops(probe, records, cells):
+    rows = np.array(probe, dtype=np.uint64)
+    programs = [make_program(f"r{k}", bits) for k, bits in enumerate(records)]
+    flat, starts = fingerprint_columns(programs)
+    with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
+        got = record_minima(rows, flat, starts)
+    assert got == [
+        min(_popcount(x ^ y) for x in probe for y in program.fingerprints)
+        for program in programs
+    ]
+    assert got == [int(distance_matrix(make_program("p", probe), b).min()) for b in programs]
+    assert all(type(d) is int for d in got)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a_bits=st.one_of(_BITS, _NEAR_BITS),
@@ -484,6 +545,25 @@ def test_min_distance_hint_past_alpha_builds_no_matrix(monkeypatch):
     assert report == similarity.PairReport(
         similarity.SimilarityScore(0.0, "containment", 5, 0, 1), (), 63
     )
+
+
+def test_past_alpha_hint_still_validates():
+    # a min_distance past alpha returns before any matrix is built, but
+    # not before the mode and both sides are checked, in that order
+    full = make_program("full", [1, 2])
+    empty = ProgramFingerprint("empty", (), 0, False)
+    other_empty = ProgramFingerprint("other", (), 0, False)
+    for scorer in (score_pair, pair_report):
+        with pytest.raises(ValueError, match="unknown similarity mode 'jaccard'"):
+            scorer(full, full, 5, "jaccard", min_distance=63)
+        with pytest.raises(ValueError, match="unknown similarity mode 'jaccard'"):
+            scorer(empty, empty, 5, "jaccard", min_distance=63)
+        for a, b in ((empty, full), (full, empty), (empty, other_empty)):
+            for mode in ("containment", "resemblance"):
+                with pytest.raises(ValueError, match="unscoreable program: 'empty'"):
+                    scorer(a, b, 5, mode, min_distance=63)
+        with pytest.raises(ValueError, match="unscoreable program: 'other'"):
+            scorer(other_empty, empty, 5, min_distance=63)
 
 
 def test_pair_report_tie_goes_to_lowest_partner_bits():
