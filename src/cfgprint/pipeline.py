@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,6 +133,10 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     t1 = time.perf_counter()
 
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, which every
+        # other run (and `import cfgprint.cli`) would pay for unused
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fingerprint_task, tasks, chunksize=8))
     else:

@@ -18,16 +18,24 @@ others in one pass over their fingerprints laid end to end, in 2-D
 blocks of at most 256 KB: the shorter side runs down the rows, the
 longer along the contiguous axis, and each block is one broadcast XOR,
 one popcount and one minimum over the probe's axis, whichever side the
-probe is. `min_distances` lays the others out and runs it.
-`FingerprintIndex.query` runs it once per call over columns the index
-keeps built, except inside `FingerprintIndex.query_alphas`, which
-runs it once per probe for a whole alpha sweep and hands the minima to
-each of its `query` calls; `cluster` runs it once per row over a suffix
-of one layout. Each hands a record's minimum to the per-pair call as
-`min_distance`: past alpha the kernel works out only the denominator
-and returns the zero score, so the per-pair calls only assemble
-reports. An index record is itself a `ProgramFingerprint`, so repeated
-queries and clustering reuse the array each record builds once.
+probe is. The blocks run under a 256-element ufunc buffer, set for the
+loop and then given back: under numpy's default of 8192 elements a
+broadcast XOR whose rows are narrower than about 2 980 cells buffers
+its stride-0 operand and runs about 3x slower per cell, and a
+`cluster` call's short suffix passes are mostly such blocks. Only
+integer ufuncs run in that scope; no float sum does, whose pairwise
+blocks follow the buffer size. `min_distances` lays the others out and
+runs it. `FingerprintIndex.query` runs it once per call over columns
+the index keeps built, except inside `FingerprintIndex.query_alphas`,
+which runs it once per probe for a whole alpha sweep and hands the
+minima to each of its `query` calls; `cluster` runs it once per row
+over a suffix of one layout. Each hands a record's minimum to the
+per-pair call as `min_distance`: past alpha `score_pair` and
+`pair_report` return `_zero_score`, which checks the arguments and
+works out only the denominator, without calling the kernel, so the
+per-pair calls only assemble reports. An index record is itself a
+`ProgramFingerprint`, so repeated queries and clustering reuse the
+array each record builds once.
 
 `SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
 to build, and equal (and hashing alike) to the plain tuples of their
@@ -77,6 +85,10 @@ _new_tuple = tuple.__new__
 # 256 KB
 _CHUNK_CELLS = 1 << 15
 
+# the ufunc buffer, in elements, that `record_minima` runs its blocks
+# under, well below numpy's default of 8192 (see its docstring)
+_UFUNC_BUFSIZE = 256
+
 
 def _unscoreable(program: ProgramFingerprint) -> ValueError:
     return ValueError(f"unscoreable program: {program.program_id!r} has no fingerprints")
@@ -124,6 +136,13 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
     over the probe's axis folds into the column minima with an
     elementwise `np.minimum`, and one `np.minimum.reduceat` over
     `starts` gives each record's minimum. No temporary exceeds 256 KB.
+
+    The loop and the `reduceat` run under a ufunc buffer of
+    `_UFUNC_BUFSIZE` elements, and the caller's buffer size is restored
+    on the way out, raised or not. Under numpy's default (8192) a block
+    narrower than about 2 980 columns has its stride-0 operand buffered,
+    and its XOR runs about 3x slower per cell. Wide blocks take the
+    same time under either size.
     """
     if not len(flat):
         return []
@@ -133,36 +152,29 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
     width = min(len(long), max(1, _CHUNK_CELLS // 4))
     height = min(len(short), _CHUNK_CELLS // width)
     buf = np.empty((height, width), dtype=np.uint64)
-    for lo in range(0, len(long), width):
-        cols = long[lo : lo + width]
-        for top in range(0, len(short), height):
-            chunk = short[top : top + height, None]
-            block = buf[: len(chunk), : len(cols)]
-            np.bitwise_xor(chunk, cols, out=block)
-            nearest = np.minimum.reduce(np.bitwise_count(block), axis=probe_axis)
-            out = col_min[top : top + height] if probe_axis else col_min[lo : lo + width]
-            np.minimum(out, nearest, out=out)
-    return np.minimum.reduceat(col_min, starts).tolist()
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for lo in range(0, len(long), width):
+            cols = long[lo : lo + width]
+            for top in range(0, len(short), height):
+                chunk = short[top : top + height, None]
+                block = buf[: len(chunk), : len(cols)]
+                np.bitwise_xor(chunk, cols, out=block)
+                nearest = np.minimum.reduce(np.bitwise_count(block), axis=probe_axis)
+                out = col_min[top : top + height] if probe_axis else col_min[lo : lo + width]
+                np.minimum(out, nearest, out=out)
+        return np.minimum.reduceat(col_min, starts).tolist()
+    finally:
+        np.setbufsize(bufsize)
 
 
-def _score(
-    a: ProgramFingerprint,
-    b: ProgramFingerprint,
-    alpha: int,
-    mode: str,
-    min_distance: int | None = None,
-) -> tuple[SimilarityScore, np.ndarray | None, np.ndarray | None, int]:
-    """The one scoring kernel: (score, distance matrix, row minima,
-    smallest distance).
-
-    Row minima are each A path's nearest distance in B, and None when
-    no path is within alpha: the smallest distance, one flat reduction,
-    settles that before any per-row or per-column minimum is taken. A
-    caller that already has the exact smallest distance (from
-    `record_minima`) passes it as `min_distance`; when it exceeds alpha
-    only the denominator is worked out and the zero score comes back
-    with no matrix built, and otherwise the kernel runs as without it.
-    """
+def _zero_score(
+    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
+) -> SimilarityScore:
+    """The score of a pair with no path matched. It checks the mode,
+    then that A, then that B has fingerprints, and works out the
+    denominator: both sizes for resemblance, the smaller for
+    containment."""
     if mode not in _MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
     na = len(a.fingerprints)
@@ -171,30 +183,37 @@ def _score(
     nb = len(b.fingerprints)
     if not nb:
         raise _unscoreable(b)
-    if min_distance is not None and min_distance > alpha:
-        denominator = na + nb if mode == "resemblance" else na if na < nb else nb
-        score = _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
-        return score, None, None, min_distance
+    denominator = na + nb if mode == "resemblance" else na if na < nb else nb
+    return _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
+
+
+def _score(
+    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
+) -> tuple[SimilarityScore, np.ndarray, np.ndarray | None, int]:
+    """The one scoring kernel: (score, distance matrix, row minima,
+    smallest distance).
+
+    Row minima are each A path's nearest distance in B, and None when
+    no path is within alpha: the smallest distance, one flat reduction,
+    settles that before any per-row or per-column minimum is taken, and
+    the score is then `_zero_score`'s.
+    """
+    zero = _zero_score(a, b, alpha, mode)
     matrix = distance_matrix(a, b)
     min_distance = int(np.minimum.reduce(matrix, axis=None))
-    row_min = None
-    a_to_b = b_to_a = 0
-    if min_distance <= alpha:
-        row_min = matrix.min(axis=1)
-        a_to_b = int(np.count_nonzero(row_min <= alpha))
-        b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
+    if min_distance > alpha:
+        return zero, matrix, None, min_distance
+    row_min = matrix.min(axis=1)
+    a_to_b = int(np.count_nonzero(row_min <= alpha))
+    b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
     if mode == "resemblance":
-        matched, denominator = a_to_b + b_to_a, na + nb
+        matched = a_to_b + b_to_a
     else:
         # containment: the smaller side's matched share; on equal sizes
         # the better direction counts
-        if na < nb:
-            matched = a_to_b
-        elif nb < na:
-            matched = b_to_a
-        else:
-            matched = max(a_to_b, b_to_a)
-        denominator = min(na, nb)
+        na, nb = len(a.fingerprints), len(b.fingerprints)
+        matched = a_to_b if na < nb else b_to_a if nb < na else max(a_to_b, b_to_a)
+    denominator = zero.denominator
     score = SimilarityScore(matched / denominator, mode, alpha, matched, denominator)
     return score, matrix, row_min, min_distance
 
@@ -210,8 +229,12 @@ def score_pair(
     """Containment: matched share of the smaller program's paths (on
     equal sizes the better direction counts). Resemblance: matched
     paths of both sides over both sizes. `min_distance`, if given, must
-    be the pair's exact smallest distance (see `_score`)."""
-    return _score(a, b, alpha, mode, min_distance)[0]
+    be the pair's exact smallest distance (from `record_minima`); past
+    alpha the zero score comes back with no matrix built, and otherwise
+    the kernel runs as without it."""
+    if min_distance is not None and min_distance > alpha:
+        return _zero_score(a, b, alpha, mode)
+    return _score(a, b, alpha, mode)[0]
 
 
 def pair_report(
@@ -224,8 +247,10 @@ def pair_report(
 ) -> PairReport:
     """Score plus per-path evidence, computed off one distance matrix.
     `min_distance`, if given, must be the pair's exact smallest
-    distance (see `_score`)."""
-    score, matrix, row_min, min_distance = _score(a, b, alpha, mode, min_distance)
+    distance, and past alpha it is used as in `score_pair`."""
+    if min_distance is not None and min_distance > alpha:
+        return _new_tuple(PairReport, (_zero_score(a, b, alpha, mode), (), min_distance))
+    score, matrix, row_min, min_distance = _score(a, b, alpha, mode)
     if row_min is None:
         return _new_tuple(PairReport, (score, (), min_distance))
     matched_rows = np.flatnonzero(row_min <= alpha)

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -364,6 +365,22 @@ def test_scaling_run_makes_one_minima_pass_per_query(monkeypatch):
     scaling_run([4, 8], RunConfig(), seed=3, repeats=2, query_loops=3)
     assert len(calls) == 2 + 2 * 2 * 3
     assert len(passes) == len(calls)
+
+
+def test_scans_leave_the_ufunc_buffer_as_they_found_it():
+    rng = random.Random(19)
+    index = make_index(_random_programs(rng, 8))
+    probe = make_program("probe", [rng.randrange(2**64) for _ in range(4)])
+    caller = np.setbufsize(4096)
+    try:
+        index.query(probe, 5, 0.0, "containment")
+        assert np.getbufsize() == 4096
+        index.query_alphas(probe, [0, 5, 64], 0.0, "containment")
+        assert np.getbufsize() == 4096
+        index.cluster(5, 0.0, "resemblance")
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(caller)
 
 
 def test_record_builds_its_bits_array_once():

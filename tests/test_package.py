@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import cfgprint
 
 
@@ -8,3 +13,16 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(cfgprint, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when indexing asks for workers
+    code = (
+        "import sys, cfgprint.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cfgprint.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

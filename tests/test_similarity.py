@@ -507,6 +507,72 @@ def test_record_minima_matches_nested_loops(probe, records, cells):
     assert all(type(d) is int for d in got)
 
 
+def _split_into_records(rng, values):
+    """`values` cut into consecutive runs of 1 to 40."""
+    records, at = [], 0
+    while at < len(values):
+        size = rng.randint(1, 40)
+        records.append(values[at : at + size])
+        at += size
+    return records
+
+
+# default-sized blocks: at these widths numpy's default ufunc buffer
+# would buffer the XOR's broadcast operand below about 2 980 columns and
+# not above, and 33 rows against 2 978 or 3 936 columns cut row blocks
+# of 11 and 8
+@pytest.mark.parametrize("width", [100, 300, 1000, 2730, 2978, 3936])
+@pytest.mark.parametrize("height", [12, 21, 33])
+def test_record_minima_matches_distance_matrix_at_default_blocks(height, width):
+    rng = random.Random(height * 10_000 + width)
+    values = set()
+    while len(values) < height + width:
+        values.add(_NEAR_BASE ^ rng.getrandbits(rng.choice((4, 8, 64))))
+    values = list(values)
+    rng.shuffle(values)
+    # the short side as the probe against the long one as records, and
+    # the other way round; records of 1 to 40 put their edges inside
+    # the blocks on either axis
+    short, long = values[:height], values[height:]
+    for probe_bits, column_bits in ((short, long), (long, short)):
+        probe = make_program("p", probe_bits)
+        programs = [
+            make_program(f"r{k}", bits)
+            for k, bits in enumerate(_split_into_records(rng, column_bits))
+        ]
+        got = record_minima(probe.bits_array, *fingerprint_columns(programs))
+        assert got == [int(distance_matrix(probe, b).min()) for b in programs]
+
+
+def test_record_minima_restores_the_ufunc_buffer(monkeypatch):
+    rows = np.array([1, 2, 3], dtype=np.uint64)
+    flat = np.array([4, 5, 6, 7], dtype=np.uint64)
+    starts = np.array([0, 2])
+    count = np.bitwise_count
+    seen = []
+
+    def spy(x):
+        seen.append(np.getbufsize())
+        return count(x)
+
+    def broken(x):
+        raise RuntimeError("popcount failed")
+
+    caller = np.setbufsize(4096)
+    try:
+        monkeypatch.setattr(np, "bitwise_count", spy)
+        assert record_minima(rows, flat, starts) == [1, 1]
+        # the kernel ran under the small buffer, and the caller's is back
+        assert seen == [similarity._UFUNC_BUFSIZE]
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(np, "bitwise_count", broken)
+        with pytest.raises(RuntimeError, match="popcount failed"):
+            record_minima(rows, flat, starts)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(caller)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a_bits=st.one_of(_BITS, _NEAR_BITS),
