@@ -38,10 +38,8 @@ from .frontend import (
 from .cfg_builder import (
     BasicBlock,
     ControlFlowGraph,
-    build_cfg,
     cfg_from_statements,
     export_dot,
-    find_leaders,
 )
 from .path_enum import ExecutionPath, PathSet, enumerate_paths, filter_paths
 from .fingerprint import (
@@ -121,14 +119,12 @@ __all__ = [
     "SimilarityScore",
     "Statement",
     "Token",
-    "build_cfg",
     "cfg_from_statements",
     "classify",
     "distance_matrix",
     "enumerate_paths",
     "export_dot",
     "filter_paths",
-    "find_leaders",
     "fingerprint_path",
     "fingerprint_program",
     "fingerprint_source",

@@ -1,10 +1,9 @@
 """Basic blocks and control-flow graph construction.
 
-Works on the flat normalized statement sequence. Leaders are found by
-the classic rules (first statement, every branch target, every
-statement immediately after a control transfer), blocks are the
-half-open runs between leaders, and edges come from per-statement
-successor semantics:
+`cfg_from_statements` is the one builder. It works on the flat
+normalized statement sequence and derives a single successor table:
+a stack pass recovers construct nesting from the control roles, then
+each statement's successors are read off by these rules:
 
   - a plain statement falls through; if the next statement opens an
     `elseif`/`else`/`when` alternative, control instead joins at the
@@ -17,8 +16,11 @@ successor semantics:
     path may run the body once and leave
   - selection end markers fall through
 
-A synthetic exit block (no statements) terminates the graph; anything
-that runs off the end of the program flows there.
+Leaders (the first statement, every branch target and join, every
+statement immediately after a control transfer), the blocks between
+them and the edges all come from that table. A synthetic exit block
+(no statements) terminates the graph; anything that runs off the end
+of the program flows there.
 """
 
 from __future__ import annotations
@@ -100,185 +102,110 @@ def _reach(start: int, neighbors: dict[int, Sequence[int]]) -> set[int]:
     return seen
 
 
-@dataclass
-class _Construct:
-    kind: str  # "loop" | "selection"
-    header: int
-    alts: list[int]
-    end: int = -1
+def _successors(
+    statements: list[NormalizedStatement],
+) -> tuple[list[tuple[int, ...]], set[int]]:
+    """Each ordinal's successor ordinals (`_EXIT` leaves the program),
+    and the end markers of selections, where their branches join.
 
-
-class _Structure:
-    """Construct nesting recovered from control roles, plus the
-    per-ordinal successor relation derived from it."""
-
-    def __init__(self, statements: list[NormalizedStatement]):
-        if not statements:
-            raise ValueError("empty program")
-        for i, s in enumerate(statements):
-            if s.ordinal != i:
-                raise ValueError("statement ordinals must be contiguous from 0")
-        self.statements = statements
-        self.constructs: list[_Construct] = []
-        self._alt_end: dict[int, int] = {}
-        self._guard_next: dict[int, int] = {}
-        self._loop_end_header: dict[int, int] = {}
-        self._loop_header_end: dict[int, int] = {}
-        self._selection_end_kind: set[int] = set()
-
-        stack: list[_Construct] = []
-        for s in statements:
-            role = s.control_role
-            if role == "loop-header":
-                c = _Construct("loop", s.ordinal, [])
-                stack.append(c)
-                self.constructs.append(c)
-            elif role == "selection-header":
-                c = _Construct("selection", s.ordinal, [])
-                stack.append(c)
-                self.constructs.append(c)
-            elif role == "selection-alt":
-                if not stack or stack[-1].kind != "selection":
-                    raise ValueError(
-                        f"ordinal {s.ordinal}: selection alternative outside a selection"
-                    )
-                stack[-1].alts.append(s.ordinal)
-            elif role == "construct-end":
-                if not stack:
-                    raise ValueError(f"ordinal {s.ordinal}: end marker with no open construct")
-                c = stack.pop()
-                c.end = s.ordinal
-        if stack:
-            raise ValueError(f"ordinal {stack[-1].header}: construct never closed")
-
-        for c in self.constructs:
-            if c.kind == "loop":
-                self._loop_end_header[c.end] = c.header
-                self._loop_header_end[c.header] = c.end
-            else:
-                self._selection_end_kind.add(c.end)
-                chain = [c.header, *c.alts, c.end]
-                for guard, nxt in zip(chain, chain[1:]):
-                    self._guard_next[guard] = nxt
-                for alt in c.alts:
-                    self._alt_end[alt] = c.end
-
-    def effective_next(self, ordinal: int) -> int:
-        """Where fall-through from `ordinal` lands: the next statement,
-        the enclosing join if the next statement opens an alternative,
-        or the program exit."""
-        j = ordinal + 1
-        if j >= len(self.statements):
-            return _EXIT
-        if self.statements[j].control_role == "selection-alt":
-            return self._alt_end[j]
-        return j
-
-    def successors(self, ordinal: int) -> set[int]:
-        s = self.statements[ordinal]
-        role = s.control_role
-        if role == "none":
-            return {self.effective_next(ordinal)}
-        if role == "loop-header":
-            return {ordinal + 1, self.effective_next(self._loop_header_end[ordinal])}
-        if role == "selection-header":
-            return {ordinal + 1, self._guard_next[ordinal]}
-        if role == "selection-alt":
-            if s.condition:
-                return {ordinal + 1, self._guard_next[ordinal]}
-            return {ordinal + 1}
-        if role == "construct-end":
-            if ordinal in self._loop_end_header:
-                return {self._loop_end_header[ordinal], self.effective_next(ordinal)}
-            return {self.effective_next(ordinal)}
-        raise ValueError(f"unknown control role {role!r}")
-
-    @property
-    def selection_ends(self) -> set[int]:
-        return set(self._selection_end_kind)
-
-
-def find_leaders(statements: list[NormalizedStatement]) -> list[int]:
-    """Ordinals that begin basic blocks, sorted ascending.
-
-    Rule set: ordinal 0; every ordinal-valued successor of a control or
-    control-end statement; the ordinal immediately after every control
-    or control-end statement; the end marker of every selection
-    construct (target of the implicit branch-exit joins).
+    A stack pass recovers construct nesting from the control roles;
+    a second pass reads off the successors.
     """
-    return _leaders(_Structure(statements))
-
-
-def _leaders(structure: _Structure) -> list[int]:
-    statements = structure.statements
-    n = len(statements)
-    leaders = {0}
-    for s in statements:
-        if s.control_role == "none":
-            continue
-        k = s.ordinal
-        if k + 1 < n:
-            leaders.add(k + 1)
-        leaders.update(t for t in structure.successors(k) if t != _EXIT)
-    leaders.update(structure.selection_ends)
-    return sorted(leaders)
-
-
-def build_blocks(
-    statements: list[NormalizedStatement], leaders: list[int]
-) -> list[BasicBlock]:
-    """Partition the statement sequence into blocks, one per leader."""
     if not statements:
         raise ValueError("empty program")
-    if not leaders or leaders[0] != 0:
-        raise ValueError("leaders must start at ordinal 0")
-    if sorted(set(leaders)) != list(leaders):
-        raise ValueError("leaders must be sorted and unique")
-    if leaders[-1] >= len(statements):
-        raise ValueError("leader past the end of the statement sequence")
-    bounds = leaders + [len(statements)]
-    return [
-        BasicBlock(i, tuple(statements[lo:hi]))
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    for i, s in enumerate(statements):
+        if s.ordinal != i:
+            raise ValueError("statement ordinals must be contiguous from 0")
 
-
-def build_cfg(
-    blocks: list[BasicBlock], statements: list[NormalizedStatement]
-) -> ControlFlowGraph:
-    """Wire blocks into a CFG, appending the synthetic exit block."""
-    return _wire(blocks, _Structure(statements))
-
-
-def _wire(blocks: list[BasicBlock], structure: _Structure) -> ControlFlowGraph:
-    block_of_leader = {b.statements[0].ordinal: b.id for b in blocks}
-    exit_id = len(blocks)
-    edges: set[tuple[int, int]] = set()
-    for b in blocks:
-        last = b.statements[-1].ordinal
-        for target in structure.successors(last):
-            if target == _EXIT:
-                edges.add((b.id, exit_id))
+    loop_partner: dict[int, int] = {}  # loop header <-> its end marker
+    guard_next: dict[int, int] = {}  # selection guard -> next alternative or end
+    alt_end: dict[int, int] = {}  # selection alternative -> its end marker
+    joins: set[int] = set()
+    stack: list[list[int]] = []  # open constructs: header, then alternatives
+    for s in statements:
+        role = s.control_role
+        if role in ("loop-header", "selection-header"):
+            stack.append([s.ordinal])
+        elif role == "selection-alt":
+            if not stack or statements[stack[-1][0]].control_role != "selection-header":
+                raise ValueError(
+                    f"ordinal {s.ordinal}: selection alternative outside a selection"
+                )
+            stack[-1].append(s.ordinal)
+        elif role == "construct-end":
+            if not stack:
+                raise ValueError(f"ordinal {s.ordinal}: end marker with no open construct")
+            chain = stack.pop()
+            if statements[chain[0]].control_role == "loop-header":
+                loop_partner[chain[0]] = s.ordinal
+                loop_partner[s.ordinal] = chain[0]
             else:
-                if target not in block_of_leader:
-                    raise ValueError(
-                        f"block {b.id} targets ordinal {target}, which is not a leader"
-                    )
-                edges.add((b.id, block_of_leader[target]))
-    all_blocks = tuple(blocks) + (BasicBlock(exit_id, (), is_virtual_exit=True),)
-    return ControlFlowGraph(
-        blocks=all_blocks,
-        edges=frozenset(edges),
-        entry_id=0,
-        exit_id=exit_id,
-    )
+                joins.add(s.ordinal)
+                chain.append(s.ordinal)
+                for guard, nxt in zip(chain, chain[1:]):
+                    guard_next[guard] = nxt
+                for alt in chain[1:-1]:
+                    alt_end[alt] = s.ordinal
+        elif role != "none":
+            raise ValueError(f"unknown control role {role!r}")
+    if stack:
+        raise ValueError(f"ordinal {stack[-1][0]}: construct never closed")
+
+    # where fall-through from each ordinal lands: the next statement, the
+    # enclosing join if the next statement opens an alternative, or the exit
+    fall = [alt_end.get(j, j) for j in range(1, len(statements))] + [_EXIT]
+    succ: list[tuple[int, ...]] = []
+    for s, after in zip(statements, fall):
+        k = s.ordinal
+        role = s.control_role
+        if role == "none":
+            succ.append((after,))
+        elif role == "loop-header":
+            succ.append((k + 1, fall[loop_partner[k]]))
+        elif role == "selection-header" or (role == "selection-alt" and s.condition):
+            succ.append((k + 1, guard_next[k]))
+        elif role == "selection-alt":
+            succ.append((k + 1,))
+        elif k in loop_partner:
+            succ.append((loop_partner[k], after))
+        else:
+            succ.append((after,))
+    return succ, joins
 
 
 def cfg_from_statements(statements: list[NormalizedStatement]) -> ControlFlowGraph:
-    """find_leaders + build_blocks + build_cfg in one step, over one
-    construct structure."""
-    structure = _Structure(statements)
-    return _wire(build_blocks(statements, _leaders(structure)), structure)
+    """Build the CFG of a normalized statement sequence, ending in the
+    synthetic exit block.
+
+    Leaders are ordinal 0, every successor of a control or control-end
+    statement, the ordinal after each of them, and every selection join.
+    """
+    succ, joins = _successors(statements)
+    n = len(statements)
+    leaders = {0, *joins}
+    for s, targets in zip(statements, succ):
+        if s.control_role != "none":
+            leaders.update(targets)
+            leaders.add(s.ordinal + 1)
+    leaders.discard(_EXIT)
+    leaders.discard(n)
+    bounds = sorted(leaders) + [n]
+    exit_id = len(bounds) - 1
+    block_of = {lo: i for i, lo in enumerate(bounds[:-1])}
+    block_of[_EXIT] = exit_id
+    blocks = [
+        BasicBlock(i, tuple(statements[lo:hi]))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    blocks.append(BasicBlock(exit_id, (), is_virtual_exit=True))
+    edges = frozenset(
+        (i, block_of[target])
+        for i, hi in enumerate(bounds[1:])
+        for target in succ[hi - 1]
+    )
+    return ControlFlowGraph(
+        blocks=tuple(blocks), edges=edges, entry_id=0, exit_id=exit_id
+    )
 
 
 def _dot_escape(text: str) -> str:

@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ConfigStamp, RunConfig
-from .frontend import PLAIN_KINDS, Statement, Token, parse, tokenize
+from .frontend import (
+    PLAIN_KINDS,
+    Statement,
+    Token,
+    normalize_source,
+    parse,
+    tokenize,
+)
 from .index_store import FingerprintIndex, record_from_program
 from .pipeline import program_files, run_pipeline, run_program_file
 
@@ -500,7 +507,7 @@ def build_corpus(
             spec = SizeSpec(statements=rng.randint(*statements_range),
                             max_depth=rng.choice([2, 2, 3]))
             text = generate_program(rng.randrange(2**32), spec)
-            shape = tuple(s.text for s in _normalized(text))
+            shape = tuple(s.text for s in normalize_source(text))
             if shape not in seen_shapes:
                 seen_shapes.add(shape)
                 return text
@@ -526,12 +533,6 @@ def build_corpus(
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def _normalized(source: str):
-    from .frontend import normalize
-
-    return normalize(parse(tokenize(source)))
 
 
 # -- evaluation ---------------------------------------------------------------

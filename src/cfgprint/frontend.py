@@ -62,7 +62,6 @@ _CONSTRUCT_KEYWORDS = frozenset({"if", "while", "for", "case"})
 MAX_NESTING = 100
 
 PLAIN_KINDS = frozenset({"assign", "declare", "call", "output"})
-HEADER_KINDS = frozenset({"if", "elseif", "else", "while", "for", "case", "when"})
 
 
 class MiniProcSyntaxError(ValueError):

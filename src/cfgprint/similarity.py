@@ -48,6 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import MODES
 from .fingerprint import ProgramFingerprint, to_hex
 
 GRADE_IDENTICAL = "identical"
@@ -74,8 +75,6 @@ class PairReport(NamedTuple):
     evidence: tuple[tuple[str, str, int], ...]
     min_distance: int
 
-
-_MODES = ("containment", "resemblance")
 
 # tuple.__new__ skips the Python-level NamedTuple constructor, on the
 # two returns nearly every per-pair call takes
@@ -175,7 +174,7 @@ def _zero_score(
     then that A, then that B has fingerprints, and works out the
     denominator: both sizes for resemblance, the smaller for
     containment."""
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
     na = len(a.fingerprints)
     if not na:

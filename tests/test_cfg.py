@@ -7,19 +7,24 @@ relation from the flat normalized sequence; the two must agree on every
 program, handwritten or generated.
 """
 
+import re
+
 import pytest
 
 from cfgprint.cfg_builder import (
     BasicBlock,
     ControlFlowGraph,
-    build_blocks,
-    build_cfg,
     cfg_from_statements,
     export_dot,
-    find_leaders,
 )
 from cfgprint.cloneforge import SizeSpec, generate_program
-from cfgprint.frontend import PLAIN_KINDS, normalize_source, parse, tokenize
+from cfgprint.frontend import (
+    PLAIN_KINDS,
+    NormalizedStatement,
+    normalize_source,
+    parse,
+    tokenize,
+)
 
 EXIT = -1
 
@@ -121,8 +126,7 @@ def check_against_oracle(source):
     assert count == len(statements)
 
     cfg = cfg_from_statements(statements)
-    leaders = find_leaders(statements)
-    leader_set = set(leaders)
+    leader_set = set(_leaders(cfg))
 
     # ordinal -> block, from the implementation's partition
     block_of = {}
@@ -285,25 +289,51 @@ def _route_count(cfg):
 # -- leaders -------------------------------------------------------------------
 
 
+def _leaders(cfg):
+    """The ordinals that begin the graph's real blocks."""
+    return [block.statements[0].ordinal for block in cfg.real_blocks]
+
+
 def test_leaders_after_control_end():
     # Selection, body, end, trailing statement: all four start blocks
     statements = normalize_source("if (x > 1) output 1; endif output 2;")
-    assert find_leaders(statements) == [0, 1, 2, 3]
+    assert _leaders(cfg_from_statements(statements)) == [0, 1, 2, 3]
 
 
 def test_leaders_straight_line():
     statements = normalize_source("x = 1; y = 2; output x;")
-    assert find_leaders(statements) == [0]
+    assert _leaders(cfg_from_statements(statements)) == [0]
 
 
-def test_build_blocks_validation():
-    statements = normalize_source("x = 1; output x;")
-    with pytest.raises(ValueError, match="start at ordinal 0"):
-        build_blocks(statements, [1])
-    with pytest.raises(ValueError, match="sorted"):
-        build_blocks(statements, [0, 1, 1])
-    with pytest.raises(ValueError, match="past the end"):
-        build_blocks(statements, [0, 5])
+# -- malformed statement sequences ------------------------------------------------
+
+
+def _stmt(ordinal, control_role="none"):
+    kind = {"none": "plain", "construct-end": "control-end"}.get(control_role, "control")
+    return NormalizedStatement("s", kind, control_role, ordinal)
+
+
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        ([], "empty program"),
+        ([_stmt(0), _stmt(2)], "statement ordinals must be contiguous from 0"),
+        (
+            [_stmt(0, "loop-header"), _stmt(1, "selection-alt"), _stmt(2, "construct-end")],
+            "ordinal 1: selection alternative outside a selection",
+        ),
+        ([_stmt(0), _stmt(1, "construct-end")], "ordinal 1: end marker with no open construct"),
+        (
+            [_stmt(0, "loop-header"), _stmt(1, "selection-header"), _stmt(2, "construct-end")],
+            "ordinal 0: construct never closed",
+        ),
+        ([_stmt(0, "goto")], "unknown control role 'goto'"),
+    ],
+    ids=["empty", "gap", "stray-alternative", "stray-end", "unclosed", "unknown-role"],
+)
+def test_malformed_statements_rejected(statements, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg_from_statements(statements)
 
 
 # -- generated corpus ----------------------------------------------------------
@@ -313,25 +343,6 @@ def test_oracle_agreement_on_generated_corpus():
     for seed in range(150):
         source = generate_program(seed, SizeSpec(statements=10 + seed % 25))
         check_against_oracle(source)
-
-
-def test_one_step_build_matches_the_three_public_steps():
-    for seed in range(150):
-        statements = normalize_source(
-            generate_program(seed, SizeSpec(statements=10 + seed % 25))
-        )
-        one_step = cfg_from_statements(statements)
-        three_steps = build_cfg(
-            build_blocks(statements, find_leaders(statements)), statements
-        )
-        assert one_step.blocks == three_steps.blocks
-        assert one_step.edges == three_steps.edges
-        assert (one_step.entry_id, one_step.exit_id) == (
-            three_steps.entry_id,
-            three_steps.exit_id,
-        )
-        for block in one_step.blocks:
-            assert one_step.successors(block.id) == three_steps.successors(block.id)
 
 
 # -- direct graph construction --------------------------------------------------

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,15 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(cfgprint, name)]
     assert missing == []
+
+
+def test_readme_stage_names_are_exported():
+    readme = (Path(cfgprint.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The stages are importable on their own:([^.]*)\.", readme)
+    assert sentence is not None
+    names = re.findall(r"`(\w+)`", sentence.group(1))
+    assert len(names) >= 5
+    assert [name for name in names if name not in cfgprint.__all__] == []
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
