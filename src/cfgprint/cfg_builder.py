@@ -20,22 +20,25 @@ Leaders (the first statement, every branch target and join, every
 statement immediately after a control transfer), the blocks between
 them and the edges all come from that table. A synthetic exit block
 (no statements) terminates the graph; anything that runs off the end
-of the program flows there.
+of the program flows there. A `BasicBlock` is a NamedTuple, so a graph
+of a few dozen blocks costs little to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .frontend import NormalizedStatement
 
 _EXIT = -1  # ordinal sentinel: control leaves the program
 
 
-@dataclass(frozen=True)
-class BasicBlock:
+class BasicBlock(NamedTuple):
+    """A maximal run of statements entered only at its first; the
+    synthetic exit block holds none."""
+
     id: int
     statements: tuple[NormalizedStatement, ...]
     is_virtual_exit: bool = False

@@ -30,7 +30,7 @@ from .cfg_builder import cfg_from_statements, export_dot
 from .fingerprint import to_hex
 from .frontend import normalize_source
 from .index_store import IndexCompatibilityError, load_index
-from .pipeline import index_directory, run_pipeline
+from .pipeline import index_directory, read_source, run_pipeline
 from .similarity import classify, distance_matrix, pair_report
 
 
@@ -145,6 +145,15 @@ def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
         print("\n".join(text_lines))
 
 
+def _read_program(path: str) -> str:
+    """`read_source`, with a file that is not UTF-8 named in the error
+    (exit 1), as `index` names the files it skips."""
+    try:
+        return read_source(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _fmt_timings(timings: dict) -> str:
     return " ".join(f"{k}={v:.2f}" for k, v in sorted(timings.items()))
 
@@ -218,7 +227,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     t_load = (time.perf_counter() - t0) * 1000.0
     config = _run_config(args, index.config_stamp)
 
-    source = Path(args.file).read_text(encoding="utf-8")
+    source = _read_program(args.file)
     # if the probe file is itself indexed, adopt the record's id so the
     # scan skips the trivial self-match
     probe_path = str(Path(args.file).resolve())
@@ -314,7 +323,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = {}
     timings: dict[str, float] = {}
     for side, path in (("left", args.left), ("right", args.right)):
-        source = Path(path).read_text(encoding="utf-8")
+        source = _read_program(path)
         results[side] = run_pipeline(source, str(path), config)
         for stage, ms in results[side].timings_ms.items():
             timings[f"{side}_{stage}"] = ms
@@ -415,7 +424,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text(encoding="utf-8")
+    source = _read_program(args.file)
     statements = normalize_source(source)
     dot = export_dot(cfg_from_statements(statements))
     if args.out is None:

@@ -29,6 +29,7 @@ from .frontend import (
     parse,
     tokenize,
 )
+from .fingerprint import shared_statement_hashes
 from .index_store import FingerprintIndex, record_from_program
 from .pipeline import program_files, run_pipeline, run_program_file
 
@@ -561,7 +562,9 @@ def evaluate(
     json_path: str | Path | None = None,
 ) -> list[EvalResult]:
     """Index the corpus once, sweep alpha, score candidate pairs
-    against the manifest. Precision is TP / (TP + FP); the
+    against the manifest. The indexing hashes each distinct statement
+    text once for the corpus (`shared_statement_hashes`), as a serial
+    `index_directory` does. Precision is TP / (TP + FP); the
     false-positive rate quoted elsewhere is 1 - precision. The sweep
     goes probe by probe, each probe's `query_alphas` giving its
     candidates at every alpha from one minima pass. A file that
@@ -579,13 +582,14 @@ def evaluate(
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)
     sizes: dict[str, tuple[int, int]] = {}
-    for program_id, path in program_files(root):
-        outcome = run_program_file(program_id, path, config)
-        if isinstance(outcome, str):
-            continue
-        source, result = outcome
-        index.add_program(record_from_program(result.program, str(path), stamp))
-        sizes[program_id] = (len(result.cfg.real_blocks), len(source.splitlines()))
+    with shared_statement_hashes():
+        for program_id, path in program_files(root):
+            outcome = run_program_file(program_id, path, config)
+            if isinstance(outcome, str):
+                continue
+            source, result = outcome
+            index.add_program(record_from_program(result.program, str(path), stamp))
+            sizes[program_id] = (len(result.cfg.real_blocks), len(source.splitlines()))
 
     labeled: set[frozenset[str]] = set()
     for entry in manifest:

@@ -7,15 +7,22 @@ when it does not, then emit 1 where the tally is positive. Paths that
 share most statements therefore land within a few bits of each other,
 and the distance between two fingerprints is a plain Hamming distance.
 
-The tally is a sum, so a path's tally is the sum of its blocks'
-tallies. `fingerprint_program` uses this: it hashes each distinct
-statement text once per program, sums the votes of each block's
-statements into one row per block, and gets every path's tally by
-multiplying the path-by-block visit counts with those rows. The counts
-and rows are float64, so the product runs in BLAS; every cell is an
-integer sum far below 2**53, so float64 holds it exactly.
-`fingerprint_path` and `simhash_bits` compute the same bits one path
-at a time and are kept as the reference.
+A bit's tally is positive exactly when more than half of the path's
+statements have the bit set, and both counts are sums, so a path's
+counts are the sums of its blocks' counts. `fingerprint_program` uses
+this: it hashes each distinct statement text once, counts per block
+how many of its statements set each bit (and how many it has), and
+gets every path's counts by multiplying the path-by-block visit counts
+with those rows. The counts and rows are float64, so the product runs
+in BLAS; every cell is an integer sum far below 2**53, so float64 holds
+it exactly. `fingerprint_path` and `simhash_bits` compute the same bits
+one path at a time and are kept as the reference.
+
+"Once" means once per program, or once per call inside a
+`shared_statement_hashes` block: a serial `index_directory` and
+`evaluate`'s indexing open one, so the texts that recur across a
+corpus's programs are hashed once for the whole call. The table goes
+when the block ends; nothing is kept from one call to the next.
 
 A program's fingerprints are plain ints: the ascending tuple of its
 distinct path values, the same tuple an index record stores and the
@@ -25,10 +32,12 @@ scorer reads (as `bits_array`).
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,53 +151,84 @@ def fingerprint_program(
     )
 
 
+# statement text -> FNV-1a hash, shared by every program fingerprinted
+# inside one `shared_statement_hashes` block; None outside any block
+_STATEMENT_HASHES: ContextVar[dict[str, int] | None] = ContextVar(
+    "statement_hashes", default=None
+)
+
+
+@contextmanager
+def shared_statement_hashes() -> Iterator[None]:
+    """Within the block, hash each distinct statement text once for
+    all the programs fingerprinted, not once per program. The table is
+    dropped when the block ends, however it ends, so no hash outlives
+    the call that opened it. It is held in a ContextVar, so other
+    threads do not see it; worker processes keep one table per
+    program."""
+    reset = _STATEMENT_HASHES.set({})
+    try:
+        yield
+    finally:
+        _STATEMENT_HASHES.reset(reset)
+
+
 # float64 cells in one per-chunk temporary (about 64 KB)
 _CHUNK_CELLS = 8192
 
 
-def _block_votes(cfg: ControlFlowGraph) -> np.ndarray:
-    """One float64 row per block: columns 0..63 sum the +1/-1 votes of
-    the block's statements per bit, and column 64 counts the
-    statements."""
-    distinct: list[NormalizedStatement] = []
-    row_of: dict[str, int] = {}
-    order: list[int] = []  # distinct-text row of every statement, block by block
-    for block in cfg.blocks:
+def _block_counts(cfg: ControlFlowGraph) -> np.ndarray:
+    """One float64 row per block: column i < 64 counts the block's
+    statements whose hash has bit i set, column 64 counts all its
+    statements, and columns 65..71 are zero. Each distinct text is
+    hashed once: through the table `shared_statement_hashes` opened, or
+    else a table for this program alone."""
+    known = _STATEMENT_HASHES.get()
+    if known is None:
+        known = {}
+    n_blocks = len(cfg.blocks)
+    row_of: dict[str, int] = {}  # distinct text -> its row, in first-seen order
+    cells: list[int] = []  # per statement: row * n_blocks + its block's position
+    for position, block in enumerate(cfg.blocks):
         for statement in block.statements:
-            row = row_of.get(statement.text)
+            text = statement.text
+            row = row_of.get(text)
             if row is None:
-                row = row_of[statement.text] = len(distinct)
-                distinct.append(statement)
-            order.append(row)
-    votes = np.zeros((len(cfg.blocks), 65), dtype=np.float64)
-    if not order:
-        return votes
-    sizes = np.array([len(b.statements) for b in cfg.blocks], dtype=np.intp)
-    hashes = np.array([hash_statement(s) for s in distinct], dtype=np.uint64)
-    statement_votes = np.zeros((len(hashes), 65), dtype=np.int8)
-    statement_votes[:, 64] = 1
-    bytes_le = hashes.astype("<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(bytes_le, axis=1, bitorder="little")
-    statement_votes[:, :64] = 2 * bits.view(np.int8) - 1
-    filled = np.flatnonzero(sizes)
-    starts = np.cumsum(sizes)[filled] - sizes[filled]
-    votes[filled] = np.add.reduceat(
-        statement_votes[order], starts, axis=0, dtype=np.float64
-    )
-    return votes
+                row = row_of[text] = len(row_of)
+            cells.append(row * n_blocks + position)
+    if not cells:
+        return np.zeros((n_blocks, 72), dtype=np.float64)
+    hashes: list[int] = []
+    for text in row_of:
+        h = known.get(text)
+        if h is None:
+            h = known[text] = fnv1a64(text.encode("utf-8"))
+        hashes.append(h)
+    # each hash as its 8 little-endian bytes and a ninth byte of 1:
+    # unpacked, bit i of the hash lands in column i and the 1 in column 64
+    raw = np.empty((len(hashes), 9), dtype=np.uint8)
+    raw[:, :8] = np.array(hashes, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    raw[:, 8] = 1
+    bits = np.unpackbits(raw, axis=1, bitorder="little").astype(np.float64)
+    uses = np.bincount(cells, minlength=len(hashes) * n_blocks)
+    return uses.reshape(len(hashes), n_blocks).T.astype(np.float64) @ bits
 
 
 def _path_bits(paths: Sequence, cfg: ControlFlowGraph) -> list[int]:
-    """SimHash bits of every path, in order, from per-block vote rows.
+    """SimHash bits of every path, in order, from per-block rows.
 
-    Visit counts and tallies are float64 so the product runs in BLAS;
-    they are integer sums far below 2**53, so every value is exact. Paths
-    go through in chunks small enough that the visit-count matrix and the
-    tally matrix each stay within _CHUNK_CELLS cells.
+    A path's row is the sum of its blocks' rows: per bit, how many of
+    its statements have the bit set, and how many statements it has. The
+    +1/-1 tally of a bit is positive exactly when twice the first
+    exceeds the second. Visit counts and rows are float64 so the product
+    runs in BLAS; they are integer sums far below 2**53, so every value
+    is exact. Paths go through in chunks small enough that the
+    visit-count matrix and the row sums each stay within _CHUNK_CELLS
+    cells.
     """
-    votes = _block_votes(cfg)
+    block_counts = _block_counts(cfg)
     n_blocks = len(cfg.blocks)
-    rows = max(1, _CHUNK_CELLS // max(n_blocks, 65))
+    rows = max(1, _CHUNK_CELLS // max(n_blocks, 72))
     out: list[int] = []
     for lo in range(0, len(paths), rows):
         chunk = paths[lo : lo + rows]
@@ -200,11 +240,11 @@ def _path_bits(paths: Sequence, cfg: ControlFlowGraph) -> list[int]:
         )
         cells += np.repeat(np.arange(len(chunk), dtype=np.intp) * n_blocks, lengths)
         counts = np.bincount(cells, minlength=len(chunk) * n_blocks)
-        tally = counts.reshape(len(chunk), n_blocks).astype(np.float64) @ votes
-        if not tally[:, 64].all():
+        sums = counts.reshape(len(chunk), n_blocks).astype(np.float64) @ block_counts
+        if not sums[:, 64].all():
             raise ValueError("empty path")
         # bit i of a path is bit i of its 8 little-endian bytes
-        packed = np.packbits(tally[:, :64] > 0, axis=1, bitorder="little")
+        packed = np.packbits(2 * sums[:, :64] > sums[:, 64:65], axis=1, bitorder="little")
         out.extend(packed.view("<u8")[:, 0].tolist())
     return out
 

@@ -17,11 +17,15 @@ Control constructs are keyword-delimited, conditions in parentheses:
 Comments run from `#` to end of line. Keywords are case-insensitive.
 Identifiers are case-sensitive. Files use the `.mp` extension.
 
-Tokens are plain tuples (`Token` is a NamedTuple), and no token spans a
-line. So `tokenize` scans line by line: one compiled pattern matches
-every lexeme of an ASCII line, and a line that is not ASCII keeps the
+Tokens, parse-tree nodes and normalized statements are plain tuples
+(`Token`, `Statement` and `NormalizedStatement` are NamedTuples), which
+are cheaper to build than frozen dataclasses. No token spans a line.
+So `tokenize` scans line by line: one compiled pattern matches every
+lexeme of an ASCII line, and a line that is not ASCII keeps the
 per-character rules of `str.isdigit` and `str.isalpha`, which no `re`
-class reproduces. Expressions are parsed in one loop, not by recursion.
+class reproduces. Expressions are parsed in one loop, not by recursion,
+and the per-statement loop and assignments read the token list
+directly rather than through the parser's helper methods.
 
 Normalization abstracts away naming and values so that consistently
 renamed programs come out byte-identical: identifiers introduced by
@@ -36,7 +40,6 @@ visible downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 KEYWORDS = frozenset(
@@ -53,7 +56,6 @@ KEYWORDS = frozenset(
 _OPERATORS = ("==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "<", ">", "=", "!")
 _PUNCTUATION = frozenset({"(", ")", ",", ";"})
 
-_END_KEYWORDS = frozenset({"endif", "endwhile", "endfor", "endcase"})
 _CONSTRUCT_KEYWORDS = frozenset({"if", "while", "for", "case"})
 
 # Deepest nesting of constructs and parentheses, counted together, that
@@ -78,8 +80,7 @@ class Token(NamedTuple):
     line: int
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """Parsed statement node.
 
     `tokens` holds the statement payload: all tokens except the trailing
@@ -102,8 +103,7 @@ class Statement:
         return " ".join(t.lexeme for t in self.tokens)
 
 
-@dataclass(frozen=True)
-class NormalizedStatement:
+class NormalizedStatement(NamedTuple):
     """One abstracted statement with its position in the flat sequence.
 
     kind: plain | control | control-end
@@ -344,7 +344,7 @@ class _Parser:
     # -- statements ----------------------------------------------------
 
     def parse_program(self) -> Statement:
-        children = self._statements(stop=frozenset())
+        children = self._statements()
         tok = self._peek()
         if tok is not None:
             raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
@@ -353,38 +353,34 @@ class _Parser:
         last = children[-1]
         return Statement("program", children[0].line, last.end_line, (), tuple(children))
 
-    def _statements(self, stop: frozenset[str]) -> list[Statement]:
+    def _statements(self) -> list[Statement]:
+        """Parse statements until end of input or a keyword that starts
+        no statement: an end keyword, an alternative or `to`. Such a
+        keyword closes an enclosing construct, whose parser checks it;
+        at the top level `parse_program` rejects it. The token list is
+        read directly: this loop runs once per statement."""
         out: list[Statement] = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                return out
-            if tok.kind == "keyword" and tok.lexeme in stop:
-                return out
-            if tok.kind == "keyword" and (tok.lexeme in _END_KEYWORDS or
-                                          tok.lexeme in ("elseif", "else", "when", "to")):
-                if stop:
-                    # belongs to an enclosing construct the caller handles
-                    return out
+        tokens = self.tokens
+        n = len(tokens)
+        while self.pos < n:
+            tok = tokens[self.pos]
+            kind = tok.kind
+            if kind == "identifier":
+                out.append(self._assign())
+                continue
+            if kind != "keyword":
                 raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
-            out.append(self._statement())
-
-    def _statement(self) -> Statement:
-        tok = self._peek()
-        assert tok is not None
-        if tok.kind == "keyword":
-            handler = self._HANDLERS.get(tok.lexeme)
+            lexeme = tok.lexeme
+            handler = self._HANDLERS.get(lexeme)
             if handler is None:
-                raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
-            if tok.lexeme not in _CONSTRUCT_KEYWORDS:
-                return handler(self)
-            self._descend(tok)
-            node = handler(self)
-            self.depth -= 1
-            return node
-        if tok.kind == "identifier":
-            return self._assign()
-        raise MiniProcSyntaxError(f"unexpected {tok.lexeme!r}", tok.line)
+                return out
+            if lexeme in _CONSTRUCT_KEYWORDS:
+                self._descend(tok)
+                out.append(handler(self))
+                self.depth -= 1
+            else:
+                out.append(handler(self))
+        return out
 
     def _semicolon(self) -> Token:
         return self._expect("punctuation", ";")
@@ -408,15 +404,25 @@ class _Parser:
         return Statement("declare", kw.line, end.line, tuple(toks))
 
     def _assign(self) -> Statement:
-        name = self._ident()
-        eq = self._peek()
+        """`name = expr;`, called at an identifier. Reads the token list
+        directly: most statements are assignments."""
+        tokens = self.tokens
+        n = len(tokens)
+        start = self.pos
+        name = tokens[start]
+        eq = tokens[start + 1] if start + 1 < n else None
         if eq is None or eq.lexeme != "=":
             got = repr(eq.lexeme) if eq else "end of input"
             raise MiniProcSyntaxError(f"expected '=', got {got}", name.line)
-        toks = [name, self._take()]
-        toks.extend(self._expression())
-        end = self._semicolon()
-        return Statement("assign", name.line, end.line, tuple(toks))
+        self.pos = start + 2
+        self._expression()
+        pos = self.pos
+        end = tokens[pos] if pos < n else None
+        if end is None or end.kind != "punctuation" or end.lexeme != ";":
+            self._semicolon()  # raises
+        self.pos = pos + 1
+        # name, `=` and the expression are one contiguous run
+        return Statement("assign", name.line, end.line, tuple(tokens[start:pos]))
 
     def _call(self) -> Statement:
         kw = self._take()
@@ -450,16 +456,16 @@ class _Parser:
     def _if(self) -> Statement:
         kw = self._take()
         cond = self._paren_condition()
-        children: list[Statement] = list(self._statements(stop=frozenset({"elseif", "else", "endif"})))
+        children: list[Statement] = self._statements()
         while self._at_keyword("elseif"):
             alt_kw = self._take()
             alt_cond = self._paren_condition()
-            body = self._statements(stop=frozenset({"elseif", "else", "endif"}))
+            body = self._statements()
             last_line = body[-1].end_line if body else alt_kw.line
             children.append(Statement("elseif", alt_kw.line, last_line, tuple(alt_cond), tuple(body)))
         if self._at_keyword("else"):
             else_kw = self._take()
-            body = self._statements(stop=frozenset({"endif"}))
+            body = self._statements()
             last_line = body[-1].end_line if body else else_kw.line
             children.append(Statement("else", else_kw.line, last_line, (), tuple(body)))
         end = self._end_marker("endif", "if", kw.line)
@@ -469,7 +475,7 @@ class _Parser:
     def _while(self) -> Statement:
         kw = self._take()
         cond = self._paren_condition()
-        children = list(self._statements(stop=frozenset({"endwhile"})))
+        children = self._statements()
         end = self._end_marker("endwhile", "while", kw.line)
         children.append(end)
         return Statement("while", kw.line, end.end_line, tuple(cond), tuple(children))
@@ -489,7 +495,7 @@ class _Parser:
             raise MiniProcSyntaxError(f"expected 'to', got {got}", kw.line)
         toks.append(self._take())
         toks.extend(self._expression())
-        children = list(self._statements(stop=frozenset({"endfor"})))
+        children = self._statements()
         end = self._end_marker("endfor", "for", kw.line)
         children.append(end)
         return Statement("for", kw.line, end.end_line, tuple(toks), tuple(children))
@@ -501,7 +507,7 @@ class _Parser:
         while self._at_keyword("when"):
             when_kw = self._take()
             when_cond = self._paren_condition()
-            body = self._statements(stop=frozenset({"when", "endcase"}))
+            body = self._statements()
             last_line = body[-1].end_line if body else when_kw.line
             children.append(Statement("when", when_kw.line, last_line, tuple(when_cond), tuple(body)))
         tok = self._peek()
@@ -560,6 +566,17 @@ def _abstract(tokens: tuple[Token, ...], local_names: frozenset[str]) -> str:
     return " ".join(parts)
 
 
+# control node kind -> (text prefix, control role)
+_CONTROL = {
+    "while": ("Iterate", "loop-header"),
+    "for": ("Iterate", "loop-header"),
+    "if": ("Selection", "selection-header"),
+    "case": ("Selection", "selection-header"),
+    "elseif": ("Selection", "selection-alt"),
+    "when": ("Selection", "selection-alt"),
+}
+
+
 def normalize(program: Statement) -> list[NormalizedStatement]:
     """Flatten a program tree into the abstracted statement sequence.
 
@@ -569,35 +586,31 @@ def normalize(program: Statement) -> list[NormalizedStatement]:
     """
     local_names = _declared_names(program)
     out: list[NormalizedStatement] = []
+    append = out.append
 
-    def emit(text: str, kind: str, role: str, condition: str = "") -> None:
-        out.append(NormalizedStatement(text, kind, role, len(out), condition))
+    def visit(nodes: tuple[Statement, ...]) -> None:
+        for node in nodes:
+            kind = node.kind
+            if kind in PLAIN_KINDS:
+                append(NormalizedStatement(
+                    _abstract(node.tokens, local_names), "plain", "none", len(out)
+                ))
+            elif kind == "end-marker":
+                append(NormalizedStatement(
+                    node.tokens[0].lexeme, "control-end", "construct-end", len(out)
+                ))
+            elif kind == "else":
+                append(NormalizedStatement("Selection", "control", "selection-alt", len(out)))
+                visit(node.children)
+            elif kind in _CONTROL:
+                prefix, role = _CONTROL[kind]
+                cond = _abstract(node.tokens, local_names)
+                append(NormalizedStatement(f"{prefix} {cond}", "control", role, len(out), cond))
+                visit(node.children)
+            else:
+                raise ValueError(f"unexpected node kind {kind!r}")
 
-    def visit(node: Statement) -> None:
-        if node.kind in PLAIN_KINDS:
-            emit(_abstract(node.tokens, local_names), "plain", "none")
-            return
-        if node.kind in ("while", "for"):
-            cond = _abstract(node.tokens, local_names)
-            emit(f"Iterate {cond}", "control", "loop-header", cond)
-        elif node.kind in ("if", "case"):
-            cond = _abstract(node.tokens, local_names)
-            emit(f"Selection {cond}", "control", "selection-header", cond)
-        elif node.kind in ("elseif", "when"):
-            cond = _abstract(node.tokens, local_names)
-            emit(f"Selection {cond}", "control", "selection-alt", cond)
-        elif node.kind == "else":
-            emit("Selection", "control", "selection-alt")
-        elif node.kind == "end-marker":
-            emit(node.tokens[0].lexeme, "control-end", "construct-end")
-            return
-        else:
-            raise ValueError(f"unexpected node kind {node.kind!r}")
-        for child in node.children:
-            visit(child)
-
-    for child in program.children:
-        visit(child)
+    visit(program.children)
     return out
 
 

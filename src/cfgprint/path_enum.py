@@ -3,7 +3,9 @@
 A path runs from the entry block to the exit block and never repeats a
 block, so each loop contributes at most one traversal per path. Search
 is depth-first with successors explored in ascending block id, which
-makes the output order deterministic (lexicographic by block id).
+makes the output order deterministic (lexicographic by block id). The
+walk marks the blocks on its trail in a list of flags indexed by block
+id, and copies the trail into a tuple once per path found.
 """
 
 from __future__ import annotations
@@ -84,22 +86,25 @@ def _walk(cfg: ControlFlowGraph, limit: int) -> list[tuple[int, ...]]:
     succ = [cfg.successors(i) for i in range(len(cfg.blocks))]
     collected: list[tuple[int, ...]] = []
     trail = [entry]
-    on_trail = {entry}
+    on_trail = [False] * len(succ)  # by block id
+    on_trail[entry] = True
     pending = [iter(succ[entry])]  # unexplored successors per trail block
     while pending:
         for nxt in pending[-1]:
-            if nxt in on_trail:
+            if on_trail[nxt]:
                 continue
             if nxt == exit_id:
-                collected.append((*trail, nxt))
+                trail.append(nxt)
+                collected.append(tuple(trail))
+                trail.pop()
                 if len(collected) >= limit:
                     return collected
                 continue
             trail.append(nxt)
-            on_trail.add(nxt)
+            on_trail[nxt] = True
             pending.append(iter(succ[nxt]))
             break
         else:
-            on_trail.discard(trail.pop())
+            on_trail[trail.pop()] = False
             pending.pop()
     return collected

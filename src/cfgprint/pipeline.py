@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .cfg_builder import ControlFlowGraph, cfg_from_statements
 from .config import ConfigStamp, RunConfig
-from .fingerprint import ProgramFingerprint, fingerprint_program
+from .fingerprint import ProgramFingerprint, fingerprint_program, shared_statement_hashes
 from .frontend import MiniProcSyntaxError, NormalizedStatement, normalize, parse, tokenize
 from .index_store import FingerprintIndex, record_from_program
 from .path_enum import ExecutionPath, PathSet, enumerate_paths, filter_paths
@@ -83,6 +83,14 @@ def program_files(root: Path) -> list[tuple[str, Path]]:
     )
 
 
+def read_source(source_path: str | Path) -> str:
+    """The text of one program file, which is UTF-8 with or without a
+    leading byte-order mark (the mark is dropped). Raises
+    UnicodeDecodeError for other bytes and OSError when the file cannot
+    be read. Every command reads its programs through here."""
+    return Path(source_path).read_text(encoding="utf-8-sig")
+
+
 def run_program_file(
     program_id: str, source_path: str | Path, config: RunConfig
 ) -> tuple[str, PipelineResult] | str:
@@ -90,7 +98,7 @@ def run_program_file(
     result), or the diagnostic for a file that cannot be read, is not
     UTF-8 or does not parse. Every caller skips such a file."""
     try:
-        source = Path(source_path).read_text(encoding="utf-8")
+        source = read_source(source_path)
     except UnicodeDecodeError as exc:
         return f"not UTF-8 text: {exc}"
     except OSError as exc:
@@ -116,7 +124,9 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
 
     Files are discovered by `program_files` and processed in its order,
     so the resulting index is deterministic regardless of filesystem
-    ordering or worker count. Files that cannot be read, are not
+    ordering or worker count. Run serially, the call hashes each
+    distinct statement text once for all its files
+    (`shared_statement_hashes`). Files that cannot be read, are not
     UTF-8 or do not parse are skipped with a diagnostic; programs with
     no surviving paths are indexed with an empty fingerprint list and
     reported as unscoreable.
@@ -140,7 +150,8 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fingerprint_task, tasks, chunksize=8))
     else:
-        results = [_fingerprint_task(t) for t in tasks]
+        with shared_statement_hashes():
+            results = [_fingerprint_task(t) for t in tasks]
     t2 = time.perf_counter()
 
     stamp = ConfigStamp.from_config(config)

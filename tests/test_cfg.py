@@ -348,6 +348,33 @@ def test_oracle_agreement_on_generated_corpus():
 # -- direct graph construction --------------------------------------------------
 
 
+def test_basic_block_contract():
+    statement = NormalizedStatement("x", "plain", "none", 1)
+    block = BasicBlock(0, (statement,))
+    assert BasicBlock._fields == ("id", "statements", "is_virtual_exit")
+    assert BasicBlock._field_defaults == {"is_virtual_exit": False}
+    assert block.is_virtual_exit is False
+    # the repr the frozen dataclass this type replaced gave
+    assert repr(block) == (
+        "BasicBlock(id=0, statements=(NormalizedStatement(text='x', kind='plain', "
+        "control_role='none', ordinal=1, condition=''),), is_virtual_exit=False)"
+    )
+    assert repr(BasicBlock(1, (), is_virtual_exit=True)) == (
+        "BasicBlock(id=1, statements=(), is_virtual_exit=True)"
+    )
+    for name in BasicBlock._fields:
+        with pytest.raises(AttributeError):
+            setattr(block, name, None)
+    plain = (0, (statement,), False)
+    assert block == plain and hash(block) == hash(plain)
+    assert block != BasicBlock(0, (statement,), is_virtual_exit=True)
+    # built blocks are the same type as constructed ones
+    for built in cfg_from_statements(normalize_source("if (x) output 1; endif")).blocks:
+        assert type(built) is BasicBlock
+
+
+
+
 def _graph(edges, n, exit_id):
     blocks = tuple(BasicBlock(i, ()) for i in range(n))
     return ControlFlowGraph(

@@ -520,3 +520,52 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- source encoding ------------------------------------------------------------
+
+BOM = "\ufeff"
+
+
+def test_every_command_accepts_a_byte_order_mark(corpus, tmp_path, capsys):
+    marked = tmp_path / "marked.mp"
+    marked.write_text(BOM + CLONE_A, encoding="utf-8")
+    plain = corpus / "clone_a.mp"
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+
+    (corpus / "marked.mp").write_bytes(marked.read_bytes())
+    out = tmp_path / "c.cdx"
+    report = run_json(capsys, "index", str(corpus), "-o", str(out))
+    assert report["skipped"] == [] and report["indexed"] == 4
+    records = load_index(out).records
+    assert records["marked.mp"].fingerprints == records["clone_a.mp"].fingerprints
+    assert records["marked.mp"].path_count == records["clone_a.mp"].path_count
+
+    both = run_json(capsys, "compare", str(marked), str(plain), "--alpha", "0")
+    assert both["verdict"] == "scored" and both["containment"]["score"] == 1.0
+    assert both["row_fingerprints"] == both["col_fingerprints"]
+
+    # neither probe is an indexed file, so both keep their own ids
+    unmarked = tmp_path / "unmarked.mp"
+    unmarked.write_text(CLONE_A, encoding="utf-8")
+    with_mark, without = (
+        run_json(capsys, "query", str(probe), str(out))["candidates"]
+        for probe in (marked, unmarked)
+    )
+    assert with_mark == without and len(with_mark) >= 2
+
+    assert run_cli(capsys, "dot", str(marked)).out == run_cli(capsys, "dot", str(plain)).out
+
+
+@pytest.mark.parametrize("command", ["query", "compare", "dot"])
+def test_non_utf8_source_exits_one_naming_the_file(corpus, tmp_path, capsys, command):
+    bad = tmp_path / "latin1.mp"
+    bad.write_bytes("output \"caf\xe9\";\n".encode("latin-1"))
+    argv = {
+        "query": ["query", str(bad), str(_indexed(corpus, tmp_path, capsys))],
+        "compare": ["compare", str(corpus / "clone_a.mp"), str(bad)],
+        "dot": ["dot", str(bad)],
+    }[command]
+    captured = run_cli(capsys, *argv, expect=1)
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ")
+    assert "Traceback" not in captured.err

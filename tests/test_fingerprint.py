@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgprint import fingerprint, pipeline
 from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph, cfg_from_statements
-from cfgprint.cloneforge import SizeSpec, generate_program
-from cfgprint.config import RunConfig
+from cfgprint.cloneforge import SizeSpec, build_corpus, evaluate, generate_program
+from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import (
     ProgramFingerprint,
     fingerprint_path,
@@ -18,12 +19,14 @@ from cfgprint.fingerprint import (
     fnv1a64,
     from_hex,
     hamming_bits,
+    shared_statement_hashes,
     simhash_bits,
     to_hex,
 )
 from cfgprint.frontend import normalize_source
+from cfgprint.index_store import record_from_program
 from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
-from cfgprint.pipeline import run_pipeline
+from cfgprint.pipeline import index_directory, program_files, run_pipeline
 
 
 # -- statement hash ------------------------------------------------------------
@@ -339,3 +342,74 @@ def test_fingerprint_program_rejects_path_without_statements():
             fingerprint_program(paths, cfg, "bad")
         with pytest.raises(ValueError, match="empty path"):
             fingerprint_path(paths[-1].block_ids, cfg)
+
+
+# -- one statement-hash table per indexing call --------------------------------
+
+
+def test_shared_hash_table_gives_the_per_program_fingerprints(cloneforge_programs):
+    alone = [fingerprint_program(paths, cfg, "p") for paths, cfg in cloneforge_programs]
+    with shared_statement_hashes():
+        shared = [fingerprint_program(paths, cfg, "p") for paths, cfg in cloneforge_programs]
+        table = fingerprint._STATEMENT_HASHES.get()
+    assert shared == alone
+    assert table and all(h == fnv1a64(text.encode("utf-8")) for text, h in table.items())
+    assert fingerprint._STATEMENT_HASHES.get() is None
+
+
+def test_hash_table_lives_exactly_as_long_as_one_indexing_call(tmp_path, monkeypatch):
+    root = tmp_path / "corpus"
+    build_corpus(root, 6, 6, seed=5)
+    config = RunConfig()
+    real = pipeline.fingerprint_program
+    tables = []
+
+    def spy(*args, **kwargs):
+        tables.append(fingerprint._STATEMENT_HASHES.get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fingerprint_program", spy)
+    for _ in range(2):
+        index_directory(root, config)
+        assert fingerprint._STATEMENT_HASHES.get() is None
+    # each call shares one table among its 18 programs, and opens a new one
+    first, second = tables[:18], tables[18:]
+    assert len(second) == 18 and first[0] is not second[0]
+    assert all(t is first[0] for t in first) and all(t is second[0] for t in second)
+
+    tables.clear()
+    evaluate(root, config, [5])
+    assert fingerprint._STATEMENT_HASHES.get() is None
+    assert len(tables) == 18 and all(t is tables[0] is not None for t in tables)
+
+    def fails_on_the_second_file(*args, **kwargs):
+        tables.append(fingerprint._STATEMENT_HASHES.get())
+        if len(tables) == 2:
+            raise RuntimeError("fingerprinting failed")
+        return real(*args, **kwargs)
+
+    tables.clear()
+    monkeypatch.setattr(pipeline, "fingerprint_program", fails_on_the_second_file)
+    with pytest.raises(RuntimeError, match="fingerprinting failed"):
+        index_directory(root, config)
+    assert len(tables) == 2 and tables[0] is not None
+    assert fingerprint._STATEMENT_HASHES.get() is None
+
+
+def test_serial_parallel_and_per_file_records_agree(tmp_path):
+    root = tmp_path / "corpus"
+    build_corpus(root, 6, 6, seed=9)
+    config = RunConfig()
+    serial = index_directory(root, config, jobs=1).index.records
+    parallel = index_directory(root, config, jobs=2).index.records
+    stamp = ConfigStamp.from_config(config)
+    alone = {
+        name: record_from_program(
+            run_pipeline(path.read_text(encoding="utf-8"), name, config).program,
+            str(path),
+            stamp,
+        )
+        for name, path in program_files(root)
+    }
+    assert len(serial) == 18
+    assert serial == parallel == alone

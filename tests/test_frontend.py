@@ -11,6 +11,8 @@ from cfgprint.frontend import (
     KEYWORDS,
     MAX_NESTING,
     MiniProcSyntaxError,
+    NormalizedStatement,
+    Statement,
     Token,
     normalize,
     normalize_source,
@@ -209,6 +211,58 @@ def test_tokenize_non_ascii_line_keeps_character_rules():
 
 
 # -- parser ------------------------------------------------------------------
+
+
+def test_statement_contract():
+    tok = Token("identifier", "x", 2)
+    node = Statement("assign", 2, 3, (tok,))
+    assert Statement._fields == ("kind", "line", "end_line", "tokens", "children")
+    assert Statement._field_defaults == {"tokens": (), "children": ()}
+    bare = Statement("program", 1, 1)
+    assert (bare.tokens, bare.children) == ((), ())
+    # the repr the frozen dataclass this type replaced gave
+    assert repr(node) == (
+        "Statement(kind='assign', line=2, end_line=3, "
+        "tokens=(Token(kind='identifier', lexeme='x', line=2),), children=())"
+    )
+    assert repr(bare) == "Statement(kind='program', line=1, end_line=1, tokens=(), children=())"
+    for name in Statement._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    plain = ("assign", 2, 3, (tok,), ())
+    assert node == plain and hash(node) == hash(plain)
+    assert node == Statement(kind="assign", line=2, end_line=3, tokens=(tok,))
+    assert node != Statement("assign", 2, 4, (tok,))
+    cond = parse(tokenize("while (x < 10) x = x + 1; endwhile")).children[0]
+    assert cond.condition_text == "( x < 10 )"
+    assert bare.condition_text == ""
+    # parsed nodes are the same type as constructed ones
+    assert type(cond) is Statement and type(cond.children[0]) is Statement
+
+
+def test_normalized_statement_contract():
+    header = NormalizedStatement("Selection G-Var", "control", "selection-header", 0, "G-Var")
+    plain = NormalizedStatement("x", "plain", "none", 1)
+    assert NormalizedStatement._fields == ("text", "kind", "control_role", "ordinal", "condition")
+    assert NormalizedStatement._field_defaults == {"condition": ""}
+    assert plain.condition == ""
+    assert repr(header) == (
+        "NormalizedStatement(text='Selection G-Var', kind='control', "
+        "control_role='selection-header', ordinal=0, condition='G-Var')"
+    )
+    assert repr(plain) == (
+        "NormalizedStatement(text='x', kind='plain', control_role='none', "
+        "ordinal=1, condition='')"
+    )
+    for name in NormalizedStatement._fields:
+        with pytest.raises(AttributeError):
+            setattr(plain, name, None)
+    assert plain == ("x", "plain", "none", 1, "") and hash(plain) == hash(("x", "plain", "none", 1, ""))
+    assert plain != NormalizedStatement("x", "plain", "none", 2)
+    for statement in normalize_source("if (x) output 1; endif"):
+        assert type(statement) is NormalizedStatement
+
+
 
 
 def test_parse_plain_statements():
