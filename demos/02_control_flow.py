@@ -35,7 +35,7 @@ for block in cfg.blocks:
         print(f"  b{block.id}: (exit)")
         continue
     texts = " | ".join(st.text for st in block.statements)
-    succ = ", ".join(f"b{s}" for s in cfg.successors(block.id))
+    succ = ", ".join(f"b{s}" for s in cfg.successors[block.id])
     print(f"  b{block.id}: {texts}"
           f"\n       -> {succ}")
 

@@ -61,7 +61,6 @@ from .similarity import (
     SimilarityScore,
     classify,
     distance_matrix,
-    min_distances,
     pair_report,
     score_pair,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "hamming_bits",
     "index_directory",
     "load_index",
-    "min_distances",
     "normalize",
     "normalize_source",
     "pair_report",

@@ -18,17 +18,22 @@ each statement's successors are read off by these rules:
 
 Leaders (the first statement, every branch target and join, every
 statement immediately after a control transfer), the blocks between
-them and the edges all come from that table. A synthetic exit block
-(no statements) terminates the graph; anything that runs off the end
-of the program flows there. A `BasicBlock` is a NamedTuple, so a graph
-of a few dozen blocks costs little to build.
+them and the graph's own successor table all come from that table. A
+synthetic exit block (no statements) terminates the graph; anything
+that runs off the end of the program flows there.
+
+The graph keeps its edges one way only: `successors[i]` is block i's
+row of successor ids, strictly ascending. The path walk indexes those
+rows, `export_dot` prints them in order, and `edges` derives the
+(src, dst) pairs from them on first read. A `BasicBlock` is a
+NamedTuple, so a graph of a few dozen blocks costs little to build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .frontend import NormalizedStatement
 
@@ -44,65 +49,57 @@ class BasicBlock(NamedTuple):
     is_virtual_exit: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlFlowGraph:
-    """Immutable-by-convention CFG over basic blocks.
+    """Immutable CFG over basic blocks, held as one successor table.
 
-    Block ids are contiguous from 0. entry_id is the first block,
-    exit_id names the block paths terminate at (the synthetic exit for
-    graphs built from source; any block with out-degree 0 for directly
-    constructed graphs). unreachable_ids holds blocks that lie on no
-    entry-to-exit walk; it is computed on first read and kept.
+    Block ids are contiguous from 0 and `blocks[i].id == i`.
+    `successors[i]` holds block i's successor ids, strictly ascending.
+    entry_id is the first block, exit_id names the block paths
+    terminate at (the synthetic exit for graphs built from source; any
+    block with no successors for directly constructed graphs). Every
+    graph, built or constructed, is checked in one pass over its rows.
     """
 
     blocks: tuple[BasicBlock, ...]
-    edges: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
     entry_id: int
     exit_id: int
-    _succ: dict[int, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = {b.id for b in self.blocks}
-        if ids != set(range(len(self.blocks))):
-            raise ValueError("block ids must be contiguous from 0")
-        if self.entry_id not in ids or self.exit_id not in ids:
+        n = len(self.blocks)
+        for i, b in enumerate(self.blocks):
+            if b.id != i:
+                raise ValueError("block ids must be contiguous from 0")
+        if len(self.successors) != n:
+            raise ValueError(
+                f"successor table has {len(self.successors)} rows for {n} blocks"
+            )
+        if not (0 <= self.entry_id < n and 0 <= self.exit_id < n):
             raise ValueError("entry_id and exit_id must name existing blocks")
-        succ: dict[int, list[int]] = {b.id: [] for b in self.blocks}
-        for src, dst in self.edges:
-            if src not in ids or dst not in ids:
-                raise ValueError(f"edge ({src}, {dst}) references a missing block")
-            succ[src].append(dst)
-        if succ[self.exit_id]:
+        for src, row in enumerate(self.successors):
+            prev = -1
+            for dst in row:
+                if not 0 <= dst < n:
+                    raise ValueError(f"edge ({src}, {dst}) references a missing block")
+                if dst <= prev:
+                    raise ValueError(
+                        f"successors of block {src} must be strictly ascending, got {row}"
+                    )
+                prev = dst
+        if self.successors[self.exit_id]:
             raise ValueError("exit block must have no successors")
-        self._succ = {i: tuple(sorted(s)) for i, s in succ.items()}
 
     @cached_property
-    def unreachable_ids(self) -> frozenset[int]:
-        pred: dict[int, list[int]] = {i: [] for i in self._succ}
-        for src, dst in self.edges:
-            pred[dst].append(src)
-        forward = _reach(self.entry_id, self._succ)
-        backward = _reach(self.exit_id, pred)
-        return frozenset(self._succ.keys() - (forward & backward))
-
-    def successors(self, block_id: int) -> tuple[int, ...]:
-        return self._succ[block_id]
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (src, dst) pairs of the successor table."""
+        return frozenset(
+            (src, dst) for src, row in enumerate(self.successors) for dst in row
+        )
 
     @property
     def real_blocks(self) -> tuple[BasicBlock, ...]:
         return tuple(b for b in self.blocks if not b.is_virtual_exit)
-
-
-def _reach(start: int, neighbors: dict[int, Sequence[int]]) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in neighbors[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def _successors(
@@ -201,13 +198,12 @@ def cfg_from_statements(statements: list[NormalizedStatement]) -> ControlFlowGra
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
     blocks.append(BasicBlock(exit_id, (), is_virtual_exit=True))
-    edges = frozenset(
-        (i, block_of[target])
-        for i, hi in enumerate(bounds[1:])
-        for target in succ[hi - 1]
-    )
+    # a block's row is its last statement's targets; two targets may
+    # land in one block (an empty `if` body), so each row is deduplicated
+    rows = [tuple(sorted({block_of[t] for t in succ[hi - 1]})) for hi in bounds[1:]]
+    rows.append(())
     return ControlFlowGraph(
-        blocks=tuple(blocks), edges=edges, entry_id=0, exit_id=exit_id
+        blocks=tuple(blocks), successors=tuple(rows), entry_id=0, exit_id=exit_id
     )
 
 
@@ -233,7 +229,8 @@ def export_dot(cfg: ControlFlowGraph) -> str:
             continue
         label = "\\n".join([names[b.id]] + [_dot_escape(s.text) for s in b.statements])
         lines.append(f'  {names[b.id]} [shape=box, label="{label}"];')
-    for src, dst in sorted(cfg.edges):
-        lines.append(f"  {names[src]} -> {names[dst]};")
+    for src, row in enumerate(cfg.successors):
+        for dst in row:
+            lines.append(f"  {names[src]} -> {names[dst]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,6 +41,7 @@ from .config import (
     INDEX_FORMAT_VERSION,
     NORMALIZATION_VERSION,
     ConfigStamp,
+    RunConfig,
 )
 from .fingerprint import ProgramFingerprint, from_hex, to_hex
 from .similarity import (
@@ -337,10 +338,15 @@ def _parse_fingerprints(value: object) -> tuple[int, ...]:
 
 
 def load_index(path: str | Path) -> FingerprintIndex:
-    """Parse a .cdx file fully before returning; a malformed or
-    truncated file raises IndexFormatError naming the bad line, an
-    unsupported configuration raises IndexCompatibilityError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a .cdx file fully before returning. A file that is not
+    UTF-8 raises IndexFormatError naming the file; a malformed or
+    truncated file, or a header stamp outside the ranges
+    `RunConfig.validate` allows, raises IndexFormatError naming the bad
+    line; an unsupported configuration raises IndexCompatibilityError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: not UTF-8 text: {exc}") from None
     lines = text.splitlines()
     if not lines:
         raise IndexFormatError(f"{path}: line 1: empty index file")
@@ -376,6 +382,7 @@ def load_index(path: str | Path) -> FingerprintIndex:
             alpha=_int_field(header, "alpha"),
             min_blocks=_int_field(header, "min_blocks"),
         )
+        RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks).validate()
     except KeyError as exc:
         raise IndexFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except ValueError as exc:

@@ -2,8 +2,8 @@
 
 A path runs from the entry block to the exit block and never repeats a
 block, so each loop contributes at most one traversal per path. Search
-is depth-first with successors explored in ascending block id, which
-makes the output order deterministic (lexicographic by block id). The
+is depth-first over the graph's successor rows, ascending by block id,
+so the output order is deterministic (lexicographic by block id). The
 walk marks the blocks on its trail in a list of flags indexed by block
 id, and copies the trail into a tuple once per path found.
 """
@@ -83,7 +83,7 @@ def _walk(cfg: ControlFlowGraph, limit: int) -> list[tuple[int, ...]]:
     entry, exit_id = cfg.entry_id, cfg.exit_id
     if entry == exit_id:
         return [(entry,)]
-    succ = [cfg.successors(i) for i in range(len(cfg.blocks))]
+    succ = cfg.successors
     collected: list[tuple[int, ...]] = []
     trail = [entry]
     on_trail = [False] * len(succ)  # by block id

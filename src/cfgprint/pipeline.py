@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,7 +125,9 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
 
     Files are discovered by `program_files` and processed in its order,
     so the resulting index is deterministic regardless of filesystem
-    ordering or worker count. Run serially, the call hashes each
+    ordering or worker count. At most `jobs` worker processes run, and
+    never more than there are files or CPUs; with one, the call runs
+    serially in this process. Run serially, the call hashes each
     distinct statement text once for all its files
     (`shared_statement_hashes`). Files that cannot be read, are not
     UTF-8 or do not parse are skipped with a diagnostic; programs with
@@ -142,12 +145,15 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     tasks = [(name, str(p), config) for name, p in program_files(root)]
     t1 = time.perf_counter()
 
-    if jobs > 1 and len(tasks) > 1:
+    # under the fork start method the pool starts all `max_workers`
+    # processes at its first submit, so a large `jobs` must not reach it
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, which every
         # other run (and `import cfgprint.cli`) would pay for unused
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fingerprint_task, tasks, chunksize=8))
     else:
         with shared_statement_hashes():

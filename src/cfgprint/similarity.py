@@ -24,18 +24,18 @@ broadcast XOR whose rows are narrower than about 2 980 cells buffers
 its stride-0 operand and runs about 3x slower per cell, and a
 `cluster` call's short suffix passes are mostly such blocks. Only
 integer ufuncs run in that scope; no float sum does, whose pairwise
-blocks follow the buffer size. `min_distances` lays the others out and
-runs it. `FingerprintIndex.query` runs it once per call over columns
-the index keeps built, except inside `FingerprintIndex.query_alphas`,
-which runs it once per probe for a whole alpha sweep and hands the
-minima to each of its `query` calls; `cluster` runs it once per row
-over a suffix of one layout. Each hands a record's minimum to the
-per-pair call as `min_distance`: past alpha `score_pair` and
-`pair_report` return `_zero_score`, which checks the arguments and
-works out only the denominator, without calling the kernel, so the
-per-pair calls only assemble reports. An index record is itself a
-`ProgramFingerprint`, so repeated queries and clustering reuse the
-array each record builds once.
+blocks follow the buffer size. `fingerprint_columns` lays the others
+out for it. `FingerprintIndex.query` runs it once per call over the
+columns of scoreable records the index keeps built, except inside
+`FingerprintIndex.query_alphas`, which runs it once per probe for a
+whole alpha sweep and hands the minima to each of its `query` calls;
+`cluster` runs it once per row over a suffix of one layout. Each hands
+a record's minimum to the per-pair call as `min_distance`: past alpha
+`score_pair` and `pair_report` return `_zero_score`, which checks the
+arguments and works out only the denominator, without calling the
+kernel, so the per-pair calls only assemble reports. An index record
+is itself a `ProgramFingerprint`, so repeated queries and clustering
+reuse the array each record builds once.
 
 `SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
 to build, and equal (and hashing alike) to the plain tuples of their
@@ -97,20 +97,6 @@ def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
     """uint8 Hamming distances, row i pairing fingerprint i of A with
     every fingerprint of B (both in ascending order)."""
     return np.bitwise_count(a.bits_array[:, None] ^ b.bits_array)
-
-
-def min_distances(a: ProgramFingerprint, others: Sequence[ProgramFingerprint]) -> list[int]:
-    """Each other program's smallest Hamming distance to A, in order:
-    `int(distance_matrix(a, b).min())` for every b, from one pass over
-    the others' fingerprints laid end to end (see `record_minima`).
-    Every program must be scoreable.
-    """
-    if not a.fingerprints:
-        raise _unscoreable(a)
-    for b in others:
-        if not b.fingerprints:
-            raise _unscoreable(b)
-    return record_minima(a.bits_array, *fingerprint_columns(others))
 
 
 def fingerprint_columns(programs: Sequence[ProgramFingerprint]) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph
+from cfgprint.cfg_builder import BasicBlock
 from cfgprint.cloneforge import (
     MutationSpec,
     SizeSpec,
@@ -35,6 +35,7 @@ from cfgprint.index_store import FingerprintIndex, load_index, record_from_progr
 from cfgprint.path_enum import enumerate_paths
 from cfgprint.pipeline import fingerprint_source, index_directory
 from cfgprint.similarity import score_pair
+from graphs import graph_from_edges
 
 
 # -- independent reference implementations ------------------------------------
@@ -119,12 +120,7 @@ def mixed_corpus(tmp_path_factory):
 def test_criterion_01_handbuilt_graph_path_set():
     t0 = time.perf_counter()
     edges = {(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)}
-    cfg = ControlFlowGraph(
-        blocks=tuple(BasicBlock(i, ()) for i in range(6)),
-        edges=frozenset(edges),
-        entry_id=0,
-        exit_id=5,
-    )
+    cfg = graph_from_edges(6, edges, 5)
     result = enumerate_paths(cfg)
     got = {p.block_ids for p in result.paths}
     assert got == {(0, 1, 2, 4, 5), (0, 1, 2, 5), (0, 1, 2, 3, 5)}
@@ -208,11 +204,10 @@ def test_criterion_06_simhash_oracle_equivalence():
         statements = tuple(
             NormalizedStatement(text, "plain", "none", i) for i, text in enumerate(texts)
         )
-        cfg = ControlFlowGraph(
-            blocks=(BasicBlock(0, statements), BasicBlock(1, (), is_virtual_exit=True)),
-            edges=frozenset({(0, 1)}),
-            entry_id=0,
-            exit_id=1,
+        cfg = graph_from_edges(
+            (BasicBlock(0, statements), BasicBlock(1, (), is_virtual_exit=True)),
+            {(0, 1)},
+            1,
         )
         got = fingerprint_path((0, 1), cfg)
         expected = _majority_simhash([fnv1a64(t.encode("utf-8")) for t in texts])
@@ -253,12 +248,7 @@ def test_criterion_08_path_enumeration_oracle():
                 if rng.random() < 0.15:
                     edges.add((i, j))
         edges = {(s, d) for s, d in edges if s != exit_id}
-        cfg = ControlFlowGraph(
-            blocks=tuple(BasicBlock(i, ()) for i in range(n)),
-            edges=frozenset(edges),
-            entry_id=0,
-            exit_id=exit_id,
-        )
+        cfg = graph_from_edges(n, edges, exit_id)
         got = sorted(p.block_ids for p in enumerate_paths(cfg).paths)
         assert got == _exhaustive_simple_paths(n, edges, 0, exit_id), f"trial {trial}"
     assert time.perf_counter() - t0 < 30.0

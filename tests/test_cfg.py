@@ -25,6 +25,7 @@ from cfgprint.frontend import (
     parse,
     tokenize,
 )
+from graphs import graph_from_edges
 
 EXIT = -1
 
@@ -151,8 +152,27 @@ def check_against_oracle(source):
                 assert target in leader_set, f"edge target {target} is not a leader"
                 expected_edges.add((block.id, block_of[target]))
     assert set(cfg.edges) == expected_edges
-    assert cfg.unreachable_ids == frozenset()
+
+    # every block lies on some entry-to-exit walk
+    predecessors = [[] for _ in cfg.blocks]
+    for src, dst in cfg.edges:
+        predecessors[dst].append(src)
+    every_block = set(range(len(cfg.blocks)))
+    assert _reached(cfg.entry_id, cfg.successors) == every_block
+    assert _reached(cfg.exit_id, predecessors) == every_block
     return cfg
+
+
+def _reached(start, neighbors):
+    """The ids reachable from start, neighbors indexed by id."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in neighbors[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 # -- handwritten shapes --------------------------------------------------------
@@ -180,7 +200,15 @@ def test_loop_end_has_back_edge_and_fall_through():
         b.id for b in cfg.real_blocks
         if b.statements and b.statements[-1].control_role == "construct-end"
     )
-    assert len(cfg.successors(end_block)) == 2
+    assert len(cfg.successors[end_block]) == 2
+
+
+def test_empty_selection_body_gives_one_successor():
+    # the header's branch into its empty body and its branch past it
+    # both land on the end marker's block
+    cfg = check_against_oracle("if (x > 0) endif output 1;")
+    assert cfg.successors[0] == (1,)
+    assert cfg.edges == {(0, 1), (1, 2), (2, 3)}
 
 
 def test_if_else_diamond():
@@ -278,7 +306,7 @@ def _route_count(cfg):
         if node == cfg.exit_id:
             total[0] += 1
             return
-        for nxt in cfg.successors(node):
+        for nxt in cfg.successors[node]:
             if nxt not in seen:
                 dfs(nxt, seen | {nxt})
 
@@ -373,42 +401,51 @@ def test_basic_block_contract():
         assert type(built) is BasicBlock
 
 
-
-
-def _graph(edges, n, exit_id):
-    blocks = tuple(BasicBlock(i, ()) for i in range(n))
-    return ControlFlowGraph(
-        blocks=blocks, edges=frozenset(edges), entry_id=0, exit_id=exit_id
-    )
-
-
-def test_direct_graph_unreachable_flagging():
-    # block 2 dangles off the walkable component
-    cfg = _graph({(0, 1), (0, 2), (1, 3)}, 4, 3)
-    assert "unreachable_ids" not in vars(cfg)  # computed on first read
-    assert cfg.unreachable_ids == frozenset({2})
-    assert cfg.unreachable_ids is cfg.unreachable_ids
-
-
 def test_direct_graph_rejects_exit_successors():
     with pytest.raises(ValueError, match="exit block"):
-        _graph({(0, 1), (1, 0)}, 2, 1)
+        graph_from_edges(2, {(0, 1), (1, 0)}, 1)
 
 
 def test_direct_graph_rejects_gap_ids():
     blocks = (BasicBlock(0, ()), BasicBlock(2, ()))
     with pytest.raises(ValueError, match="contiguous"):
-        ControlFlowGraph(blocks=blocks, edges=frozenset(), entry_id=0, exit_id=0)
+        graph_from_edges(blocks, set(), 0)
 
 
 def test_direct_graph_rejects_dangling_edge():
     with pytest.raises(ValueError, match="missing block"):
-        _graph({(0, 5)}, 2, 1)
+        graph_from_edges(2, {(0, 5)}, 1)
 
 
-def test_successors_sorted():
-    cfg = _graph({(0, 3), (0, 1), (0, 2)}, 4, 3)
-    assert cfg.successors(0) == (1, 2, 3)
+def test_direct_graph_rejects_missing_entry_or_exit():
+    for entry_id, exit_id in ((0, 2), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="existing blocks"):
+            graph_from_edges(2, {(0, 1)}, exit_id, entry_id)
+
+
+def test_direct_graph_rejects_unsorted_row():
+    blocks = tuple(BasicBlock(i, ()) for i in range(4))
+    for row in ((3, 1, 2), (1, 1, 2), (2, 1)):
+        with pytest.raises(ValueError, match="block 0 must be strictly ascending"):
+            ControlFlowGraph(
+                blocks=blocks, successors=(row, (), (), ()), entry_id=0, exit_id=3
+            )
+
+
+@pytest.mark.parametrize("rows", [((1,),), ((1,), (), ())])
+def test_direct_graph_rejects_row_count_mismatch(rows):
+    blocks = (BasicBlock(0, ()), BasicBlock(1, ()))
+    with pytest.raises(ValueError, match="rows for 2 blocks"):
+        ControlFlowGraph(blocks=blocks, successors=rows, entry_id=0, exit_id=1)
+
+
+def test_graph_is_frozen_and_edges_come_from_the_rows():
+    cfg = graph_from_edges(4, {(0, 3), (0, 1), (0, 2), (1, 3), (2, 3)}, 3)
+    assert cfg.successors == ((1, 2, 3), (3,), (3,), ())
+    assert cfg.edges == {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
+    assert cfg.edges is cfg.edges  # derived once, on first read
+    with pytest.raises(AttributeError):
+        cfg.successors = ((), (), (), ())
 
 
 # -- dot export ------------------------------------------------------------------

@@ -263,6 +263,41 @@ def test_query_corrupt_index_exits_one(corpus, tmp_path, capsys):
     run_cli(capsys, "query", str(corpus / "clone_a.mp"), str(idx), expect=1)
 
 
+@pytest.mark.parametrize("command", ["query", "cluster"])
+def test_index_that_is_not_utf8_is_named(corpus, tmp_path, capsys, command):
+    idx = tmp_path / "bad.cdx"
+    idx.write_bytes(b"\xff" + _indexed(corpus, tmp_path, capsys).read_bytes())
+    argv = [str(idx)] if command == "cluster" else [str(corpus / "clone_a.mp"), str(idx)]
+    captured = run_cli(capsys, command, *argv, expect=1)
+    assert captured.err.startswith(f"error: {idx}: not UTF-8 text: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("alpha", 99, "alpha must be in 0..64, got 99"),
+        ("min_blocks", 0, "min_blocks must be >= 1, got 0"),
+    ],
+    ids=["alpha", "min_blocks"],
+)
+@pytest.mark.parametrize("command", ["query", "cluster"])
+def test_impossible_header_stamp_is_a_line_one_error(
+    corpus, tmp_path, capsys, command, key, value, message
+):
+    # without --alpha the stamp is the query alpha, so the error must
+    # point at the file, not at a flag
+    idx = _indexed(corpus, tmp_path, capsys)
+    lines = idx.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    lines[0] = json.dumps(header, sort_keys=True)
+    idx.write_text("\n".join(lines) + "\n")
+    argv = [str(idx)] if command == "cluster" else [str(corpus / "clone_a.mp"), str(idx)]
+    captured = run_cli(capsys, command, *argv, expect=1)
+    assert captured.err == f"error: {idx}: line 1: {message}\n"
+
+
 @pytest.mark.parametrize(
     "fingerprints",
     [["-00000000000000f"], [123], None, ["0000000000000002", "0000000000000001"]],

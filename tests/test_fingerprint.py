@@ -1,5 +1,7 @@
 """Hashing: statement hash vectors, SimHash majority rule, Hamming distance."""
 
+import concurrent.futures
+import os
 import pickle
 import random
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgprint import fingerprint, pipeline
-from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph, cfg_from_statements
+from cfgprint.cfg_builder import BasicBlock, cfg_from_statements
 from cfgprint.cloneforge import SizeSpec, build_corpus, evaluate, generate_program
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.fingerprint import (
@@ -27,6 +29,7 @@ from cfgprint.frontend import normalize_source
 from cfgprint.index_store import record_from_program
 from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
 from cfgprint.pipeline import index_directory, program_files, run_pipeline
+from graphs import graph_from_edges
 
 
 # -- statement hash ------------------------------------------------------------
@@ -331,9 +334,7 @@ def test_fingerprint_program_empty_path_list():
 def test_fingerprint_program_rejects_path_without_statements():
     statement = normalize_source("output 1;")[0]
     blocks = (BasicBlock(0, (statement,)), BasicBlock(1, ()), BasicBlock(2, ()))
-    cfg = ControlFlowGraph(
-        blocks=blocks, edges=frozenset({(0, 2), (1, 2)}), entry_id=0, exit_id=2
-    )
+    cfg = graph_from_edges(blocks, {(0, 2), (1, 2)}, 2)
     full = ExecutionPath((0, 2), 2)
     empty = ExecutionPath((1, 2), 2)
     assert fingerprint_program([full], cfg, "ok").path_count == 1
@@ -413,3 +414,40 @@ def test_serial_parallel_and_per_file_records_agree(tmp_path):
     }
     assert len(serial) == 18
     assert serial == parallel == alone
+
+
+def test_jobs_capped_by_files_and_cpus(tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process starts whatever `jobs` asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    root = tmp_path / "corpus"
+    build_corpus(root, 2, 2, seed=9)  # six files
+    config = RunConfig()
+    serial = index_directory(root, config, jobs=1).index.records
+    assert len(serial) == 6 and sizes == []
+    for cpus, jobs, workers in [
+        (4, 100_000, 4),
+        (4, 3, 3),
+        (64, 100_000, 6),
+        (None, 8, None),
+        (1, 8, None),
+    ]:
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert index_directory(root, config, jobs=jobs).index.records == serial
+        assert sizes == ([] if workers is None else [workers]), (cpus, jobs)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -789,6 +790,35 @@ def test_load_rejects_non_integer_header_values(tmp_path, key, value):
     header[key] = value
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(IndexFormatError, match=f"line 1: {key} must be an integer"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("alpha", 99, "alpha must be in 0..64, got 99"),
+        ("alpha", 65, "alpha must be in 0..64, got 65"),
+        ("alpha", -1, "alpha must be in 0..64, got -1"),
+        ("min_blocks", 0, "min_blocks must be >= 1, got 0"),
+        ("min_blocks", -3, "min_blocks must be >= 1, got -3"),
+    ],
+    ids=["alpha-99", "alpha-65", "alpha-negative", "min_blocks-0", "min_blocks-negative"],
+)
+def test_load_rejects_impossible_header_stamps(tmp_path, key, value, message):
+    path = tmp_path / "stamp.cdx"
+    make_index([make_program("a", [1])]).save(path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(IndexFormatError, match=f"line 1: {message}$"):
+        load_index(path)
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.cdx"
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(IndexFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
         load_index(path)
 
 

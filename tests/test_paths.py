@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from cfgprint.cfg_builder import BasicBlock, ControlFlowGraph, cfg_from_statements
+from cfgprint.cfg_builder import BasicBlock, cfg_from_statements
 from cfgprint.frontend import normalize_source
 from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
+from graphs import graph_from_edges
 
 
 def brute_force_paths(n_blocks, edges, entry, exit_id):
@@ -42,10 +43,7 @@ def random_graph(rng, n):
             if rng.random() < 0.15:
                 edges.add((i, j))
     edges = {(s, d) for s, d in edges if s != exit_id}
-    blocks = tuple(BasicBlock(i, ()) for i in range(n))
-    return ControlFlowGraph(
-        blocks=blocks, edges=frozenset(edges), entry_id=0, exit_id=exit_id
-    )
+    return graph_from_edges(n, edges, exit_id)
 
 
 def test_brute_force_agreement_on_random_graphs():
@@ -94,10 +92,7 @@ def test_real_block_count_excludes_virtual_exit():
 
 
 def test_real_block_count_on_direct_graph_without_virtual_exit():
-    blocks = (BasicBlock(0, ()), BasicBlock(1, ()))
-    cfg = ControlFlowGraph(
-        blocks=blocks, edges=frozenset({(0, 1)}), entry_id=0, exit_id=1
-    )
+    cfg = graph_from_edges(2, {(0, 1)}, 1)
     paths = enumerate_paths(cfg).paths
     assert paths[0].block_ids == (0, 1)
     assert paths[0].real_block_count == 2
@@ -111,12 +106,7 @@ def test_real_block_count_with_a_virtual_block_besides_the_exit():
         BasicBlock(2, ()),
         BasicBlock(3, (), is_virtual_exit=True),
     )
-    cfg = ControlFlowGraph(
-        blocks=blocks,
-        edges=frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}),
-        entry_id=0,
-        exit_id=3,
-    )
+    cfg = graph_from_edges(blocks, {(0, 1), (0, 2), (1, 2), (2, 3)}, 3)
     paths = enumerate_paths(cfg).paths
     assert [(p.block_ids, p.real_block_count) for p in paths] == [
         ((0, 1, 2, 3), 2),
@@ -146,10 +136,7 @@ def test_truncation_flag_and_cap():
     # complete DAG on 12 blocks has far more than 20 entry->exit paths
     n = 12
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    blocks = tuple(BasicBlock(i, ()) for i in range(n))
-    cfg = ControlFlowGraph(
-        blocks=blocks, edges=frozenset(edges), entry_id=0, exit_id=n - 1
-    )
+    cfg = graph_from_edges(n, edges, n - 1)
     capped = enumerate_paths(cfg, max_paths=20)
     assert capped.truncated
     assert len(capped.paths) == 20
@@ -183,10 +170,7 @@ def test_filter_paths_default_is_three():
 
 
 def test_unreachable_exit_yields_no_paths():
-    blocks = (BasicBlock(0, ()), BasicBlock(1, ()), BasicBlock(2, ()))
-    cfg = ControlFlowGraph(
-        blocks=blocks, edges=frozenset({(0, 1)}), entry_id=0, exit_id=2
-    )
+    cfg = graph_from_edges(3, {(0, 1)}, 2)
     result = enumerate_paths(cfg)
     assert result.paths == ()
     assert not result.truncated
