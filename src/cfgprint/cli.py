@@ -31,7 +31,7 @@ from .fingerprint import to_hex
 from .frontend import normalize_source
 from .index_store import IndexCompatibilityError, load_index
 from .pipeline import index_directory, read_source, run_pipeline
-from .similarity import classify, distance_matrix, pair_report
+from .similarity import classify, distance_matrix, score_pair
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,6 +221,15 @@ def _candidate_json(candidate) -> dict:
     }
 
 
+def _resolves_to(path: str, resolved: str) -> bool:
+    """Whether `path` resolves to `resolved`. A path that cannot be
+    resolved at all, such as one holding a NUL byte, names no file."""
+    try:
+        return str(Path(path).resolve()) == resolved
+    except (ValueError, OSError):
+        return False
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     index = load_index(args.index_path)
@@ -235,7 +244,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         (
             pid
             for pid, record in index.records.items()
-            if record.source_path and str(Path(record.source_path).resolve()) == probe_path
+            if record.source_path and _resolves_to(record.source_path, probe_path)
         ),
         None,
     )
@@ -354,8 +363,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 0
 
     t0 = time.perf_counter()
-    containment = pair_report(a, b, config.alpha, "containment")
-    resemblance = pair_report(a, b, config.alpha, "resemblance")
+    containment = score_pair(a, b, config.alpha, "containment")
+    resemblance = score_pair(a, b, config.alpha, "resemblance")
     distances = distance_matrix(a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0
 
@@ -372,16 +381,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         **base,
         "verdict": "scored",
         "containment": {
-            "score": containment.score.value,
-            "matched_count": containment.score.matched_count,
-            "denominator": containment.score.denominator,
+            "score": containment.value,
+            "matched_count": containment.matched_count,
+            "denominator": containment.denominator,
         },
         "resemblance": {
-            "score": resemblance.score.value,
-            "matched_count": resemblance.score.matched_count,
-            "denominator": resemblance.score.denominator,
+            "score": resemblance.value,
+            "matched_count": resemblance.matched_count,
+            "denominator": resemblance.denominator,
         },
-        "grade": classify(containment.min_distance),
+        "grade": classify(int(distances.min())),
         "row_fingerprints": row_hex,
         "col_fingerprints": col_hex,
         "distance_matrix": matrix,
@@ -394,11 +403,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"compare {args.left} ~ {args.right}",
         _config_line(config),
         "verdict: scored",
-        f"containment: {containment.score.value:.4f} "
-        f"(matched {containment.score.matched_count}/{containment.score.denominator}, "
+        f"containment: {containment.value:.4f} "
+        f"(matched {containment.matched_count}/{containment.denominator}, "
         f"alpha={config.alpha})",
-        f"resemblance: {resemblance.score.value:.4f} "
-        f"(matched {resemblance.score.matched_count}/{resemblance.score.denominator}, "
+        f"resemblance: {resemblance.value:.4f} "
+        f"(matched {resemblance.matched_count}/{resemblance.denominator}, "
         f"alpha={config.alpha})",
         f"grade: {report['grade']}",
         f"distance matrix ({na} left paths x {nb} right paths):",

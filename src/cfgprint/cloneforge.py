@@ -16,7 +16,7 @@ import csv
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -570,14 +570,19 @@ def evaluate(
     candidates at every alpha from one minima pass. A file that
     `index_directory` would skip (unreadable, not UTF-8, unparseable)
     is left out here too; if the manifest names it, that is the usual
-    missing-program error."""
+    missing-program error. Every swept alpha and the threshold must
+    pass `RunConfig.validate`'s rules, or ValueError is raised."""
     config.validate()
+    alphas = list(alpha_values)
+    threshold = config.threshold if threshold is None else threshold
+    for alpha in alphas:
+        replace(config, alpha=alpha).validate()
+    replace(config, threshold=threshold).validate()
     root = Path(corpus_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"corpus manifest missing: {manifest_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    threshold = config.threshold if threshold is None else threshold
 
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)
@@ -604,7 +609,6 @@ def evaluate(
     }
 
     # probe-major: one minima pass per probe serves every alpha
-    alphas = list(alpha_values)
     pair_sets: list[set[frozenset[str]]] = [set() for _ in alphas]
     t0 = time.perf_counter()
     for pid, probe in probes.items():

@@ -20,12 +20,14 @@ Identifiers are case-sensitive. Files use the `.mp` extension.
 Tokens, parse-tree nodes and normalized statements are plain tuples
 (`Token`, `Statement` and `NormalizedStatement` are NamedTuples), which
 are cheaper to build than frozen dataclasses. No token spans a line.
-So `tokenize` scans line by line: one compiled pattern matches every
-lexeme of an ASCII line, and a line that is not ASCII keeps the
-per-character rules of `str.isdigit` and `str.isalpha`, which no `re`
-class reproduces. Expressions are parsed in one loop, not by recursion,
-and the per-statement loop and assignments read the token list
-directly rather than through the parser's helper methods.
+So `tokenize` scans line by line, and one classifier gives every
+lexeme of every line its kind. Lines differ only in how they are split:
+one compiled pattern splits an ASCII line, and a line that is not ASCII
+splits its numbers and words by the rules of `str.isdigit`,
+`str.isalpha` and `str.isalnum`, which no `re` class reproduces.
+Expressions are parsed in one loop, not by recursion, and the
+per-statement loop and assignments read the token list directly rather
+than through the parser's helper methods.
 
 Normalization abstracts away naming and values so that consistently
 renamed programs come out byte-identical: identifiers introduced by
@@ -52,8 +54,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# longest first so <= wins over <
-_OPERATORS = ("==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "<", ">", "=", "!")
 _PUNCTUATION = frozenset({"(", ")", ",", ";"})
 
 _CONSTRUCT_KEYWORDS = frozenset({"if", "while", "for", "case"})
@@ -98,10 +98,6 @@ class Statement(NamedTuple):
     tokens: tuple[Token, ...] = ()
     children: tuple["Statement", ...] = ()
 
-    @property
-    def condition_text(self) -> str:
-        return " ".join(t.lexeme for t in self.tokens)
-
 
 class NormalizedStatement(NamedTuple):
     """One abstracted statement with its position in the flat sequence.
@@ -120,9 +116,9 @@ class NormalizedStatement(NamedTuple):
     condition: str = ""
 
 
-# One ASCII lexeme per match, tried in order: a string closed on its
-# line, a number, a word, a comment (rest of the line), a two-character
-# operator, then any single character that is not blank.
+# One lexeme per match, tried in order: a string closed on its line, an
+# ASCII number, an ASCII word, a comment (rest of the line), a
+# two-character operator, then any single character that is not blank.
 _LEXEME = re.compile(
     r'"[^"]*"|\d+(?:\.\d+)?|[A-Za-z_]\w*|#.*|==|!=|<=|>=|&&|\|\||[^ \t\r]',
     re.ASCII,
@@ -130,7 +126,7 @@ _LEXEME = re.compile(
 
 
 def _lexeme_kind(lexeme: str) -> tuple[str, str]:
-    """(kind, lexeme as emitted) for one lexeme `_LEXEME` matched."""
+    """(kind, lexeme as emitted) for one lexeme of any line."""
     c = lexeme[0]
     if c == '"':
         # a lone quote is an unterminated string, left for the parser
@@ -147,6 +143,37 @@ def _lexeme_kind(lexeme: str) -> tuple[str, str]:
     return "operator", lexeme
 
 
+def _unicode_lexemes(text: str) -> list[str]:
+    """The lexemes of one line that is not ASCII. Numbers and words
+    are scanned with `str.isdigit`, `str.isalpha` and `str.isalnum`;
+    every other lexeme is what `_LEXEME` matches where it starts."""
+    lexemes = []
+    match = _LEXEME.match
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r":
+            i += 1
+            continue
+        j = i + 1
+        if c.isdigit():
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
+                j += 2
+                while j < n and text[j].isdigit():
+                    j += 1
+        elif c.isalpha() or c == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        else:
+            j = match(text, i).end()
+        lexemes.append(text[i:j])
+        i = j
+    return lexemes
+
+
 _new_tuple = tuple.__new__
 
 
@@ -157,90 +184,28 @@ def tokenize(source: str) -> list[Token]:
     operator tokens and are left for the parser to reject.
 
     No token spans a line: strings and comments end at the line's end,
-    and only `\n` advances the line number. So the source is scanned
-    line by line, an ASCII line with one `_LEXEME.findall`, each
-    distinct lexeme classified once per call. A line that is not ASCII
-    keeps the per-character rules of `_scan_chars`, because
-    `str.isdigit`, `str.isalpha` and `str.isalnum` have no `re`
-    equivalent there: `\d` matches only decimal digits, not `²`, and
-    `\w` also matches numerics such as `½`, which `str.isalpha` does
-    not let start a word.
+    and only `\n` advances the line number. So the source is split line
+    by line, an ASCII line with one `_LEXEME.findall` and any other line
+    with `_unicode_lexemes`, and `_lexeme_kind` classifies each distinct
+    lexeme once per call, whichever line it came from. The two splits
+    differ only in numbers and words: `\d` matches only decimal digits,
+    not `²`, and `\w` also matches numerics such as `½`, which
+    `str.isalpha` does not let start a word.
     """
     tokens: list[Token] = []
     append = tokens.append
     kinds: dict[str, tuple[str, str]] = {}
     findall = _LEXEME.findall
     for line, text in enumerate(source.split("\n"), 1):
-        if not text.isascii():
-            _scan_chars(text, line, tokens)
-            continue
-        for lexeme in findall(text):
+        for lexeme in findall(text) if text.isascii() else _unicode_lexemes(text):
             known = kinds.get(lexeme)
             if known is None:
                 if lexeme[0] == "#":
-                    break  # a comment is always the line's last match
+                    break  # a comment is always the line's last lexeme
                 known = kinds[lexeme] = _lexeme_kind(lexeme)
             # tuple.__new__ skips the Python-level NamedTuple constructor
             append(_new_tuple(Token, (*known, line)))
     return tokens
-
-
-def _scan_chars(text: str, line: int, tokens: list[Token]) -> None:
-    """Tokenize one line with `str` character classes, one character
-    per step; `tokenize` uses it for lines that are not ASCII."""
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            return
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j >= 0:
-                tokens.append(Token("literal", text[i : j + 1], line))
-                i = j + 1
-                continue
-            # unterminated string: emit the quote alone, parser rejects it
-            tokens.append(Token("operator", c, line))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("literal", text[i:j], line))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word.lower() in KEYWORDS:
-                tokens.append(Token("keyword", word.lower(), line))
-            else:
-                tokens.append(Token("identifier", word, line))
-            i = j
-            continue
-        if c in _PUNCTUATION:
-            tokens.append(Token("punctuation", c, line))
-            i += 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("operator", op, line))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token("operator", c, line))
-            i += 1
 
 
 class _Parser:
@@ -255,19 +220,27 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _take(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1].line if self.tokens else 1
-            raise MiniProcSyntaxError("unexpected end of input", last)
+        """The next token, which the caller has already peeked at."""
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def _expected(
+        self, what: str, tok: Token | None, line: int | None = None
+    ) -> MiniProcSyntaxError:
+        """The error "expected `what`, got `tok`", where a `tok` of
+        None is the end of input. It points at `line` if given, else at
+        `tok`, else at the last token's line."""
+        if tok is not None:
+            got, at = repr(tok.lexeme), tok.line
+        else:
+            got, at = "end of input", self.tokens[-1].line if self.tokens else 1
+        return MiniProcSyntaxError(f"expected {what}, got {got}", at if line is None else line)
 
     def _expect(self, kind: str, lexeme: str) -> Token:
         tok = self._peek()
         if tok is None or tok.kind != kind or tok.lexeme != lexeme:
-            got = repr(tok.lexeme) if tok else "end of input"
-            line = tok.line if tok else (self.tokens[-1].line if self.tokens else 1)
-            raise MiniProcSyntaxError(f"expected {lexeme!r}, got {got}", line)
+            raise self._expected(repr(lexeme), tok)
         self.pos += 1
         return tok
 
@@ -309,15 +282,14 @@ class _Parser:
             while pos < n and tokens[pos].kind == "operator" and tokens[pos].lexeme in ("!", "-"):
                 pos += 1
             if pos == n:
-                raise MiniProcSyntaxError("expected expression, got end of input",
-                                          tokens[-1].line if tokens else 1)
+                raise self._expected("expression", None)
             tok = tokens[pos]
             if tok.kind == "punctuation" and tok.lexeme == "(":
                 self._descend(tok)
                 pos += 1
                 continue
             if tok.kind not in ("identifier", "literal"):
-                raise MiniProcSyntaxError(f"expected expression, got {tok.lexeme!r}", tok.line)
+                raise self._expected("expression", tok)
             pos += 1
             # after an operand: a binary operator, a ')' closing an open
             # parenthesis, or the end of the expression
@@ -330,8 +302,7 @@ class _Parser:
                     self.pos = pos
                     return tokens[start:pos]
                 if tok is None or tok.kind != "punctuation" or tok.lexeme != ")":
-                    self.pos = pos
-                    self._expect("punctuation", ")")  # raises
+                    raise self._expected("')'", tok)
                 pos += 1
                 self.depth -= 1
 
@@ -388,9 +359,7 @@ class _Parser:
     def _ident(self) -> Token:
         tok = self._peek()
         if tok is None or tok.kind != "identifier":
-            got = repr(tok.lexeme) if tok else "end of input"
-            line = tok.line if tok else (self.tokens[-1].line if self.tokens else 1)
-            raise MiniProcSyntaxError(f"expected identifier, got {got}", line)
+            raise self._expected("identifier", tok)
         self.pos += 1
         return tok
 
@@ -412,14 +381,13 @@ class _Parser:
         name = tokens[start]
         eq = tokens[start + 1] if start + 1 < n else None
         if eq is None or eq.lexeme != "=":
-            got = repr(eq.lexeme) if eq else "end of input"
-            raise MiniProcSyntaxError(f"expected '=', got {got}", name.line)
+            raise self._expected("'='", eq, name.line)
         self.pos = start + 2
         self._expression()
         pos = self.pos
         end = tokens[pos] if pos < n else None
         if end is None or end.kind != "punctuation" or end.lexeme != ";":
-            self._semicolon()  # raises
+            raise self._expected("';'", end)
         self.pos = pos + 1
         # name, `=` and the expression are one contiguous run
         return Statement("assign", name.line, end.line, tuple(tokens[start:pos]))
@@ -443,81 +411,69 @@ class _Parser:
         end = self._semicolon()
         return Statement("output", kw.line, end.line, tuple(toks))
 
-    def _end_marker(self, keyword: str, open_kind: str, open_line: int) -> Statement:
-        tok = self._peek()
-        if tok is None or tok.kind != "keyword" or tok.lexeme != keyword:
+    def _close(self, kw: Token, tokens: list[Token], children: list[Statement]) -> Statement:
+        """Take the end keyword of the construct `kw` opened and build
+        its node: `tokens` is the header, `children` the body and
+        alternatives, which gain the end marker."""
+        kind = kw.lexeme
+        closer = "end" + kind
+        end = self._peek()
+        if end is None or end.kind != "keyword" or end.lexeme != closer:
             raise MiniProcSyntaxError(
-                f"{open_kind!r} opened here is never closed (expected {keyword!r})",
-                open_line,
+                f"{kind!r} opened here is never closed (expected {closer!r})", kw.line
             )
         self.pos += 1
-        return Statement("end-marker", tok.line, tok.line, (tok,))
+        children.append(Statement("end-marker", end.line, end.line, (end,)))
+        return Statement(kind, kw.line, end.line, tuple(tokens), tuple(children))
+
+    def _alternative(self) -> Statement:
+        """`elseif (cond) body`, `else body` or `when (cond) body`."""
+        kw = self._take()
+        cond = () if kw.lexeme == "else" else self._paren_condition()
+        body = self._statements()
+        last_line = body[-1].end_line if body else kw.line
+        return Statement(kw.lexeme, kw.line, last_line, tuple(cond), tuple(body))
 
     def _if(self) -> Statement:
         kw = self._take()
         cond = self._paren_condition()
-        children: list[Statement] = self._statements()
+        children = self._statements()
         while self._at_keyword("elseif"):
-            alt_kw = self._take()
-            alt_cond = self._paren_condition()
-            body = self._statements()
-            last_line = body[-1].end_line if body else alt_kw.line
-            children.append(Statement("elseif", alt_kw.line, last_line, tuple(alt_cond), tuple(body)))
+            children.append(self._alternative())
         if self._at_keyword("else"):
-            else_kw = self._take()
-            body = self._statements()
-            last_line = body[-1].end_line if body else else_kw.line
-            children.append(Statement("else", else_kw.line, last_line, (), tuple(body)))
-        end = self._end_marker("endif", "if", kw.line)
-        children.append(end)
-        return Statement("if", kw.line, end.end_line, tuple(cond), tuple(children))
+            children.append(self._alternative())
+        return self._close(kw, cond, children)
 
     def _while(self) -> Statement:
         kw = self._take()
         cond = self._paren_condition()
-        children = self._statements()
-        end = self._end_marker("endwhile", "while", kw.line)
-        children.append(end)
-        return Statement("while", kw.line, end.end_line, tuple(cond), tuple(children))
+        return self._close(kw, cond, self._statements())
 
     def _for(self) -> Statement:
         kw = self._take()
         toks = [self._ident()]
         eq = self._peek()
         if eq is None or eq.lexeme != "=":
-            got = repr(eq.lexeme) if eq else "end of input"
-            raise MiniProcSyntaxError(f"expected '=', got {got}", kw.line)
+            raise self._expected("'='", eq, kw.line)
         toks.append(self._take())
         toks.extend(self._expression())
         to = self._peek()
         if to is None or to.kind != "keyword" or to.lexeme != "to":
-            got = repr(to.lexeme) if to else "end of input"
-            raise MiniProcSyntaxError(f"expected 'to', got {got}", kw.line)
+            raise self._expected("'to'", to, kw.line)
         toks.append(self._take())
         toks.extend(self._expression())
-        children = self._statements()
-        end = self._end_marker("endfor", "for", kw.line)
-        children.append(end)
-        return Statement("for", kw.line, end.end_line, tuple(toks), tuple(children))
+        return self._close(kw, toks, self._statements())
 
     def _case(self) -> Statement:
         kw = self._take()
         cond = self._paren_condition()
         children: list[Statement] = []
         while self._at_keyword("when"):
-            when_kw = self._take()
-            when_cond = self._paren_condition()
-            body = self._statements()
-            last_line = body[-1].end_line if body else when_kw.line
-            children.append(Statement("when", when_kw.line, last_line, tuple(when_cond), tuple(body)))
+            children.append(self._alternative())
         tok = self._peek()
         if tok is not None and not (tok.kind == "keyword" and tok.lexeme == "endcase"):
-            raise MiniProcSyntaxError(
-                f"expected 'when' or 'endcase', got {tok.lexeme!r}", tok.line
-            )
-        end = self._end_marker("endcase", "case", kw.line)
-        children.append(end)
-        return Statement("case", kw.line, end.end_line, tuple(cond), tuple(children))
+            raise self._expected("'when' or 'endcase'", tok)
+        return self._close(kw, cond, children)
 
     # statement keyword -> handler, built once rather than per statement
     _HANDLERS = {

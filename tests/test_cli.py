@@ -210,6 +210,24 @@ def test_query_name_collision_is_not_a_self_match(corpus, tmp_path, capsys, monk
     assert found == {"clone_a.mp", "clone_b.mp"}
 
 
+def test_query_survives_a_record_path_that_cannot_be_resolved(corpus, tmp_path, capsys):
+    # a NUL byte makes Path.resolve raise; that record, read before the
+    # probe's own, is simply not the probe, and every other record is
+    # still ranked
+    idx = _indexed(corpus, tmp_path, capsys)
+    lines = idx.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["program_id"] == "clone_a.mp"
+    record["source_path"] = "bad\x00path.mp"
+    lines[1] = json.dumps(record, sort_keys=True)
+    idx.write_text("\n".join(lines) + "\n")
+    report = run_json(capsys, "query", str(corpus / "unrelated.mp"), str(idx),
+                      "--alpha", "64", "--threshold", "0")
+    assert report["query_id"] == "unrelated.mp"
+    found = [c["program_id"] for c in report["candidates"]]
+    assert sorted(found) == ["clone_a.mp", "clone_b.mp"]
+
+
 def test_query_text_and_json_agree(corpus, tmp_path, capsys):
     idx = _indexed(corpus, tmp_path, capsys)
     report = run_json(capsys, "query", str(corpus / "clone_a.mp"), str(idx))

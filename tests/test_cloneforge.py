@@ -336,6 +336,21 @@ def test_evaluate_rejects_manifest_corpus_mismatch(tmp_path):
         evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
 
 
+@pytest.mark.parametrize(
+    "alphas, threshold, message",
+    [
+        ([0, 70], None, "alpha must be in 0..64, got 70"),
+        ([-3], None, "alpha must be in 0..64, got -3"),
+        ([5], -1.0, r"threshold must be in \[0, 1\], got -1.0"),
+        ([5], 2.0, r"threshold must be in \[0, 1\], got 2.0"),
+    ],
+)
+def test_evaluate_rejects_sweep_values_run_config_rejects(tmp_path, alphas, threshold, message):
+    build_corpus(tmp_path / "c", originals=3, unrelated=0, seed=6)
+    with pytest.raises(ValueError, match=message):
+        evaluate(tmp_path / "c", RunConfig(), alpha_values=alphas, threshold=threshold)
+
+
 # -- scaling -------------------------------------------------------------------------
 
 
