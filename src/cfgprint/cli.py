@@ -29,7 +29,7 @@ from .config import (
 from .cfg_builder import cfg_from_statements, export_dot
 from .fingerprint import to_hex
 from .frontend import normalize_source
-from .index_store import IndexCompatibilityError, load_index
+from .index_store import IndexCompatibilityError, IndexRecord, load_index
 from .pipeline import index_directory, read_source, run_pipeline
 from .similarity import classify, distance_matrix, score_pair
 
@@ -223,11 +223,31 @@ def _candidate_json(candidate) -> dict:
 
 def _resolves_to(path: str, resolved: str) -> bool:
     """Whether `path` resolves to `resolved`. A path that cannot be
-    resolved at all, such as one holding a NUL byte, names no file."""
+    resolved at all, such as one holding a NUL byte or a symlink loop,
+    names no file."""
     try:
         return str(Path(path).resolve()) == resolved
-    except (ValueError, OSError):
+    except (ValueError, OSError, RuntimeError):
         return False
+
+
+def _self_match(records: dict[str, IndexRecord], resolved: str) -> str | None:
+    """The id of the first record whose source path resolves to
+    `resolved`, or None. Resolving keeps a path's last component unless
+    that component is a symlink, `.`, `..` or missing, so only a record
+    whose last component is one of those or `resolved`'s own is
+    resolved; the rest cost a string split and at most one `lstat`."""
+    name = os.path.basename(resolved)
+    for pid, record in records.items():
+        path = record.source_path
+        if not path:
+            continue
+        last = os.path.basename(path)
+        if (
+            last == name or last in ("", ".", "..") or os.path.islink(path)
+        ) and _resolves_to(path, resolved):
+            return pid
+    return None
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -239,15 +259,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     source = _read_program(args.file)
     # if the probe file is itself indexed, adopt the record's id so the
     # scan skips the trivial self-match
-    probe_path = str(Path(args.file).resolve())
-    probe_id = next(
-        (
-            pid
-            for pid, record in index.records.items()
-            if record.source_path and _resolves_to(record.source_path, probe_path)
-        ),
-        None,
-    )
+    probe_id = _self_match(index.records, str(Path(args.file).resolve()))
     if probe_id is None:
         # a record that merely shares the probe's name is a real
         # candidate, not a self-match; pick an id no record uses

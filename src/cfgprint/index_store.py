@@ -7,28 +7,33 @@ byte-for-byte reproducibly. A record is a ProgramFingerprint (the
 ascending tuple of ints parsed from the hex) plus its source path and
 stamp, and the scorer reads it directly. Queries are a linear scan:
 every scoreable record is scored against the probe, so cost grows with
-record count and nothing else. The index keeps its scoreable records'
-fingerprints as one flat uint64 array with each record's start offset,
-in insertion order. The layout is built by the first `query` and tagged
-with the tuple of records it came from; a later `query` rebuilds it
-whenever the records differ from that tag, so `add_program`,
-`load_index` and direct writes to `records` need no hook. `query` takes
-the probe's smallest distance to every record in one `record_minima`
-pass over that array, and `cluster` lays out its records once in
-sorted-id order and runs the pass once per row over the suffix after
-it, each pass a few 2-D blocks of the row's fingerprints against the
-suffix. Each per-pair call gets that minimum as `min_distance`, so a pair
-with nothing within alpha is scored zero without a distance matrix.
-A probe's minima do not depend on alpha, so `query_alphas` runs the
-pass once and hands it to one `query` call per alpha; the hand-off
-lives only for that call, so any other `query` runs its own pass.
-`cluster` joins the linked pairs by union-find.
+record count and nothing else. The index keeps one scan layout: its
+scoreable records in program-id order, each record's position among
+the distinct fingerprint sets, and those sets' fingerprints as one flat
+uint64 array with each set's start offset, in first-seen order. Type-1
+and type-2 clones normalize to the same set, so records that share a
+set share one run. The layout is built by the first `query` or
+`cluster` and tagged with the tuple of records it came from; a later
+call rebuilds it whenever the records differ from that tag, so
+`add_program`, `load_index` and direct writes to `records` need no hook.
+`query` takes the probe's smallest distance to every distinct set in
+one `record_minima` pass over that array, and each record reads its
+set's. `cluster` runs the pass once per distinct set over the sets
+after it, each pass a few 2-D blocks of the set's fingerprints against
+that suffix; records that share a set are at distance 0. Each per-pair
+call gets that minimum as `min_distance`, so a pair with nothing within
+alpha is scored zero without a distance matrix. A probe's minima do
+not depend on alpha, so `query_alphas` runs the pass once and hands it
+to one `query` call per alpha; the hand-off lives only for that call,
+so any other `query` runs its own pass. `cluster` joins the linked
+pairs by union-find.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -98,23 +103,33 @@ class CloneGroup:
 
 
 class _Columns(NamedTuple):
-    """What `query` scans: the scoreable records, in insertion order,
-    and their fingerprints end to end (`fingerprint_columns`), tagged
-    with the tuple of every record they were built from."""
+    """What `query` and `cluster` scan, tagged with the tuple of every
+    record it was built from: the scoreable records in program-id
+    order, each record's position among the distinct fingerprint sets,
+    and those sets' fingerprints end to end in first-seen order
+    (`fingerprint_columns`), so records with equal sets share one run."""
 
     tag: tuple[IndexRecord, ...]
     records: list[IndexRecord]
+    set_of: list[int]
     flat: np.ndarray
     starts: np.ndarray
 
 
 class _Minima(NamedTuple):
-    """A probe's `record_minima` over one columns object, handed from
-    `query_alphas` to the `query` calls it makes."""
+    """A probe's smallest distance to each record of one columns
+    object, handed from `query_alphas` to the `query` calls it makes."""
 
     columns: _Columns
     probe: ProgramFingerprint
     nearest: list[int]
+
+
+def _record_minima(probe: ProgramFingerprint, columns: _Columns) -> list[int]:
+    """The probe's smallest distance to each of the columns' records,
+    from one `record_minima` pass over their distinct sets."""
+    by_set = record_minima(probe.bits_array, columns.flat, columns.starts)
+    return [by_set[s] for s in columns.set_of]
 
 
 @dataclass
@@ -132,8 +147,16 @@ class FingerprintIndex:
         no hook."""
         tag = tuple(self.records.values())
         if self._columns is None or self._columns.tag != tag:
-            records = [r for r in tag if r.fingerprints]
-            self._columns = _Columns(tag, records, *fingerprint_columns(records))
+            records = sorted((r for r in tag if r.fingerprints), key=attrgetter("program_id"))
+            position: dict[tuple[int, ...], int] = {}
+            firsts: list[IndexRecord] = []
+            set_of = []
+            for record in records:
+                s = position.setdefault(record.fingerprints, len(firsts))
+                if s == len(firsts):
+                    firsts.append(record)
+                set_of.append(s)
+            self._columns = _Columns(tag, records, set_of, *fingerprint_columns(firsts))
         return self._columns
 
     def add_program(self, record: IndexRecord) -> None:
@@ -159,11 +182,12 @@ class FingerprintIndex:
         by score descending then program_id ascending. A record with
         the probe's own id is skipped, as are unscoreable records.
 
-        One `record_minima` pass over the index's columns gives the
-        probe's smallest distance to every scoreable record, and each
+        One `record_minima` pass over the index's distinct fingerprint
+        sets gives the probe's smallest distance to each, and each
         scanned record is then scored by one `pair_report` call that is
-        handed that minimum. Inside `query_alphas` the pass it ran for
-        this same probe object over these same columns is used instead.
+        handed its set's minimum. Inside `query_alphas` the pass it ran
+        for this same probe object over these same columns is used
+        instead.
         The benchmark tracer counts the per-record calls; once it counts
         work instead (ROADMAP item 1), records past alpha need no call
         at all and the `min_distance` parameter can go."""
@@ -174,7 +198,7 @@ class FingerprintIndex:
         if handed is not None and handed.columns is columns and handed.probe is probe:
             nearest = handed.nearest
         else:
-            nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
+            nearest = _record_minima(probe, columns)
         candidates: list[CloneCandidate] = []
         scanned = 0
         for record, d in zip(columns.records, nearest):
@@ -210,8 +234,7 @@ class FingerprintIndex:
         if not probe.scoreable:
             raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
         columns = self._scan_columns()
-        nearest = record_minima(probe.bits_array, columns.flat, columns.starts)
-        self._minima = _Minima(columns, probe, nearest)
+        self._minima = _Minima(columns, probe, _record_minima(probe, columns))
         try:
             return [self.query(probe, alpha, threshold, mode) for alpha in alphas]
         finally:
@@ -223,15 +246,27 @@ class FingerprintIndex:
         """Single-linkage clone groups: connected components of the
         "scores >= threshold" graph over scoreable records. Groups are
         ordered by their smallest member id; singletons are omitted.
-        mean_score averages all intra-group pairwise scores. The records
-        are laid out once; each row's smallest distances to the records
-        after it come from one `record_minima` pass over the suffix of
-        that layout, handed to `score_pair` as in `query`."""
+        mean_score averages all intra-group pairwise scores. It reads
+        the layout `query` scans. Each distinct set's smallest distances
+        to the sets after it come from one `record_minima` pass over the
+        suffix of that layout, and records of one set are at distance 0.
+        Every record pair is scored by one `score_pair` call, lower id
+        first, handed that minimum as in `query`; going set by set keeps
+        one pass's minima alive at a time."""
         from .similarity import score_pair
 
-        ids = sorted(pid for pid, r in self.records.items() if r.fingerprints)
-        n = len(ids)
-        programs = [self.records[pid] for pid in ids]
+        columns = self._scan_columns()
+        programs, flat, starts = columns.records, columns.flat, columns.starts
+        n = len(programs)
+        bounds = [*starts.tolist(), len(flat)]
+        # the records grouped by set, sets in first-seen order: a record
+        # meets every record after it in this order once, in the pass of
+        # the lower of their two sets
+        classes: list[list[int]] = [[] for _ in starts]
+        for i, s in enumerate(columns.set_of):
+            classes[s].append(i)
+        order = [i for members in classes for i in members]
+        ranks = [s for s, members in enumerate(classes) for _ in members]
         # union-find over the linked pairs; each root is its component's
         # smallest index
         root = list(range(n))
@@ -242,20 +277,33 @@ class FingerprintIndex:
                 i = root[i]
             return i
 
-        flat, starts = fingerprint_columns(programs)
         # nonzero scores only: most pairs score zero, and adding the
         # zeros back in `mean_score` is exact
         score_of: dict[tuple[int, int], float] = {}
-        for i in range(n - 1):
-            lo = starts[i + 1]
-            nearest = record_minima(programs[i].bits_array, flat[lo:], starts[i + 1 :] - lo)
-            for j, d in enumerate(nearest, start=i + 1):
-                value = score_pair(programs[i], programs[j], alpha, mode, min_distance=d).value
-                if value:
-                    score_of[(i, j)] = value
-                if value >= threshold:
-                    ri, rj = find(i), find(j)
-                    root[max(ri, rj)] = min(ri, rj)
+        done = 0
+        for s, members in enumerate(classes):
+            lo = bounds[s + 1]
+            nearest = record_minima(flat[bounds[s] : lo], flat[lo:], starts[s + 1 :] - lo)
+            # by set: 0 within set s, the pass's minima after it
+            distance = ([0] * (s + 1) + nearest).__getitem__
+            for i in members:
+                done += 1
+                program = programs[i]
+                later = order[done:]
+                # the records after the last of a set, when every later
+                # set has one record, are the pass's sets themselves
+                row = nearest if len(later) == len(nearest) else map(distance, ranks[done:])
+                for j, d in zip(later, row):
+                    # the lower id goes first
+                    if i < j:
+                        value = score_pair(program, programs[j], alpha, mode, min_distance=d).value
+                    else:
+                        value = score_pair(programs[j], program, alpha, mode, min_distance=d).value
+                    if value:
+                        score_of[(i, j) if i < j else (j, i)] = value
+                    if value >= threshold:
+                        ri, rj = find(i), find(j)
+                        root[max(ri, rj)] = min(ri, rj)
         # members ascend, and groups come in order of their smallest member
         members_of: dict[int, list[int]] = {}
         for i in range(n):
@@ -271,7 +319,7 @@ class FingerprintIndex:
             ]
             groups.append(
                 CloneGroup(
-                    members=tuple(ids[i] for i in member_idx),
+                    members=tuple(programs[i].program_id for i in member_idx),
                     mean_score=sum(pair_scores) / len(pair_scores),
                 )
             )

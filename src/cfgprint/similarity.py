@@ -25,17 +25,20 @@ its stride-0 operand and runs about 3x slower per cell, and a
 `cluster` call's short suffix passes are mostly such blocks. Only
 integer ufuncs run in that scope; no float sum does, whose pairwise
 blocks follow the buffer size. `fingerprint_columns` lays the others
-out for it. `FingerprintIndex.query` runs it once per call over the
-columns of scoreable records the index keeps built, except inside
-`FingerprintIndex.query_alphas`, which runs it once per probe for a
-whole alpha sweep and hands the minima to each of its `query` calls;
-`cluster` runs it once per row over a suffix of one layout. Each hands
-a record's minimum to the per-pair call as `min_distance`: past alpha
-`score_pair` and `pair_report` return `_zero_score`, which checks the
-arguments and works out only the denominator, without calling the
-kernel, so the per-pair calls only assemble reports. An index record
-is itself a `ProgramFingerprint`, so repeated queries and clustering
-reuse the array each record builds once.
+out for it. The index lays out each distinct fingerprint set once, so
+records that share a set (exact type-1 and type-2 clones) share one
+run and one minimum. `FingerprintIndex.query` runs the pass once per
+call over those sets, except inside `FingerprintIndex.query_alphas`,
+which runs it once per probe for a whole alpha sweep and hands the
+minima to each of its `query` calls; `cluster` runs it once per
+distinct set over the sets after it. Each hands a record's minimum
+(its set's, or 0 between records of one set in `cluster`) to the
+per-pair call as `min_distance`: past alpha `score_pair` and
+`pair_report` return `_zero_score`, which checks the arguments and
+works out only the denominator, without calling the kernel, so the
+per-pair calls only assemble reports. An index record is itself a
+`ProgramFingerprint`, so repeated queries and clustering reuse the
+array each record builds once.
 
 `SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
 to build, and equal (and hashing alike) to the plain tuples of their

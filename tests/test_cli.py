@@ -13,8 +13,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cfgprint.cli import main
-from cfgprint.index_store import load_index
+from cfgprint.cli import _resolves_to, _self_match, main
+from cfgprint.config import ConfigStamp, RunConfig
+from cfgprint.index_store import IndexRecord, load_index
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -226,6 +227,48 @@ def test_query_survives_a_record_path_that_cannot_be_resolved(corpus, tmp_path, 
     assert report["query_id"] == "unrelated.mp"
     found = [c["program_id"] for c in report["candidates"]]
     assert sorted(found) == ["clone_a.mp", "clone_b.mp"]
+
+
+def test_self_match_resolves_only_records_that_could_name_the_probe(tmp_path, monkeypatch):
+    # the name filter must give the answer `_resolves_to` gives on every
+    # record, alone and in any order among the others
+    (tmp_path / "probe.mp").write_text(CLONE_A)
+    (tmp_path / "alias.mp").symlink_to(tmp_path / "probe.mp")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "probe.mp").write_text(CLONE_A)
+    (tmp_path / "loop.mp").symlink_to(tmp_path / "loop.mp")
+    monkeypatch.chdir(tmp_path)
+    paths = [
+        "alias.mp",
+        str(tmp_path / "alias.mp"),
+        "sub/../probe.mp",
+        "other/probe.mp",
+        str(tmp_path / "other" / "probe.mp"),
+        "bad\x00path.mp",
+        "loop.mp",
+        "sub/..",
+        "sub/.",
+        "sub/",
+        "",
+        "probe.mp",
+        str(tmp_path / "probe.mp"),
+    ]
+    stamp = ConfigStamp.from_config(RunConfig())
+    records = {
+        f"r{k}": IndexRecord(f"r{k}", (1,), 1, False, path, stamp)
+        for k, path in enumerate(paths)
+    }
+    resolved = str((tmp_path / "probe.mp").resolve())
+    for pid, record in records.items():
+        path = record.source_path
+        expected = pid if path and _resolves_to(path, resolved) else None
+        assert _self_match({pid: record}, resolved) == expected
+    assert _self_match(records, resolved) == "r0"
+    assert _self_match(dict(reversed(records.items())), resolved) == f"r{len(paths) - 1}"
+    relative = ("alias.mp", "sub/../probe.mp")
+    rest = {pid: r for pid, r in records.items() if r.source_path not in relative}
+    assert _self_match(rest, resolved) == "r1"
 
 
 def test_query_text_and_json_agree(corpus, tmp_path, capsys):

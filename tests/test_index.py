@@ -153,11 +153,23 @@ def per_record_query(index, probe, alpha, threshold, mode):
     return expected
 
 
+def _share_sets(programs, copies):
+    """Give each (source, target) position of `copies` the source's
+    fingerprint set, keeping the target's id."""
+    for source, target in copies:
+        programs[target] = make_program(
+            programs[target].program_id, list(programs[source].fingerprints)
+        )
+
+
 def test_query_matches_a_per_record_pair_report_loop():
     # the index holds the probe's own id and an unscoreable record;
-    # near twins of the probe give candidates at every alpha
+    # near twins of the probe give candidates at every alpha. The last
+    # ten rounds repeat sets: one held by three records apart in id
+    # order, the probe's own set under another id (its first holder is
+    # the record the scan skips), a near twin's, and a second empty one
     rng = random.Random(41)
-    for _ in range(10):
+    for round_ in range(20):
         probe = make_program("p003", [rng.randrange(2**64) for _ in range(rng.randint(1, 9))])
         programs = _random_programs(rng, 14)
         programs[3] = probe
@@ -165,13 +177,17 @@ def test_query_matches_a_per_record_pair_report_loop():
         for k in (2, 9, 11):
             flipped = [bits ^ (1 << rng.randrange(64)) for bits in probe.fingerprints]
             programs[k] = make_program(f"p{k:03d}", flipped[: rng.randint(1, len(flipped))])
+        if round_ >= 10:
+            _share_sets(programs, [(4, 8), (4, 13), (3, 10), (2, 12), (7, 0)])
         index = make_index(programs)
+        scanned = sum(1 for p in programs if p.fingerprints and p.program_id != "p003")
+        assert scanned == (12 if round_ < 10 else 11)
         for alpha in (0, 1, 5, 64):
             for threshold in (0.0, 0.5):
                 for mode in ("containment", "resemblance"):
                     expected = per_record_query(index, probe, alpha, threshold, mode)
                     assert index.query(probe, alpha, threshold, mode) == expected
-                    assert index.last_query_scorings == 12
+                    assert index.last_query_scorings == scanned
 
 
 _FINGERPRINTS = st.lists(st.integers(0, 2**64 - 1), max_size=8)
@@ -221,6 +237,19 @@ def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode)
     def check():
         expected = per_record_query(index, probe, alpha, threshold, mode)
         assert index.query(probe, alpha, threshold, mode) == expected
+        # cluster reads the layout the query above may have built
+        programs = sorted(
+            (r for r in index.records.values() if r.fingerprints), key=lambda r: r.program_id
+        )
+        ids = [p.program_id for p in programs]
+        linked = {
+            (a.program_id, b.program_id)
+            for i, a in enumerate(programs)
+            for b in programs[i + 1 :]
+            if score_pair(a, b, alpha, mode).value >= threshold
+        }
+        groups = index.cluster(alpha, threshold, mode)
+        assert [list(g.members) for g in groups] == bfs_components(ids, linked)
         assert index.last_query_scorings == sum(
             1
             for r in index.records.values()
@@ -441,11 +470,17 @@ def bfs_components(ids, linked):
 
 def test_cluster_matches_bfs_oracle():
     rng = random.Random(2024)
-    for _ in range(25):
+    for round_ in range(40):
         programs = _random_programs(rng, 12)
         # plant some identical twins so clusters exist
         programs[1] = make_program("p001", list(programs[0].fingerprints))
         programs[5] = make_program("p005", list(programs[4].fingerprints))
+        if round_ >= 25:
+            # a set held by three records, one apart from the other two,
+            # a pair apart in id order, and two empty records
+            programs[10] = make_program("p010", [])
+            programs[11] = make_program("p011", [])
+            _share_sets(programs, [(0, 8), (3, 9)])
         index = make_index(programs)
         alpha, threshold = rng.randint(0, 6), 0.6
         groups = index.cluster(alpha, threshold, "containment")
@@ -537,19 +572,36 @@ def test_cluster_group_mean_score():
     assert group.mean_score == pytest.approx(sum(pair_scores) / 3)
 
 
-def test_cluster_mean_scores_match_an_unhinted_pair_loop():
+def test_cluster_mean_scores_match_an_unhinted_pair_loop(monkeypatch):
     # mean_score sums the pair scores in the same order as a plain loop
-    # over sorted ids, so its repr (every float bit) is the same
+    # over sorted ids, so its repr (every float bit) is the same. Every
+    # pair of scoreable records gets one `score_pair` call, looked up at
+    # call time, with the lower id first (the benchmark tracer counts it)
+    calls = []
+    plain = similarity.score_pair
+
+    def recording_score_pair(a, b, *args, **kwargs):
+        calls.append((a.program_id, b.program_id))
+        return plain(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(similarity, "score_pair", recording_score_pair)
     rng = random.Random(8)
-    for _ in range(10):
+    for round_ in range(20):
         programs = _random_programs(rng, 12)
         for k in (1, 2, 5):
             flipped = [b ^ (1 << rng.randrange(64)) for b in programs[0].fingerprints]
             programs[k] = make_program(f"p{k:03d}", flipped + [rng.randrange(2**64)])
         programs[7] = make_program("p007", [])
+        if round_ >= 10:
+            # a near twin's set held by three records apart in id order,
+            # the first record's set again at the end, and an empty twin
+            _share_sets(programs, [(1, 6), (1, 9), (0, 11), (7, 3)])
         index = make_index(programs)
+        ids = sorted(p.program_id for p in programs if p.fingerprints)
         for mode in ("containment", "resemblance"):
+            calls.clear()
             groups = index.cluster(5, 0.3, mode)
+            assert sorted(calls) == [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
             assert groups
             for group in groups:
                 members = [index.records[pid] for pid in group.members]
