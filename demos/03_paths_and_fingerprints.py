@@ -15,7 +15,6 @@ from cfgprint import (
     enumerate_paths,
     filter_paths,
     fingerprint_program,
-    hamming_bits,
     normalize_source,
     to_hex,
 )
@@ -63,4 +62,4 @@ pairs = [(a, b) for i, a in enumerate(program.fingerprints)
          for b in program.fingerprints[i + 1:]]
 print("\npairwise Hamming distances:")
 for a, b in pairs:
-    print(f"  {to_hex(a)} vs {to_hex(b)}: {hamming_bits(a, b)}")
+    print(f"  {to_hex(a)} vs {to_hex(b)}: {(a ^ b).bit_count()}")

@@ -48,7 +48,6 @@ from .fingerprint import (
     fingerprint_program,
     fnv1a64,
     from_hex,
-    hamming_bits,
     simhash_bits,
     to_hex,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "fingerprint_source",
     "fnv1a64",
     "from_hex",
-    "hamming_bits",
     "index_directory",
     "load_index",
     "normalize",

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: index, query, compare, dot, cluster. Every report has a
-machine (--json) and a human (aligned text) rendering carrying the same
-data; JSON output is deterministic for identical inputs except for the
-timings_ms block. Exit codes: 0 success (including empty result sets),
-1 operational failure (unparseable probe, incompatible index, invalid
+Subcommands: index, query, compare, dot, cluster. Every command but
+dot builds one report dict and prints it through `_emit`: under --json
+as JSON, otherwise as text made of a title, the config line, the body
+lines and the timings line, with the same values as the JSON. JSON
+output is deterministic for identical inputs except for the timings_ms
+block. Exit codes: 0 success (including empty result sets), 1
+operational failure (unparseable probe, incompatible index, invalid
 configuration), 2 usage or IO errors.
 """
 
@@ -138,11 +140,25 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
-    if as_json:
+def _config_line(echo: dict) -> str:
+    """The `_config_echo` fields in order, floats in `:g` form."""
+    return "config: " + " ".join(
+        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in echo.items()
+    )
+
+
+def _warnings_line(program_ids: list[str]) -> str:
+    return "truncation warnings: " + (", ".join(program_ids) if program_ids else "none")
+
+
+def _emit(args: argparse.Namespace, report: dict, title: str, body: list[str]) -> None:
+    """The report as JSON under --json; otherwise the title, the config
+    line, the body lines and the timings line."""
+    if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text_lines))
+        return
+    timings = " ".join(f"{k}={v:.2f}" for k, v in sorted(report["timings_ms"].items()))
+    print("\n".join([title, _config_line(report["config"]), *body, f"timings_ms: {timings}"]))
 
 
 def _read_program(path: str) -> str:
@@ -152,18 +168,6 @@ def _read_program(path: str) -> str:
         return read_source(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _fmt_timings(timings: dict) -> str:
-    return " ".join(f"{k}={v:.2f}" for k, v in sorted(timings.items()))
-
-
-def _config_line(config: RunConfig) -> str:
-    """The `_config_echo` fields in order, floats in `:g` form."""
-    return "config: " + " ".join(
-        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-        for k, v in _config_echo(config).items()
-    )
 
 
 # -- index ---------------------------------------------------------------
@@ -191,16 +195,14 @@ def cmd_index(args: argparse.Namespace) -> int:
         "config": _config_echo(config),
         "timings_ms": build.timings_ms,
     }
-    lines = [
-        f"indexed {report['indexed']} programs from {args.directory} into {args.out}",
-        _config_line(config),
+    body = [
         f"skipped: {len(build.skipped)}",
+        *(f"  {pid}: {msg}" for pid, msg in build.skipped),
+        f"unscoreable: {len(build.unscoreable)}",
+        *(f"  {pid}" for pid in build.unscoreable),
     ]
-    lines += [f"  {pid}: {msg}" for pid, msg in build.skipped]
-    lines.append(f"unscoreable: {len(build.unscoreable)}")
-    lines += [f"  {pid}" for pid in build.unscoreable]
-    lines.append(f"timings_ms: {_fmt_timings(build.timings_ms)}")
-    _emit(report, lines, args.json)
+    title = f"indexed {report['indexed']} programs from {args.directory} into {args.out}"
+    _emit(args, report, title, body)
     return 0
 
 
@@ -269,37 +271,19 @@ def cmd_query(args: argparse.Namespace) -> int:
     result = run_pipeline(source, probe_id, config)
     probe = result.program
 
-    timings = dict(result.timings_ms)
-    timings["load"] = t_load
+    timings = {**result.timings_ms, "load": t_load}
 
-    warnings = []
-    if probe.truncated:
-        warnings.append(probe.program_id)
+    # `index.query` refuses a probe with no surviving paths: it has no candidates
+    body = []
+    candidates = []
+    if probe.scoreable:
+        t1 = time.perf_counter()
+        candidates = index.query(probe, config.alpha, config.threshold, config.mode)
+        timings["scan"] = (time.perf_counter() - t1) * 1000.0
+    else:
+        body.append("probe has no surviving paths at this min_blocks; nothing to score")
 
-    if not probe.scoreable:
-        report = {
-            "report": "query",
-            "query_id": probe.program_id,
-            "probe_unscoreable": True,
-            "candidates": [],
-            "truncation_warnings": warnings,
-            "config": _config_echo(config),
-            "timings_ms": timings,
-        }
-        lines = [
-            f"query {args.file} against {args.index_path}",
-            _config_line(config),
-            "probe has no surviving paths at this min_blocks; nothing to score",
-            "0 candidates",
-            f"timings_ms: {_fmt_timings(timings)}",
-        ]
-        _emit(report, lines, args.json)
-        return 0
-
-    t1 = time.perf_counter()
-    candidates = index.query(probe, config.alpha, config.threshold, config.mode)
-    timings["scan"] = (time.perf_counter() - t1) * 1000.0
-
+    warnings = [probe.program_id] if probe.truncated else []
     for c in candidates:
         if index.records[c.program_id].truncated and c.program_id not in warnings:
             warnings.append(c.program_id)
@@ -307,31 +291,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     report = {
         "report": "query",
         "query_id": probe.program_id,
-        "probe_unscoreable": False,
+        "probe_unscoreable": not probe.scoreable,
         "candidates": [_candidate_json(c) for c in candidates],
         "truncation_warnings": warnings,
         "config": _config_echo(config),
         "timings_ms": timings,
     }
-    lines = [
-        f"query {args.file} against {args.index_path}",
-        _config_line(config),
-        f"{len(candidates)} candidates",
-    ]
+    body.append(f"{len(candidates)} candidates")
     for rank, c in enumerate(candidates, 1):
-        lines.append(
+        body.append(
             f"  {rank}. {c.program_id} score={c.score.value:.4f} grade={c.grade} "
             f"matched={c.score.matched_count}/{c.score.denominator}"
         )
-        lines += [
-            f"       probe {p} ~ record {r} d={d}"
-            for p, r, d in c.matched_path_evidence
-        ]
-    lines.append(
-        "truncation warnings: " + (", ".join(warnings) if warnings else "none")
-    )
-    lines.append(f"timings_ms: {_fmt_timings(timings)}")
-    _emit(report, lines, args.json)
+        body += [f"       probe {p} ~ record {r} d={d}" for p, r, d in c.matched_path_evidence]
+    body.append(_warnings_line(warnings))
+    _emit(args, report, f"query {args.file} against {args.index_path}", body)
     return 0
 
 
@@ -350,37 +324,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
             timings[f"{side}_{stage}"] = ms
     a, b = results["left"].program, results["right"].program
 
-    base = {
+    report = {
         "report": "compare",
         "left": a.program_id,
         "right": b.program_id,
         "config": _config_echo(config),
+        "timings_ms": timings,
     }
+    title = f"compare {args.left} ~ {args.right}"
 
-    if not a.scoreable or not b.scoreable:
-        bad = [fp.program_id for fp in (a, b) if not fp.scoreable]
-        report = {
-            **base,
-            "verdict": "unscoreable",
-            "unscoreable": bad,
-            "timings_ms": timings,
-        }
-        lines = [
-            f"compare {args.left} ~ {args.right}",
-            _config_line(config),
-            "verdict: unscoreable (no surviving paths in: " + ", ".join(bad) + ")",
-            f"timings_ms: {_fmt_timings(timings)}",
-        ]
-        _emit(report, lines, args.json)
+    bad = [fp.program_id for fp in (a, b) if not fp.scoreable]
+    if bad:
+        report.update(verdict="unscoreable", unscoreable=bad)
+        body = ["verdict: unscoreable (no surviving paths in: " + ", ".join(bad) + ")"]
+        _emit(args, report, title, body)
         return 0
 
     t0 = time.perf_counter()
-    containment = score_pair(a, b, config.alpha, "containment")
-    resemblance = score_pair(a, b, config.alpha, "resemblance")
+    scores = {mode: score_pair(a, b, config.alpha, mode) for mode in MODES}
     distances = distance_matrix(a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0
 
-    na, nb = distances.shape
     matrix = distances.tolist()
     row_hex = [to_hex(bits) for bits in a.fingerprints]
     col_hex = [to_hex(bits) for bits in b.fingerprints]
@@ -388,56 +352,37 @@ def cmd_compare(args: argparse.Namespace) -> int:
         {"probe": h, "distance": d, "grade": classify(d)}
         for h, d in zip(row_hex, distances.min(axis=1).tolist())
     ]
-
-    report = {
-        **base,
-        "verdict": "scored",
-        "containment": {
-            "score": containment.value,
-            "matched_count": containment.matched_count,
-            "denominator": containment.denominator,
+    warnings = [fp.program_id for fp in (a, b) if fp.truncated]
+    report.update(
+        {
+            mode: {"score": s.value, "matched_count": s.matched_count, "denominator": s.denominator}
+            for mode, s in scores.items()
         },
-        "resemblance": {
-            "score": resemblance.value,
-            "matched_count": resemblance.matched_count,
-            "denominator": resemblance.denominator,
-        },
-        "grade": classify(int(distances.min())),
-        "row_fingerprints": row_hex,
-        "col_fingerprints": col_hex,
-        "distance_matrix": matrix,
-        "path_grades": path_grades,
-        "truncation_warnings": [fp.program_id for fp in (a, b) if fp.truncated],
-        "timings_ms": timings,
-    }
+        verdict="scored",
+        grade=classify(int(distances.min())),
+        row_fingerprints=row_hex,
+        col_fingerprints=col_hex,
+        distance_matrix=matrix,
+        path_grades=path_grades,
+        truncation_warnings=warnings,
+    )
 
-    lines = [
-        f"compare {args.left} ~ {args.right}",
-        _config_line(config),
+    body = [
         "verdict: scored",
-        f"containment: {containment.value:.4f} "
-        f"(matched {containment.matched_count}/{containment.denominator}, "
-        f"alpha={config.alpha})",
-        f"resemblance: {resemblance.value:.4f} "
-        f"(matched {resemblance.matched_count}/{resemblance.denominator}, "
-        f"alpha={config.alpha})",
+        *(
+            f"{mode}: {s.value:.4f} (matched {s.matched_count}/{s.denominator}, "
+            f"alpha={config.alpha})"
+            for mode, s in scores.items()
+        ),
         f"grade: {report['grade']}",
-        f"distance matrix ({na} left paths x {nb} right paths):",
+        f"distance matrix ({len(row_hex)} left paths x {len(col_hex)} right paths):",
         "           " + " ".join(h[:8] for h in col_hex),
+        *(f"  {h[:8]} " + " ".join(f"{d:8d}" for d in row) for h, row in zip(row_hex, matrix)),
+        "path grades:",
+        *(f"  {g['probe']} min_distance={g['distance']} {g['grade']}" for g in path_grades),
+        _warnings_line(warnings),
     ]
-    for i in range(na):
-        lines.append(
-            f"  {row_hex[i][:8]} " + " ".join(f"{d:8d}" for d in matrix[i])
-        )
-    lines.append("path grades:")
-    lines += [
-        f"  {g['probe']} min_distance={g['distance']} {g['grade']}"
-        for g in path_grades
-    ]
-    warn = report["truncation_warnings"]
-    lines.append("truncation warnings: " + (", ".join(warn) if warn else "none"))
-    lines.append(f"timings_ms: {_fmt_timings(timings)}")
-    _emit(report, lines, args.json)
+    _emit(args, report, title, body)
     return 0
 
 
@@ -477,16 +422,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "config": _config_echo(config),
         "timings_ms": timings,
     }
-    lines = [
-        f"cluster {args.index_path}",
-        _config_line(config),
-        f"{len(groups)} groups",
-    ]
+    body = [f"{len(groups)} groups"]
     for i, g in enumerate(groups, 1):
-        lines.append(f"  group {i} (mean score {g.mean_score:.4f}):")
-        lines += [f"    {m}" for m in g.members]
-    lines.append(f"timings_ms: {_fmt_timings(timings)}")
-    _emit(report, lines, args.json)
+        body.append(f"  group {i} (mean score {g.mean_score:.4f}):")
+        body += [f"    {m}" for m in g.members]
+    _emit(args, report, f"cluster {args.index_path}", body)
     return 0
 
 

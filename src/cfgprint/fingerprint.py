@@ -249,11 +249,6 @@ def _path_bits(paths: Sequence, cfg: ControlFlowGraph) -> list[int]:
     return out
 
 
-def hamming_bits(a: int, b: int) -> int:
-    """Hamming distance on raw fingerprint values."""
-    return (a ^ b).bit_count()
-
-
 def to_hex(bits: int) -> str:
     """Canonical 16-character lower-case hex form."""
     return format(bits, "016x")

@@ -58,6 +58,16 @@ from .similarity import (
 )
 
 
+# the header fields a reader must match in type and value: `save` writes
+# them and `load_index` checks them
+_HEADER = {
+    "format": INDEX_FORMAT,
+    "version": INDEX_FORMAT_VERSION,
+    "hash": HASH_NAME,
+    "normalization": NORMALIZATION_VERSION,
+}
+
+
 class IndexFormatError(ValueError):
     """Unparseable index file; message carries the offending line."""
 
@@ -329,13 +339,10 @@ class FingerprintIndex:
         """Write header + records as JSON Lines. Deterministic bytes:
         sorted keys, records in insertion order."""
         header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_FORMAT_VERSION,
+            **_HEADER,
             "r": FINGERPRINT_BITS,
             "alpha": self.config_stamp.alpha,
             "min_blocks": self.config_stamp.min_blocks,
-            "hash": HASH_NAME,
-            "normalization": NORMALIZATION_VERSION,
         }
         lines = [json.dumps(header, sort_keys=True)]
         for record in self.records.values():
@@ -409,21 +416,12 @@ def load_index(path: str | Path) -> FingerprintIndex:
         return value
 
     header = parse_line(0)
-    if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_FORMAT_VERSION:
-        raise IndexCompatibilityError(
-            f"incompatible index configuration: format "
-            f"{header.get('format')!r} version {header.get('version')!r}"
-        )
-    if header.get("hash") != HASH_NAME:
-        raise IndexCompatibilityError(
-            f"incompatible index configuration: hash {header.get('hash')!r} "
-            f"is not supported (expected {HASH_NAME!r})"
-        )
-    if header.get("normalization") != NORMALIZATION_VERSION:
-        raise IndexCompatibilityError(
-            f"incompatible index configuration: normalization "
-            f"{header.get('normalization')!r} (expected {NORMALIZATION_VERSION!r})"
-        )
+    for key, expected in _HEADER.items():
+        value = header.get(key)
+        if type(value) is not type(expected) or value != expected:
+            raise IndexCompatibilityError(
+                f"incompatible index configuration: {key} {value!r} (expected {expected!r})"
+            )
     try:
         r = _int_field(header, "r")
         stamp = ConfigStamp(

@@ -28,13 +28,12 @@ from cfgprint.fingerprint import (
     ProgramFingerprint,
     fingerprint_path,
     fnv1a64,
-    hamming_bits,
 )
 from cfgprint.frontend import NormalizedStatement
 from cfgprint.index_store import FingerprintIndex, load_index, record_from_program
 from cfgprint.path_enum import enumerate_paths
 from cfgprint.pipeline import fingerprint_source, index_directory
-from cfgprint.similarity import score_pair
+from cfgprint.similarity import distance_matrix, score_pair
 from graphs import graph_from_edges
 
 
@@ -216,17 +215,26 @@ def test_criterion_06_simhash_oracle_equivalence():
 
 
 def test_criterion_07_hamming_metric_suite():
+    """The distances the scorer reads (`distance_matrix`) count the
+    differing bits and form a metric, over every pair and triple of 15
+    rounds of three 30-fingerprint programs."""
     t0 = time.perf_counter()
     rng = random.Random(707)
-    for _ in range(10_000):
-        a = rng.randrange(2**64)
-        b = rng.randrange(2**64)
-        c = rng.randrange(2**64)
-        ab = hamming_bits(a, b)
-        assert ab == hamming_bits(b, a)
-        assert hamming_bits(a, a) == 0
-        assert (ab == 0) == (a == b)
-        assert hamming_bits(a, c) <= ab + hamming_bits(b, c)
+    for _ in range(15):
+        # random values, each with near neighbours one or two bits away
+        base = [rng.randrange(2**64) for _ in range(20)] + [0, 2**64 - 1]
+        pool = base + [x ^ (1 << rng.randrange(64)) ^ (1 << rng.randrange(64)) for x in base]
+        a, b, c = (_program_of_bits(name, rng.sample(pool, 30)) for name in "abc")
+        ab, ba, bc, ac, aa = (
+            distance_matrix(x, y).astype(int) for x, y in ((a, b), (b, a), (b, c), (a, c), (a, a))
+        )
+        for i, x in enumerate(a.fingerprints):
+            for j, y in enumerate(b.fingerprints):
+                assert ab[i, j] == _popcount(x ^ y)
+                assert (ab[i, j] == 0) == (x == y)
+        assert (ab == ba.T).all()
+        assert (np.diagonal(aa) == 0).all()
+        assert (ac[:, None, :] <= ab[:, :, None] + bc[None, :, :]).all()
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -100,6 +100,35 @@ def _strip_timings(report):
     return {k: v for k, v in report.items() if k != "timings_ms"}
 
 
+# -- schema ---------------------------------------------------------------------
+
+
+def _schema_keywords(node):
+    """Every key used as a keyword in a schema and its subschemas: the
+    names under `properties` and `$defs` are not keywords, and `enum`,
+    `const` and `required` hold values, not schemas."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _schema_keywords(item)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            if key in ("properties", "$defs"):
+                yield from _schema_keywords(list(value.values()))
+            elif key not in ("enum", "const", "required"):
+                yield from _schema_keywords(value)
+
+
+def test_report_schema_is_a_valid_schema():
+    # a malformed or misspelt keyword would let every validate() here pass
+    # without checking anything; check_schema catches the first kind only
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+    known = set(jsonschema.Draft202012Validator.VALIDATORS) | {
+        "$schema", "$id", "$defs", "title", "description", "then", "else",
+    }
+    assert set(_schema_keywords(SCHEMA)) <= known
+
+
 # -- index ----------------------------------------------------------------------
 
 
@@ -405,11 +434,21 @@ def test_query_truncation_warnings(tmp_path, capsys):
         f"if (x > {i}) output {i}; endif\n" for i in range(6)
     ) + "output x;\n"
     (root / "branchy.mp").write_text(branchy)
+    # two if-chains: four routes, none covering nine blocks
+    (root / "short.mp").write_text(branchy[branchy.index("if (x > 4)"):])
     idx = tmp_path / "w.cdx"
     run_json(capsys, "index", str(root), "-o", str(idx), "--max-paths", "4")
     report = run_json(capsys, "query", str(root / "branchy.mp"), str(idx),
                       "--max-paths", "4", "--threshold", "0.0")
     assert "branchy.mp" in report["truncation_warnings"]
+    # an unscoreable probe still reports its own truncation, in both forms
+    idx9 = tmp_path / "w9.cdx"
+    run_json(capsys, "index", str(root), "-o", str(idx9), "--min-blocks", "9")
+    argv = ("query", str(root / "short.mp"), str(idx9), "--max-paths", "1")
+    report = run_json(capsys, *argv)
+    assert report["probe_unscoreable"]
+    assert report["truncation_warnings"] == ["short.mp"]
+    assert "truncation warnings: short.mp" in run_cli(capsys, *argv).out.splitlines()
 
 
 # -- compare --------------------------------------------------------------------

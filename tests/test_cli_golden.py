@@ -1,0 +1,128 @@
+"""Golden digests of the CLI's reports on a seeded corpus.
+
+`index`, `query`, `compare` and `cluster` run in text and `--json`
+form, and `dot` once per file, over `build_corpus(8, 4, seed=3)` plus a
+program too small to keep a path, one that does not parse and one
+whose paths overflow a `--max-paths` cap, at three flag settings. A few
+runs end in an error on purpose. Each run's arguments, exit code,
+stdout and stderr are folded into one SHA-256 per command and form,
+after the temporary directory and the values in `timings_ms` are
+masked. Text queries whose probe keeps no path at the run's
+`min_blocks` have a digest of their own.
+
+The digests were recorded before each report was built once and
+printed through one emitter; every one of them was kept except the
+unscoreable-probe query text, which gained its `truncation warnings:`
+line then.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+from cfgprint.cli import main
+from cfgprint.cloneforge import build_corpus
+
+GOLDEN = {
+    "index json": "358e40ba9a9a73420d4bfcbc5f3accbb6c5e0b48452c4c18c5062924720c7b9f",
+    "index text": "0d9109fd1e1e37825cda63249d9f072edf7dc6410004175ffd72b2025a6d7ada",
+    "query json": "2c3903c94f6178742539a5ffe5434bfacedd67df07bb325f7f107ac46f594135",
+    "query text": "df61a667fb56368b998f9fca93379ce7818526c5b69f34e2e286e9242d274dbe",
+    "query text, unscoreable probe": "f35b273248afdf72928e75b4864c324154dfa9e8488d5a4a00eb862bf19ccfd1",
+    "compare json": "d94537e6911ccaf05d6c9470bdadee77e63a7cc63b35ab422eae4c680e229ba9",
+    "compare text": "e0fb5afa02fe487f62c7737a5e003e928a46ec27328026621fcee2bc7e142875",
+    "cluster json": "a5a875173b7b4f884802aeda5a879f59922cf582cd765eb81e87254e5223883e",
+    "cluster text": "0517ed5ff9916dbe53afa1edf1e5670befba81a791a94200ca39b368fec5f653",
+    "errors": "5f6f0641c96664405a4d450f2e9300e61389c97950219ec76665538eb31cc33d",
+    "dot": "f08d654d12f26c037a63ba40f2c3433a6c618c18285607089a489ba8a7ff18ae",
+}
+
+SETTINGS = (
+    (),
+    ("--alpha", "2", "--threshold", "0.3", "--mode", "resemblance", "--max-paths", "8"),
+    ("--min-blocks", "9", "--max-paths", "1"),
+)
+
+TINY = "output 1;\n"
+UNPARSEABLE = "while (x > 1) output x;"
+# six if-chains give 64 routes, more than either cap above keeps
+BRANCHY = "".join(f"if (x > {i}) output {i}; endif\n" for i in range(6)) + "output x;\n"
+
+_JSON_TIMINGS = re.compile(r'"timings_ms": \{[^}]*\}')
+_TEXT_TIMINGS = re.compile(r"^timings_ms: .*$", re.M)
+_NUMBER = re.compile(r"[0-9][0-9.e+-]*")
+
+
+def _mask_timings(text: str) -> str:
+    text = _JSON_TIMINGS.sub(lambda m: _NUMBER.sub("*", m.group(0)), text)
+    return _TEXT_TIMINGS.sub(lambda m: _NUMBER.sub("*", m.group(0)), text)
+
+
+def _mask_root(text: str, root: Path) -> str:
+    for form in {str(root.resolve()), str(root)}:
+        text = text.replace(form, "<tmp>")
+    return text
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_runs(root: Path) -> list[tuple[str, str]]:
+    """Every run as (group, masked record), in a fixed order."""
+    corpus = root / "corpus"
+    build_corpus(corpus, 8, 4, seed=3)
+    (corpus / "tiny.mp").write_text(TINY)
+    (corpus / "unparseable.mp").write_text(UNPARSEABLE)
+    (corpus / "branchy.mp").write_text(BRANCHY)
+    files = [str(p) for p in sorted(corpus.glob("*.mp"))]
+    runs = []
+
+    def run(group: str, *argv: str) -> tuple[int, str]:
+        code, out, err = _run(list(argv))
+        record = repr((argv, code, _mask_timings(out), err))
+        runs.append((group, _mask_root(record, root)))
+        return code, out
+
+    for n, flags in enumerate(SETTINGS):
+        index = str(root / f"s{n}.cdx")
+        for command, argv in [
+            ("index", ["index", str(corpus), "-o", index]),
+            *(("query", ["query", probe, index]) for probe in files),
+            *(("compare", ["compare", a, b]) for a, b in zip(files, files[1:] + files[:1])),
+            ("cluster", ["cluster", index]),
+        ]:
+            code, out = run(f"{command} json", *argv, *flags, "--json")
+            unscoreable = code == 0 and json.loads(out).get("probe_unscoreable")
+            form = "text, unscoreable probe" if unscoreable else "text"
+            run(f"{command} {form}", *argv, *flags)
+        # a missing file, a missing index and a min_blocks the index disagrees with
+        run("errors", "compare", files[0], str(root / "ghost.mp"), *flags)
+        run("errors", "query", files[0], str(root / "ghost.cdx"), *flags)
+        run("errors", "query", files[0], index, *flags, "--min-blocks", "4")
+    for path in files:
+        run("dot", "dot", path)
+    return runs
+
+
+def cli_digests(root: Path) -> dict[str, str]:
+    folded: dict[str, list[str]] = {}
+    for group, record in cli_runs(root):
+        folded.setdefault(group, []).append(record)
+    return {
+        group: hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+        for group, records in folded.items()
+    }
+
+
+def test_cli_matches_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("CFGPRINT_JOBS", raising=False)
+    assert cli_digests(tmp_path) == GOLDEN

@@ -1,4 +1,4 @@
-"""Hashing: statement hash vectors, SimHash majority rule, Hamming distance."""
+"""Hashing: statement hash vectors, the SimHash majority rule, hex form."""
 
 import concurrent.futures
 import os
@@ -7,8 +7,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfgprint import fingerprint, pipeline
 from cfgprint.cfg_builder import BasicBlock, cfg_from_statements
@@ -20,7 +18,6 @@ from cfgprint.fingerprint import (
     fingerprint_program,
     fnv1a64,
     from_hex,
-    hamming_bits,
     shared_statement_hashes,
     simhash_bits,
     to_hex,
@@ -116,48 +113,11 @@ def test_simhash_similar_multisets_land_close():
         tweaked[rng.randrange(12)] = rng.randrange(2**64)
         fresh = [rng.randrange(2**64) for _ in range(12)]
         h = simhash_bits(base)
-        near.append(hamming_bits(h, simhash_bits(tweaked)))
-        far.append(hamming_bits(h, simhash_bits(fresh)))
+        near.append((h ^ simhash_bits(tweaked)).bit_count())
+        far.append((h ^ simhash_bits(fresh)).bit_count())
     near.sort()
     far.sort()
     assert near[50] < far[50], (near[50], far[50])
-
-
-# -- hamming ----------------------------------------------------------------------
-
-
-def hamming_oracle(a, b):
-    diff = a ^ b
-    count = 0
-    while diff:
-        count += diff & 1
-        diff >>= 1
-    return count
-
-
-def test_hamming_bits_examples():
-    assert hamming_bits(0, 0) == 0
-    assert hamming_bits(0b1010, 0b0101) == 4
-    assert hamming_bits(2**64 - 1, 0) == 64
-
-
-def test_hamming_bits_oracle():
-    rng = random.Random(4242)
-    for _ in range(2000):
-        a, b = rng.randrange(2**64), rng.randrange(2**64)
-        assert hamming_bits(a, b) == hamming_oracle(a, b)
-
-
-@settings(max_examples=200)
-@given(
-    a=st.integers(min_value=0, max_value=2**64 - 1),
-    b=st.integers(min_value=0, max_value=2**64 - 1),
-    c=st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_hamming_is_a_metric(a, b, c):
-    assert hamming_bits(a, b) == hamming_bits(b, a)
-    assert (hamming_bits(a, b) == 0) == (a == b)
-    assert hamming_bits(a, c) <= hamming_bits(a, b) + hamming_bits(b, c)
 
 
 # -- hex round trip ----------------------------------------------------------------

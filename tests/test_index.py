@@ -711,11 +711,20 @@ def test_load_rejects_wrong_hash_or_normalization(tmp_path):
     path = tmp_path / "h.cdx"
     index.save(path)
     lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["hash"] = "murmur64"
-    path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
-    with pytest.raises(IndexCompatibilityError, match="hash"):
-        load_index(path)
+    # a header field's type counts as much as its value: true and 1.0 equal 1
+    # in Python but are not the integer version a writer puts there
+    for key, value, expected in [
+        ("hash", "murmur64", "'fnv1a64'"),
+        ("normalization", "miniproc-2", "'miniproc-1'"),
+        ("version", True, "1"),
+        ("version", 1.0, "1"),
+        ("format", None, "'cfgprint-index'"),
+    ]:
+        header = {**json.loads(lines[0]), key: value}
+        path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+        message = f"{key} {value!r} \\(expected {expected}\\)"
+        with pytest.raises(IndexCompatibilityError, match=message):
+            load_index(path)
 
 
 def test_load_commits_nothing_on_failure(tmp_path):
