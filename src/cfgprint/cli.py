@@ -141,10 +141,9 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _config_line(echo: dict) -> str:
-    """The `_config_echo` fields in order, floats in `:g` form."""
-    return "config: " + " ".join(
-        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in echo.items()
-    )
+    """The `_config_echo` fields in order, each value as the JSON
+    echoes it: a float in full, `1.0` and not `1`."""
+    return "config: " + " ".join(f"{k}={v}" for k, v in echo.items())
 
 
 def _warnings_line(program_ids: list[str]) -> str:
@@ -185,6 +184,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     build.index.save(args.out)
     build.timings_ms["write"] = (time.perf_counter() - t0) * 1000.0
 
+    truncated = [pid for pid, record in build.index.records.items() if record.truncated]
     report = {
         "report": "index",
         "directory": str(args.directory),
@@ -192,6 +192,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         "indexed": len(build.index.records),
         "skipped": [{"program_id": pid, "error": msg} for pid, msg in build.skipped],
         "unscoreable": build.unscoreable,
+        "truncated": truncated,
         "config": _config_echo(config),
         "timings_ms": build.timings_ms,
     }
@@ -200,6 +201,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         *(f"  {pid}: {msg}" for pid, msg in build.skipped),
         f"unscoreable: {len(build.unscoreable)}",
         *(f"  {pid}" for pid in build.unscoreable),
+        f"truncated: {len(truncated)}",
+        *(f"  {pid}" for pid in truncated),
     ]
     title = f"indexed {report['indexed']} programs from {args.directory} into {args.out}"
     _emit(args, report, title, body)
@@ -413,12 +416,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     groups = index.cluster(config.alpha, config.threshold, config.mode)
     timings = {"load": t_load, "cluster": (time.perf_counter() - t1) * 1000.0}
 
+    warnings = [m for g in groups for m in g.members if index.records[m].truncated]
     report = {
         "report": "cluster",
         "index_path": str(args.index_path),
         "groups": [
             {"members": list(g.members), "mean_score": g.mean_score} for g in groups
         ],
+        "truncation_warnings": warnings,
         "config": _config_echo(config),
         "timings_ms": timings,
     }
@@ -426,6 +431,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     for i, g in enumerate(groups, 1):
         body.append(f"  group {i} (mean score {g.mean_score:.4f}):")
         body += [f"    {m}" for m in g.members]
+    body.append(_warnings_line(warnings))
     _emit(args, report, f"cluster {args.index_path}", body)
     return 0
 

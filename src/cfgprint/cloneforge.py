@@ -3,22 +3,26 @@
 generate_program() emits seeded, parseable MiniProc with enough shape
 variety that unrelated programs land far apart after normalization.
 mutate() derives labeled clones: type1 touches only comments and
-whitespace, type2 renames identifiers consistently and swaps literal
-values, type3 additionally inserts, deletes, or reorders whole
-statements. evaluate() runs the full index+query loop over a corpus
-with a ground-truth manifest and reports precision per alpha;
-scaling_run() times queries against growing indexes.
+whitespace; type2 renames identifiers to m0, m1, ... in order of first
+use and redraws every literal, in one pass over the tokens; type3 parses
+that renamed token list and inserts, deletes, or reorders whole plain
+statements in the tree, which one rule renders back to text.
+build_corpus() writes originals, their mutants and unrelated programs
+with a manifest of the true clone pairs; tests/test_cloneforge_golden.py
+pins the bytes of its corpora and mutants. evaluate() runs the full
+index+query loop over such a corpus and reports precision per alpha;
+scaling_run() times queries against growing indexes. Both return rows
+and write no files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .config import ConfigStamp, RunConfig
 from .frontend import (
@@ -74,16 +78,7 @@ class EvalResult:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "candidates": self.candidates,
-            "tp": self.tp,
-            "fp": self.fp,
-            "precision": self.precision,
-            "by_blocks": self.by_blocks,
-            "by_lines": self.by_lines,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 # -- program generation ----------------------------------------------------
@@ -279,20 +274,31 @@ def _mutate_type1(source: str, rng: random.Random) -> str:
 
 
 def _fresh_literal(lexeme: str, rng: random.Random) -> str:
-    if lexeme.startswith('"'):
-        candidate = f'"t{rng.randint(0, 999)}"'
-        while candidate == lexeme:
+    """A literal of the same sort (string, decimal or integer) that
+    differs from `lexeme`."""
+    while True:
+        if lexeme.startswith('"'):
             candidate = f'"t{rng.randint(0, 999)}"'
-        return candidate
-    if "." in lexeme:
-        candidate = f"{rng.randint(0, 99)}.{rng.randint(1, 9)}"
-        while candidate == lexeme:
+        elif "." in lexeme:
             candidate = f"{rng.randint(0, 99)}.{rng.randint(1, 9)}"
-        return candidate
-    candidate = str(rng.randint(0, 999))
-    while candidate == lexeme:
-        candidate = str(rng.randint(0, 999))
-    return candidate
+        else:
+            candidate = str(rng.randint(0, 999))
+        if candidate != lexeme:
+            return candidate
+
+
+def _rename(tokens: Sequence[Token], rng: random.Random) -> list[Token]:
+    """The type-2 token list: identifiers become m0, m1, ... in order of
+    first use, and every literal is redrawn."""
+    names: dict[str, str] = {}
+    out: list[Token] = []
+    for tok in tokens:
+        if tok.kind == "identifier":
+            tok = Token("identifier", names.setdefault(tok.lexeme, f"m{len(names)}"), tok.line)
+        elif tok.kind == "literal":
+            tok = Token("literal", _fresh_literal(tok.lexeme, rng), tok.line)
+        out.append(tok)
+    return out
 
 
 def _render_tokens(tokens: Sequence[Token]) -> str:
@@ -310,24 +316,6 @@ def _render_tokens(tokens: Sequence[Token]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mutate_type2(source: str, rng: random.Random) -> str:
-    tokens = tokenize(source)
-    rename: dict[str, str] = {}
-    counter = 0
-    out: list[Token] = []
-    for tok in tokens:
-        if tok.kind == "identifier":
-            if tok.lexeme not in rename:
-                rename[tok.lexeme] = f"m{counter}"
-                counter += 1
-            out.append(Token("identifier", rename[tok.lexeme], tok.line))
-        elif tok.kind == "literal":
-            out.append(Token("literal", _fresh_literal(tok.lexeme, rng), tok.line))
-        else:
-            out.append(tok)
-    return _render_tokens(out)
-
-
 @dataclass
 class _MutNode:
     kind: str
@@ -335,68 +323,46 @@ class _MutNode:
     children: list["_MutNode"]
 
 
+# nodes that close a construct's body: its alternatives and end marker
+_BODY_ENDS = frozenset({"elseif", "else", "when", "end-marker"})
+
+
 def _to_mut(node: Statement) -> _MutNode:
     return _MutNode(node.kind, node.tokens, [_to_mut(c) for c in node.children])
 
 
-def _render_node(node: _MutNode, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    join = " ".join(t.lexeme for t in node.tokens)
-    if node.kind in PLAIN_KINDS:
-        lines.append(pad + join + ";")
-        return
-    if node.kind in ("if", "while", "case"):
-        lines.append(pad + node.kind + " " + join)
-    elif node.kind == "for":
-        lines.append(pad + "for " + join)
-    else:
-        raise ValueError(f"cannot render node kind {node.kind!r}")
+def _render_lines(node: _MutNode, depth: int) -> Iterator[str]:
+    """One line per descendant of `node`: a plain statement's tokens with `;`
+    on the last, an end marker's keyword, or any other node's kind and
+    header tokens. Alternatives and end markers sit at their
+    construct's depth; bodies sit at `depth`."""
     for child in node.children:
-        if child.kind in ("elseif", "when"):
-            lines.append(pad + child.kind + " " + " ".join(t.lexeme for t in child.tokens))
-            for grand in child.children:
-                _render_node(grand, depth + 1, lines)
-        elif child.kind == "else":
-            lines.append(pad + "else")
-            for grand in child.children:
-                _render_node(grand, depth + 1, lines)
-        elif child.kind == "end-marker":
-            lines.append(pad + child.tokens[0].lexeme)
-        else:
-            _render_node(child, depth + 1, lines)
-
-
-def _render_tree(root: _MutNode) -> str:
-    lines: list[str] = []
-    for child in root.children:
-        _render_node(child, 0, lines)
-    return "\n".join(lines) + "\n"
+        words = [t.lexeme for t in child.tokens]
+        if child.kind in PLAIN_KINDS:
+            words[-1] += ";"
+        elif child.kind != "end-marker":
+            words.insert(0, child.kind)
+        at = depth - 1 if child.kind in _BODY_ENDS else depth
+        yield "  " * at + " ".join(words)
+        yield from _render_lines(child, at + 1)
 
 
 def _body_slots(root: _MutNode) -> list[tuple[_MutNode, int]]:
     """(container, insert position) pairs where a plain statement can
-    legally go. Construct children lists keep alternatives and the end
-    marker at the tail, so inserts stop at the first such node."""
+    legally go. Every node but a plain statement, an end marker or a
+    `case` holds a body, which runs up to its first alternative or end
+    marker."""
     slots: list[tuple[_MutNode, int]] = []
 
-    def walk(node: _MutNode, is_body: bool) -> None:
-        if is_body:
-            limit = len(node.children)
-            for i, child in enumerate(node.children):
-                if child.kind in ("elseif", "else", "when", "end-marker"):
-                    limit = i
-                    break
-            for i in range(limit + 1):
-                slots.append((node, i))
+    def walk(node: _MutNode) -> None:
+        if node.kind not in PLAIN_KINDS and node.kind not in ("end-marker", "case"):
+            kinds = [child.kind for child in node.children]
+            limit = next((i for i, k in enumerate(kinds) if k in _BODY_ENDS), len(kinds))
+            slots.extend((node, i) for i in range(limit + 1))
         for child in node.children:
-            if child.kind in ("if", "while", "for"):
-                walk(child, True)
-            elif child.kind == "case":
-                walk(child, False)
-            elif child.kind in ("elseif", "else", "when"):
-                walk(child, True)
+            walk(child)
 
-    walk(root, True)
+    walk(root)
     return slots
 
 
@@ -424,8 +390,7 @@ def _random_plain_statement(rng: random.Random) -> _MutNode:
 def _mutate_type3(source: str, rng: random.Random, ops: EditOps) -> str:
     if ops.total < 1:
         raise ValueError("type3 mutation needs at least one edit op")
-    renamed = _mutate_type2(source, rng)
-    root = _to_mut(parse(tokenize(renamed)))
+    root = _to_mut(parse(_rename(tokenize(source), rng)))
 
     for _ in range(ops.insert):
         container, pos = rng.choice(_body_slots(root))
@@ -455,7 +420,7 @@ def _mutate_type3(source: str, rng: random.Random, ops: EditOps) -> str:
             container.children[i + 1],
             container.children[i],
         )
-    return _render_tree(root)
+    return "\n".join(_render_lines(root, 0)) + "\n"
 
 
 def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
@@ -465,18 +430,11 @@ def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
         mutated = _mutate_type1(source, rng)
         label = {"type": "type1"}
     elif spec.kind == "type2":
-        mutated = _mutate_type2(source, rng)
+        mutated = _render_tokens(_rename(tokenize(source), rng))
         label = {"type": "type2"}
     elif spec.kind == "type3":
         mutated = _mutate_type3(source, rng, spec.edit_ops)
-        label = {
-            "type": "type3",
-            "edits": {
-                "insert": spec.edit_ops.insert,
-                "delete": spec.edit_ops.delete,
-                "reorder": spec.edit_ops.reorder,
-            },
-        }
+        label = {"type": "type3", "edits": asdict(spec.edit_ops)}
     else:
         raise ValueError(f"unknown mutation kind {spec.kind!r}")
     parse(tokenize(mutated))  # mutants must stay inside the language
@@ -486,13 +444,16 @@ def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
 # -- corpus assembly ---------------------------------------------------------
 
 
+# plain-statement budget of each corpus program, drawn uniformly
+_CORPUS_STATEMENTS = (14, 40)
+
+
 def build_corpus(
     out_dir: str | Path,
     originals: int,
     unrelated: int,
     types: Sequence[str] = ("type1", "type2", "type3"),
     seed: int = 0,
-    statements_range: tuple[int, int] = (14, 40),
 ) -> Path:
     """Write originals, one mutant per original (types cycling), and
     unrelated programs, plus manifest.json naming the true clone pairs.
@@ -505,14 +466,14 @@ def build_corpus(
 
     def fresh_program() -> str:
         for _ in range(64):
-            spec = SizeSpec(statements=rng.randint(*statements_range),
+            spec = SizeSpec(statements=rng.randint(*_CORPUS_STATEMENTS),
                             max_depth=rng.choice([2, 2, 3]))
             text = generate_program(rng.randrange(2**32), spec)
             shape = tuple(s.text for s in normalize_source(text))
             if shape not in seen_shapes:
                 seen_shapes.add(shape)
                 return text
-        raise RuntimeError("generator kept colliding; widen statements_range")
+        raise RuntimeError("generator kept colliding; widen _CORPUS_STATEMENTS")
 
     manifest = []
     for i in range(originals):
@@ -558,8 +519,6 @@ def evaluate(
     config: RunConfig,
     alpha_values: Sequence[int],
     threshold: float | None = None,
-    csv_path: str | Path | None = None,
-    json_path: str | Path | None = None,
 ) -> list[EvalResult]:
     """Index the corpus once, sweep alpha, score candidate pairs
     against the manifest. The indexing hashes each distinct statement
@@ -650,20 +609,6 @@ def evaluate(
             )
         )
 
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["alpha", "candidates", "tp", "fp", "precision"])
-            for r in results:
-                writer.writerow(
-                    [r.alpha, r.candidates, r.tp, r.fp,
-                     "" if r.precision is None else f"{r.precision:.6f}"]
-                )
-    if json_path is not None:
-        Path(json_path).write_text(
-            json.dumps([r.to_dict() for r in results], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     return results
 
 
@@ -676,7 +621,6 @@ def scaling_run(
     seed: int = 0,
     repeats: int = 5,
     query_loops: int = 25,
-    csv_path: str | Path | None = None,
 ) -> list[dict]:
     """Best wall time of one query against indexes of each size.
 
@@ -725,7 +669,7 @@ def scaling_run(
             candidates[size] = found
             scorings[size] = index.last_query_scorings
 
-    rows: list[dict] = [
+    return [
         {
             "size": size,
             "seconds": best[size],
@@ -734,11 +678,3 @@ def scaling_run(
         }
         for size in sizes
     ]
-
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["size", "seconds", "candidates"])
-            for row in rows:
-                writer.writerow([row["size"], f"{row['seconds']:.9f}", row["candidates"]])
-    return rows

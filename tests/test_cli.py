@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from cfgprint.cli import _resolves_to, _self_match, main
+from cfgprint.cloneforge import build_corpus
 from cfgprint.config import ConfigStamp, RunConfig
 from cfgprint.index_store import IndexRecord, load_index
 
@@ -449,6 +450,25 @@ def test_query_truncation_warnings(tmp_path, capsys):
     assert report["probe_unscoreable"]
     assert report["truncation_warnings"] == ["short.mp"]
     assert "truncation warnings: short.mp" in run_cli(capsys, *argv).out.splitlines()
+    # index and cluster name the truncated records they store and group
+    build_corpus(tmp_path / "forged", 8, 4, seed=3)
+    idx8 = tmp_path / "f8.cdx"
+    argv = ("index", str(tmp_path / "forged"), "-o", str(idx8), "--max-paths", "8")
+    report = run_json(capsys, *argv)
+    records = load_index(idx8).records
+    truncated = [pid for pid, record in records.items() if record.truncated]
+    assert len(truncated) == 16 and len(records) == 20
+    assert report["truncated"] == truncated
+    text = run_cli(capsys, *argv).out.splitlines()
+    start = text.index("truncated: 16")
+    assert text[start + 1:start + 17] == [f"  {pid}" for pid in truncated]
+    argv = ("cluster", str(idx8), "--alpha", "5", "--threshold", "0.5")
+    report = run_json(capsys, *argv)
+    members = [m for g in report["groups"] for m in g["members"]]
+    assert report["truncation_warnings"] == [m for m in members if records[m].truncated]
+    assert len(report["truncation_warnings"]) == 12
+    warnings = "truncation warnings: " + ", ".join(report["truncation_warnings"])
+    assert warnings in run_cli(capsys, *argv).out.splitlines()
 
 
 # -- compare --------------------------------------------------------------------
@@ -626,7 +646,12 @@ def test_config_echoed_in_all_reports(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, threshold",
-    [([], "0.5"), (["--threshold", "1"], "1"), (["--threshold", "0.25"], "0.25")],
+    [
+        ([], "0.5"),
+        (["--threshold", "1"], "1.0"),
+        (["--threshold", "0.25"], "0.25"),
+        (["--threshold", "0.1234567"], "0.1234567"),
+    ],
 )
 def test_config_line_matches_the_json_echo(corpus, capsys, flags, threshold):
     argv = ["compare", str(corpus / "clone_a.mp"), str(corpus / "clone_b.mp"), *flags]
@@ -637,9 +662,7 @@ def test_config_line_matches_the_json_echo(corpus, capsys, flags, threshold):
     )
     # the JSON report sorts its keys, so compare the fields as a set
     echo = run_json(capsys, *argv)["config"]
-    assert set(line.removeprefix("config: ").split()) == {
-        f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in echo.items()
-    }
+    assert set(line.removeprefix("config: ").split()) == {f"{k}={v}" for k, v in echo.items()}
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,7 +13,11 @@ masked. Text queries whose probe keeps no path at the run's
 The digests were recorded before each report was built once and
 printed through one emitter; every one of them was kept except the
 unscoreable-probe query text, which gained its `truncation warnings:`
-line then.
+line then. The index and cluster digests were re-recorded once more
+when those reports began to name truncated records: the index report
+gained its `truncated` list and text block, and the cluster report its
+`truncation_warnings` list and line. With those removed from the
+output, both reproduce their earlier digests.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ from cfgprint.cli import main
 from cfgprint.cloneforge import build_corpus
 
 GOLDEN = {
-    "index json": "358e40ba9a9a73420d4bfcbc5f3accbb6c5e0b48452c4c18c5062924720c7b9f",
-    "index text": "0d9109fd1e1e37825cda63249d9f072edf7dc6410004175ffd72b2025a6d7ada",
+    "index json": "9def305f613a14dd359b7d93d33df664a93257f4d7ec5d66d49a81da89c76882",
+    "index text": "f9d1920a6560feed738893b57091f96809cc9af072810266936d5e7722fa638b",
     "query json": "2c3903c94f6178742539a5ffe5434bfacedd67df07bb325f7f107ac46f594135",
     "query text": "df61a667fb56368b998f9fca93379ce7818526c5b69f34e2e286e9242d274dbe",
     "query text, unscoreable probe": "f35b273248afdf72928e75b4864c324154dfa9e8488d5a4a00eb862bf19ccfd1",
     "compare json": "d94537e6911ccaf05d6c9470bdadee77e63a7cc63b35ab422eae4c680e229ba9",
     "compare text": "e0fb5afa02fe487f62c7737a5e003e928a46ec27328026621fcee2bc7e142875",
-    "cluster json": "a5a875173b7b4f884802aeda5a879f59922cf582cd765eb81e87254e5223883e",
-    "cluster text": "0517ed5ff9916dbe53afa1edf1e5670befba81a791a94200ca39b368fec5f653",
+    "cluster json": "74c36042b1ec02455b8ff55c027fa6afd7b5026a3838f9cb140b9963fe67c2ab",
+    "cluster text": "dff06bc671f6e424e3fc8dca3d501eacf3a199fbb174795fe703b03731b0a40f",
     "errors": "5f6f0641c96664405a4d450f2e9300e61389c97950219ec76665538eb31cc33d",
     "dot": "f08d654d12f26c037a63ba40f2c3433a6c618c18285607089a489ba8a7ff18ae",
 }

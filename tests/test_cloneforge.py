@@ -20,7 +20,7 @@ from cfgprint.cloneforge import (
     scaling_run,
 )
 from cfgprint.config import ConfigStamp, RunConfig
-from cfgprint.frontend import normalize_source, parse, tokenize
+from cfgprint.frontend import MiniProcSyntaxError, normalize_source, parse, tokenize
 from cfgprint.index_store import FingerprintIndex, record_from_program
 from cfgprint.pipeline import fingerprint_source, index_directory, program_files, run_program_file
 from cfgprint.similarity import score_pair
@@ -135,6 +135,20 @@ def test_type3_refuses_to_empty_program():
                                          edit_ops=EditOps(insert=0, delete=1)))
 
 
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("# c\n\n\noutput 1;\nx = ;\n", 5),
+        # two unclosed quotes, which a rendered line would join into a string
+        ('declare x;\nx = "abc\nx";\n', 2),
+    ],
+)
+def test_type3_error_names_the_line_of_a_source_that_does_not_parse(source, line):
+    with pytest.raises(MiniProcSyntaxError, match="expected expression") as caught:
+        mutate(source, MutationSpec("type3", seed=1))
+    assert caught.value.line == line
+
+
 def test_unknown_mutation_kind():
     with pytest.raises(ValueError, match="unknown mutation kind"):
         mutate("output 1;", MutationSpec("type9", seed=0))
@@ -204,22 +218,6 @@ def test_evaluate_buckets_partition_candidates(tmp_path):
     for table in (result.by_blocks, result.by_lines):
         assert sum(row["candidates"] for row in table.values()) == result.candidates
         assert sum(row["tp"] for row in table.values()) == result.tp
-
-
-def test_evaluate_writes_csv_and_json(tmp_path):
-    build_corpus(tmp_path / "c", originals=5, unrelated=3, seed=4)
-    csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
-    results = evaluate(tmp_path / "c", RunConfig(), alpha_values=[0, 4],
-                       csv_path=csv_path, json_path=json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "alpha,candidates,tp,fp,precision"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    loaded = json.loads(json_path.read_text())
-    assert [row["alpha"] for row in loaded] == [0, 4]
-    assert loaded[0]["candidates"] == results[0].candidates
 
 
 def test_evaluate_does_not_read_directories_named_like_programs(tmp_path):
@@ -354,14 +352,9 @@ def test_evaluate_rejects_sweep_values_run_config_rejects(tmp_path, alphas, thre
 # -- scaling -------------------------------------------------------------------------
 
 
-def test_scaling_run_rows(tmp_path):
-    csv_path = tmp_path / "scale.csv"
-    rows = scaling_run([10, 20], RunConfig(), seed=1, repeats=2, query_loops=3,
-                       csv_path=csv_path)
+def test_scaling_run_rows():
+    rows = scaling_run([10, 20], RunConfig(), seed=1, repeats=2, query_loops=3)
     assert [row["size"] for row in rows] == [10, 20]
     for row in rows:
         assert row["seconds"] > 0
         assert row["scorings"] <= row["size"]
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "size,seconds,candidates"
-    assert len(lines) == 3
