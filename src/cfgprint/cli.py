@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .config import (
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("-o", "--out", required=True, help="index file to write (.cdx)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel fingerprinting workers (env CFGPRINT_JOBS)")
+                   help="parallel fingerprinting workers")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", parents=[shared], help="rank index entries against a probe file")
@@ -86,26 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("CFGPRINT_JOBS")
-        if raw is None:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise UsageError(f"CFGPRINT_JOBS must be an integer, got {raw!r}")
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
+    if args.jobs is None:
+        return 1
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 class UsageError(Exception):
     pass
-
-
-_CONFIG_FLAGS = ("alpha", "threshold", "min_blocks", "max_paths", "mode")
 
 
 def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> RunConfig:
@@ -121,7 +110,7 @@ def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> R
                 f"vs index min_blocks {stamp.min_blocks}"
             )
         defaults = RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks)
-    given = {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     config = replace(defaults, **{k: v for k, v in given.items() if v is not None})
     config.validate()
     return config
@@ -129,11 +118,7 @@ def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> R
 
 def _config_echo(config: RunConfig) -> dict:
     return {
-        "alpha": config.alpha,
-        "threshold": config.threshold,
-        "min_blocks": config.min_blocks,
-        "max_paths": config.max_paths,
-        "mode": config.mode,
+        **asdict(config),
         "r": FINGERPRINT_BITS,
         "hash": HASH_NAME,
         "normalization": NORMALIZATION_VERSION,

@@ -430,7 +430,11 @@ def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
         mutated = _mutate_type1(source, rng)
         label = {"type": "type1"}
     elif spec.kind == "type2":
-        mutated = _render_tokens(_rename(tokenize(source), rng))
+        tokens = tokenize(source)
+        # refuse a source that does not parse, naming its own line: its
+        # rendered text can join two bad lines into one that parses
+        parse(tokens)
+        mutated = _render_tokens(_rename(tokens, rng))
         label = {"type": "type2"}
     elif spec.kind == "type3":
         mutated = _mutate_type3(source, rng, spec.edit_ops)

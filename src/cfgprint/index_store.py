@@ -2,31 +2,31 @@
 
 On disk an index is JSON Lines with extension `.cdx`: the first line is
 a header stamping the fingerprint configuration, each following line is
-one program record. Records append cleanly and the whole file reloads
-byte-for-byte reproducibly. A record is a ProgramFingerprint (the
-ascending tuple of ints parsed from the hex) plus its source path and
-stamp, and the scorer reads it directly. Queries are a linear scan:
-every scoreable record is scored against the probe, so cost grows with
-record count and nothing else. The index keeps one scan layout: its
-scoreable records in program-id order, each record's position among
-the distinct fingerprint sets, and those sets' fingerprints as one flat
-uint64 array with each set's start offset, in first-seen order. Type-1
-and type-2 clones normalize to the same set, so records that share a
-set share one run. The layout is built by the first `query` or
-`cluster` and tagged with the tuple of records it came from; a later
-call rebuilds it whenever the records differ from that tag, so
-`add_program`, `load_index` and direct writes to `records` need no hook.
-`query` takes the probe's smallest distance to every distinct set in
-one `record_minima` pass over that array, and each record reads its
-set's. `cluster` runs the pass once per distinct set over the sets
+one program record with the fields `_RECORD` lists. Records append
+cleanly and the whole file reloads byte-for-byte reproducibly. A record
+is a ProgramFingerprint (the ascending tuple of ints parsed from the
+hex) plus its source path and stamp, and the scorer reads it directly.
+Queries are a linear scan: every scoreable record is scored against the
+probe, so cost grows with record count and nothing else. The index
+keeps one scan layout: its scoreable records in program-id order, each
+record's position among the distinct fingerprint sets, and those sets'
+fingerprints as one flat uint64 array with each set's start offset, in
+first-seen order. Type-1 and type-2 clones normalize to the same set,
+so records that share a set share one run. The layout is built by the
+first `query` or `cluster` and tagged with the tuple of records it came
+from; a later call rebuilds it whenever the records differ from that
+tag, so `add_program`, `load_index` and direct writes to `records` need
+no hook. `query` takes the probe's smallest distance to every distinct
+set in one `record_minima` pass over that array, and each record reads
+its set's. `cluster` runs the pass once per distinct set over the sets
 after it, each pass a few 2-D blocks of the set's fingerprints against
 that suffix; records that share a set are at distance 0. Each per-pair
 call gets that minimum as `min_distance`, so a pair with nothing within
-alpha is scored zero without a distance matrix. A probe's minima do
-not depend on alpha, so `query_alphas` runs the pass once and hands it
-to one `query` call per alpha; the hand-off lives only for that call,
-so any other `query` runs its own pass. `cluster` joins the linked
-pairs by union-find.
+alpha is scored zero without a distance matrix. A probe's minima do not
+depend on alpha, so `query_alphas` runs the pass once and hands it to
+one `query` call per alpha; the hand-off lives only for that call, so
+any other `query` runs its own pass. `cluster` joins the linked pairs
+by union-find.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import (
+    DEFAULT_MODE,
     FINGERPRINT_BITS,
     HASH_NAME,
     INDEX_FORMAT,
@@ -51,6 +52,7 @@ from .config import (
 from .fingerprint import ProgramFingerprint, from_hex, to_hex
 from .similarity import (
     SimilarityScore,
+    _unscoreable,
     classify,
     fingerprint_columns,
     pair_report,
@@ -66,6 +68,19 @@ _HEADER = {
     "hash": HASH_NAME,
     "normalization": NORMALIZATION_VERSION,
 }
+
+
+# the fields of one record line and their JSON types, in the order
+# `load_index` checks them; `save` writes the same keys
+_RECORD = {
+    "truncated": bool,
+    "program_id": str,
+    "source_path": str,
+    "fingerprints": list,
+    "path_count": int,
+}
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
 
 
 class IndexFormatError(ValueError):
@@ -186,7 +201,7 @@ class FingerprintIndex:
         probe: ProgramFingerprint,
         alpha: int,
         threshold: float,
-        mode: str = "containment",
+        mode: str = DEFAULT_MODE,
     ) -> list[CloneCandidate]:
         """Scan every scoreable record, keep scores >= threshold, rank
         by score descending then program_id ascending. A record with
@@ -202,7 +217,7 @@ class FingerprintIndex:
         work instead (ROADMAP item 1), records past alpha need no call
         at all and the `min_distance` parameter can go."""
         if not probe.scoreable:
-            raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
+            raise _unscoreable(probe)
         columns = self._scan_columns()
         handed = self._minima
         if handed is not None and handed.columns is columns and handed.probe is probe:
@@ -234,7 +249,7 @@ class FingerprintIndex:
         probe: ProgramFingerprint,
         alphas: Sequence[int],
         threshold: float,
-        mode: str = "containment",
+        mode: str = DEFAULT_MODE,
     ) -> list[list[CloneCandidate]]:
         """`query(probe, alpha, threshold, mode)` for each alpha in
         order, from one `record_minima` pass: a probe's smallest
@@ -242,7 +257,7 @@ class FingerprintIndex:
         handed to the `query` calls through index state that lasts only
         for this call."""
         if not probe.scoreable:
-            raise ValueError(f"unscoreable program: {probe.program_id!r} has no fingerprints")
+            raise _unscoreable(probe)
         columns = self._scan_columns()
         self._minima = _Minima(columns, probe, _record_minima(probe, columns))
         try:
@@ -251,7 +266,7 @@ class FingerprintIndex:
             self._minima = None
 
     def cluster(
-        self, alpha: int, threshold: float, mode: str = "containment"
+        self, alpha: int, threshold: float, mode: str = DEFAULT_MODE
     ) -> list[CloneGroup]:
         """Single-linkage clone groups: connected components of the
         "scores >= threshold" graph over scoreable records. Groups are
@@ -346,43 +361,24 @@ class FingerprintIndex:
         }
         lines = [json.dumps(header, sort_keys=True)]
         for record in self.records.values():
-            lines.append(
-                json.dumps(
-                    {
-                        "program_id": record.program_id,
-                        "source_path": record.source_path,
-                        "fingerprints": [to_hex(b) for b in record.fingerprints],
-                        "path_count": record.path_count,
-                        "truncated": record.truncated,
-                    },
-                    sort_keys=True,
-                )
-            )
+            row = {key: getattr(record, key) for key in _RECORD}
+            row["fingerprints"] = [to_hex(b) for b in record.fingerprints]
+            lines.append(json.dumps(row, sort_keys=True))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _int_field(row: dict, key: str) -> int:
-    """A JSON integer field; any other type (bool, float, string, ...)
-    is a format error, not a conversion."""
+def _field(row: dict, key: str, kind: type):
+    """A JSON field of exactly type `kind`; any other type (a bool for
+    an integer, a float, ...) is a format error, not a conversion."""
     value = row[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
-def _str_field(row: dict, key: str) -> str:
-    """A JSON string field; any other type is a format error."""
-    value = row[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _parse_fingerprints(value: object) -> tuple[int, ...]:
+def _parse_fingerprints(value: list) -> tuple[int, ...]:
     """A record's fingerprint list: 16-digit hex strings, strictly
     ascending (what `save` writes and the scorer relies on)."""
-    if not isinstance(value, list):
-        raise ValueError(f"fingerprints must be a list, got {value!r}")
     bits = tuple(from_hex(text) for text in value)
     for before, after in zip(bits, bits[1:]):
         if after <= before:
@@ -423,10 +419,10 @@ def load_index(path: str | Path) -> FingerprintIndex:
                 f"incompatible index configuration: {key} {value!r} (expected {expected!r})"
             )
     try:
-        r = _int_field(header, "r")
+        r = _field(header, "r", int)
         stamp = ConfigStamp(
-            alpha=_int_field(header, "alpha"),
-            min_blocks=_int_field(header, "min_blocks"),
+            alpha=_field(header, "alpha", int),
+            min_blocks=_field(header, "min_blocks", int),
         )
         RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks).validate()
     except KeyError as exc:
@@ -442,14 +438,14 @@ def load_index(path: str | Path) -> FingerprintIndex:
     for i in range(1, len(lines)):
         row = parse_line(i)
         try:
-            truncated = row["truncated"]
-            if not isinstance(truncated, bool):
-                raise ValueError(f"truncated must be true or false, got {truncated!r}")
+            truncated, program_id, source_path, hexes, path_count = [
+                _field(row, key, kind) for key, kind in _RECORD.items()
+            ]
             record = IndexRecord(
-                program_id=_str_field(row, "program_id"),
-                source_path=_str_field(row, "source_path"),
-                fingerprints=_parse_fingerprints(row["fingerprints"]),
-                path_count=_int_field(row, "path_count"),
+                program_id=program_id,
+                source_path=source_path,
+                fingerprints=_parse_fingerprints(hexes),
+                path_count=path_count,
                 truncated=truncated,
                 config_stamp=stamp,
             )

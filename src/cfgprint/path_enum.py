@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cfg_builder import ControlFlowGraph
+from .config import DEFAULT_MAX_PATHS, DEFAULT_MIN_BLOCKS
 
 
 class ExecutionPath(NamedTuple):
@@ -33,7 +34,7 @@ class PathSet:
     truncated: bool
 
 
-def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = 10000) -> PathSet:
+def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = DEFAULT_MAX_PATHS) -> PathSet:
     """All simple entry-to-exit paths, in deterministic order.
 
     If more than max_paths exist, the first max_paths (in search order)
@@ -64,7 +65,7 @@ def enumerate_paths(cfg: ControlFlowGraph, max_paths: int = 10000) -> PathSet:
 
 
 def filter_paths(
-    paths: Sequence[ExecutionPath], min_blocks: int = 3
+    paths: Sequence[ExecutionPath], min_blocks: int = DEFAULT_MIN_BLOCKS
 ) -> list[ExecutionPath]:
     """Keep paths covering at least min_blocks real blocks.
 

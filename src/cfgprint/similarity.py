@@ -25,20 +25,14 @@ its stride-0 operand and runs about 3x slower per cell, and a
 `cluster` call's short suffix passes are mostly such blocks. Only
 integer ufuncs run in that scope; no float sum does, whose pairwise
 blocks follow the buffer size. `fingerprint_columns` lays the others
-out for it. The index lays out each distinct fingerprint set once, so
-records that share a set (exact type-1 and type-2 clones) share one
-run and one minimum. `FingerprintIndex.query` runs the pass once per
-call over those sets, except inside `FingerprintIndex.query_alphas`,
-which runs it once per probe for a whole alpha sweep and hands the
-minima to each of its `query` calls; `cluster` runs it once per
-distinct set over the sets after it. Each hands a record's minimum
-(its set's, or 0 between records of one set in `cluster`) to the
-per-pair call as `min_distance`: past alpha `score_pair` and
-`pair_report` return `_zero_score`, which checks the arguments and
-works out only the denominator, without calling the kernel, so the
-per-pair calls only assemble reports. An index record is itself a
-`ProgramFingerprint`, so repeated queries and clustering reuse the
-array each record builds once.
+out for it.
+
+A caller that already has a pair's exact smallest distance, from
+`record_minima`, hands it to `score_pair` or `pair_report` as the
+`min_distance` hint: past alpha they return `_zero_score`, which checks
+the arguments and works out only the denominator, without calling the
+kernel. Which scans run the pass and hand the hint on is described in
+`index_store`'s docstring.
 
 `SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
 to build, and equal (and hashing alike) to the plain tuples of their
@@ -51,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import MODES
+from .config import DEFAULT_MODE, MODES
 from .fingerprint import ProgramFingerprint, to_hex
 
 GRADE_IDENTICAL = "identical"
@@ -210,7 +204,7 @@ def score_pair(
     a: ProgramFingerprint,
     b: ProgramFingerprint,
     alpha: int,
-    mode: str = "containment",
+    mode: str = DEFAULT_MODE,
     *,
     min_distance: int | None = None,
 ) -> SimilarityScore:
@@ -229,7 +223,7 @@ def pair_report(
     a: ProgramFingerprint,
     b: ProgramFingerprint,
     alpha: int,
-    mode: str = "containment",
+    mode: str = DEFAULT_MODE,
     *,
     min_distance: int | None = None,
 ) -> PairReport:

@@ -1,6 +1,7 @@
 """Acceptance gate: ten criteria, each with its stated tolerance and
-time budget. Oracles here are written inline and independently of the
-library code paths they check.
+time budget. The oracles they check against are the pure-Python ones
+in `tests/oracles.py`, written independently of the library code paths
+they check.
 
 The criteria that need a labeled corpus (03, 04) share one module-scope
 corpus of 100 originals + 100 mutants + 100 unrelated programs.
@@ -24,80 +25,20 @@ from cfgprint.cloneforge import (
     scaling_run,
 )
 from cfgprint.config import ConfigStamp, RunConfig
-from cfgprint.fingerprint import (
-    ProgramFingerprint,
-    fingerprint_path,
-    fnv1a64,
-)
+from cfgprint.fingerprint import fingerprint_path, fnv1a64
 from cfgprint.frontend import NormalizedStatement
 from cfgprint.index_store import FingerprintIndex, load_index, record_from_program
 from cfgprint.path_enum import enumerate_paths
 from cfgprint.pipeline import fingerprint_source, index_directory
 from cfgprint.similarity import distance_matrix, score_pair
-from graphs import graph_from_edges
-
-
-# -- independent reference implementations ------------------------------------
-
-
-def _popcount(x: int) -> int:
-    count = 0
-    while x:
-        count += x & 1
-        x >>= 1
-    return count
-
-
-def _majority_simhash(hashes):
-    out = 0
-    for bit in range(64):
-        vote = 0
-        for h in hashes:
-            vote += 1 if (h >> bit) & 1 else -1
-        if vote > 0:
-            out |= 1 << bit
-    return out
-
-
-def _matched(from_bits, into_bits, alpha):
-    return sum(
-        1 for x in from_bits if any(_popcount(x ^ y) <= alpha for y in into_bits)
-    )
-
-
-def _reference_score(a_bits, b_bits, alpha, mode):
-    na, nb = len(a_bits), len(b_bits)
-    if mode == "containment":
-        if na < nb:
-            m = _matched(a_bits, b_bits, alpha)
-        elif nb < na:
-            m = _matched(b_bits, a_bits, alpha)
-        else:
-            m = max(_matched(a_bits, b_bits, alpha), _matched(b_bits, a_bits, alpha))
-        return m / min(na, nb)
-    return (_matched(a_bits, b_bits, alpha) + _matched(b_bits, a_bits, alpha)) / (na + nb)
-
-
-def _exhaustive_simple_paths(n, edges, entry, exit_id):
-    adjacency = {i: sorted(d for s, d in edges if s == i) for i in range(n)}
-    found = []
-
-    def walk(node, trail):
-        if node == exit_id:
-            found.append(tuple(trail))
-            return
-        for nxt in adjacency[node]:
-            if nxt not in trail:
-                walk(nxt, trail + [nxt])
-
-    walk(entry, [entry])
-    return sorted(found)
-
-
-def _program_of_bits(program_id, bit_values):
-    return ProgramFingerprint(
-        program_id, tuple(sorted(set(bit_values))), len(bit_values), False
-    )
+from oracles import (
+    graph_from_edges,
+    majority_simhash,
+    popcount,
+    program,
+    score_counts,
+    simple_paths,
+)
 
 
 # -- shared corpus for criteria 03 and 04 ---------------------------------------
@@ -209,7 +150,7 @@ def test_criterion_06_simhash_oracle_equivalence():
             1,
         )
         got = fingerprint_path((0, 1), cfg)
-        expected = _majority_simhash([fnv1a64(t.encode("utf-8")) for t in texts])
+        expected = majority_simhash([fnv1a64(t.encode("utf-8")) for t in texts])
         assert got == expected
     assert time.perf_counter() - t0 < 10.0
 
@@ -224,13 +165,13 @@ def test_criterion_07_hamming_metric_suite():
         # random values, each with near neighbours one or two bits away
         base = [rng.randrange(2**64) for _ in range(20)] + [0, 2**64 - 1]
         pool = base + [x ^ (1 << rng.randrange(64)) ^ (1 << rng.randrange(64)) for x in base]
-        a, b, c = (_program_of_bits(name, rng.sample(pool, 30)) for name in "abc")
+        a, b, c = (program(name, rng.sample(pool, 30)) for name in "abc")
         ab, ba, bc, ac, aa = (
             distance_matrix(x, y).astype(int) for x, y in ((a, b), (b, a), (b, c), (a, c), (a, a))
         )
         for i, x in enumerate(a.fingerprints):
             for j, y in enumerate(b.fingerprints):
-                assert ab[i, j] == _popcount(x ^ y)
+                assert ab[i, j] == popcount(x ^ y)
                 assert (ab[i, j] == 0) == (x == y)
         assert (ab == ba.T).all()
         assert (np.diagonal(aa) == 0).all()
@@ -258,7 +199,7 @@ def test_criterion_08_path_enumeration_oracle():
         edges = {(s, d) for s, d in edges if s != exit_id}
         cfg = graph_from_edges(n, edges, exit_id)
         got = sorted(p.block_ids for p in enumerate_paths(cfg).paths)
-        assert got == _exhaustive_simple_paths(n, edges, 0, exit_id), f"trial {trial}"
+        assert got == simple_paths(n, edges, 0, exit_id), f"trial {trial}"
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -310,16 +251,15 @@ def test_criterion_10_similarity_properties_and_reference():
         a_bits = [rng.randrange(2**64) for _ in range(rng.randint(1, 8))]
         b_bits = [rng.randrange(2**64) for _ in range(rng.randint(1, 8))]
         alpha = rng.randint(0, 16)
-        a = _program_of_bits("a", a_bits)
-        b = _program_of_bits("b", b_bits)
-        a_twin = _program_of_bits("a2", a_bits)
+        a = program("a", a_bits)
+        b = program("b", b_bits)
+        a_twin = program("a2", a_bits)
         for mode in ("containment", "resemblance"):
             value = score_pair(a, b, alpha, mode).value
             assert 0.0 <= value <= 1.0
             assert value == score_pair(b, a, alpha, mode).value
-            assert value == pytest.approx(
-                _reference_score(a.fingerprints, b.fingerprints, alpha, mode)
-            )
+            matched, denominator = score_counts(a.fingerprints, b.fingerprints, alpha, mode)
+            assert value == pytest.approx(matched / denominator)
             assert score_pair(a, a_twin, alpha, mode).value == 1.0
             if alpha < 16:
                 assert value <= score_pair(a, b, alpha + 1, mode).value

@@ -25,7 +25,7 @@ from cfgprint.frontend import (
     parse,
     tokenize,
 )
-from graphs import graph_from_edges
+from oracles import graph_from_edges, simple_paths
 
 EXIT = -1
 
@@ -215,7 +215,7 @@ def test_if_else_diamond():
     cfg = check_against_oracle("if (x > 0) output 1; else output 2; endif")
     assert len(cfg.real_blocks) == 5
     assert len(cfg.edges) == 6
-    assert _route_count(cfg) == 2
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 2
 
 
 def test_diamond_with_surrounding_statements():
@@ -224,12 +224,12 @@ def test_diamond_with_surrounding_statements():
         "declare x; if (x > 0) output 1; else output 2; endif output x;"
     )
     assert len(cfg.real_blocks) == 6
-    assert _route_count(cfg) == 2
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 2
 
 
 def test_if_without_else():
     cfg = check_against_oracle("if (x > 0) output 1; endif output x;")
-    assert _route_count(cfg) == 2
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 2
 
 
 def test_elseif_chain_routes():
@@ -241,7 +241,7 @@ def test_elseif_chain_routes():
     output 0;
     """
     cfg = check_against_oracle(src)
-    assert _route_count(cfg) == 3
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 3
 
 
 def test_case_routes():
@@ -255,12 +255,12 @@ def test_case_routes():
     """
     cfg = check_against_oracle(src)
     # guard chain can also fall past every when
-    assert _route_count(cfg) == 4
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 4
 
 
 def test_for_loop_matches_while_shape():
     cfg = check_against_oracle("for i = 1 to 10 output i; endfor output 0;")
-    assert _route_count(cfg) == 2
+    assert len(simple_paths(len(cfg.blocks), cfg.edges, cfg.entry_id, cfg.exit_id)) == 2
 
 
 def test_nested_loop_in_if():
@@ -297,21 +297,6 @@ def test_deeply_nested():
     output 3;
     """
     check_against_oracle(src)
-
-
-def _route_count(cfg):
-    total = [0]
-
-    def dfs(node, seen):
-        if node == cfg.exit_id:
-            total[0] += 1
-            return
-        for nxt in cfg.successors[node]:
-            if nxt not in seen:
-                dfs(nxt, seen | {nxt})
-
-    dfs(cfg.entry_id, {cfg.entry_id})
-    return total[0]
 
 
 # -- leaders -------------------------------------------------------------------

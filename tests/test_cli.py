@@ -604,15 +604,6 @@ def test_flags_a_subcommand_does_not_read_exit_two(corpus, tmp_path, capsys, com
     assert "unrecognized arguments" in captured.err
 
 
-def test_jobs_env_fallback(corpus, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CFGPRINT_JOBS", "2")
-    run_json(capsys, "index", str(corpus), "-o", str(tmp_path / "env.cdx"))
-    monkeypatch.setenv("CFGPRINT_JOBS", "zero")
-    run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "bad.cdx"), expect=2)
-    monkeypatch.setenv("CFGPRINT_JOBS", "0")
-    run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "bad2.cdx"), expect=2)
-
-
 def test_invalid_flag_values(corpus, tmp_path, capsys):
     run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
             "--alpha", "-3", expect=1)
@@ -620,6 +611,8 @@ def test_invalid_flag_values(corpus, tmp_path, capsys):
             "--threshold", "1.5", expect=1)
     run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
             "--max-paths", "0", expect=1)
+    run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
+            "--jobs", "0", expect=2)
 
 
 def test_usage_errors_exit_two(capsys):

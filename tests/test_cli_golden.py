@@ -127,6 +127,5 @@ def cli_digests(root: Path) -> dict[str, str]:
     }
 
 
-def test_cli_matches_recorded_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("CFGPRINT_JOBS", raising=False)
+def test_cli_matches_recorded_digests(tmp_path):
     assert cli_digests(tmp_path) == GOLDEN

@@ -143,9 +143,10 @@ def test_type3_refuses_to_empty_program():
         ('declare x;\nx = "abc\nx";\n', 2),
     ],
 )
-def test_type3_error_names_the_line_of_a_source_that_does_not_parse(source, line):
+@pytest.mark.parametrize("kind", ["type2", "type3"])
+def test_mutate_error_names_the_line_of_a_source_that_does_not_parse(kind, source, line):
     with pytest.raises(MiniProcSyntaxError, match="expected expression") as caught:
-        mutate(source, MutationSpec("type3", seed=1))
+        mutate(source, MutationSpec(kind, seed=1))
     assert caught.value.line == line
 
 

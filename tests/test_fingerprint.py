@@ -26,7 +26,7 @@ from cfgprint.frontend import normalize_source
 from cfgprint.index_store import record_from_program
 from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
 from cfgprint.pipeline import index_directory, program_files, run_pipeline
-from graphs import graph_from_edges
+from oracles import graph_from_edges, majority_simhash
 
 
 # -- statement hash ------------------------------------------------------------
@@ -58,18 +58,6 @@ def test_fnv1a64_stays_in_64_bits():
 # -- simhash ---------------------------------------------------------------------
 
 
-def simhash_oracle(hashes):
-    """Per-bit majority vote over 64 bits, the long way."""
-    out = 0
-    for bit in range(64):
-        count = 0
-        for h in hashes:
-            count += 1 if (h >> bit) & 1 else -1
-        if count > 0:
-            out |= 1 << bit
-    return out
-
-
 def test_simhash_small_example():
     # bit set only where strictly more inputs have it set than clear
     assert simhash_bits([0b1100, 0b1010, 0b1001]) == 0b1000
@@ -93,7 +81,7 @@ def test_simhash_oracle_equivalence():
     for _ in range(1000):
         span = rng.choice([8, 16, 32, 64])
         hashes = [rng.randrange(2**span) for _ in range(rng.randint(1, 30))]
-        assert simhash_bits(hashes) == simhash_oracle(hashes)
+        assert simhash_bits(hashes) == majority_simhash(hashes)
 
 
 def test_simhash_order_insensitive():
@@ -179,7 +167,7 @@ def test_fingerprint_path_uses_block_statements():
     texts = []
     for block_id in paths[0].block_ids:
         texts.extend(s.text for s in cfg.blocks[block_id].statements)
-    assert fp == simhash_oracle([fnv1a64(t.encode("utf-8")) for t in texts])
+    assert fp == majority_simhash([fnv1a64(t.encode("utf-8")) for t in texts])
 
 
 def test_virtual_exit_contributes_nothing():

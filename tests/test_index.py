@@ -23,14 +23,9 @@ from cfgprint.index_store import (
     record_from_program,
 )
 from cfgprint.similarity import classify, distance_matrix, pair_report, score_pair
+from oracles import bfs_components, program
 
 STAMP = ConfigStamp.from_config(RunConfig())
-
-
-def make_program(program_id, bit_values, truncated=False):
-    return ProgramFingerprint(
-        program_id, tuple(sorted(set(bit_values))), len(bit_values), truncated
-    )
 
 
 def make_index(programs, stamp=STAMP):
@@ -44,7 +39,7 @@ def _random_programs(rng, count):
     out = []
     for i in range(count):
         bits = [rng.randrange(2**64) for _ in range(rng.randint(1, 9))]
-        out.append(make_program(f"p{i:03d}", bits))
+        out.append(program(f"p{i:03d}", bits))
     return out
 
 
@@ -52,16 +47,16 @@ def _random_programs(rng, count):
 
 
 def test_add_rejects_duplicate_id():
-    index = make_index([make_program("a", [1])])
+    index = make_index([program("a", [1])])
     with pytest.raises(ValueError, match="already indexed"):
-        index.add_program(record_from_program(make_program("a", [2]), "a.mp", STAMP))
+        index.add_program(record_from_program(program("a", [2]), "a.mp", STAMP))
 
 
 def test_add_rejects_stamp_mismatch():
     index = make_index([])
     other = ConfigStamp.from_config(RunConfig(min_blocks=5))
     with pytest.raises(IndexCompatibilityError):
-        index.add_program(record_from_program(make_program("a", [1]), "a.mp", other))
+        index.add_program(record_from_program(program("a", [1]), "a.mp", other))
 
 
 def test_add_rejects_alpha_only_stamp_mismatch():
@@ -70,25 +65,25 @@ def test_add_rejects_alpha_only_stamp_mismatch():
     index = make_index([])
     other = ConfigStamp.from_config(RunConfig(alpha=STAMP.alpha + 1))
     with pytest.raises(IndexCompatibilityError):
-        index.add_program(record_from_program(make_program("a", [1]), "a.mp", other))
+        index.add_program(record_from_program(program("a", [1]), "a.mp", other))
 
 
 # -- query ------------------------------------------------------------------------
 
 
 def test_query_skips_probe_itself():
-    programs = [make_program("a", [1, 2]), make_program("b", [1, 2])]
+    programs = [program("a", [1, 2]), program("b", [1, 2])]
     index = make_index(programs)
     hits = index.query(programs[0], alpha=0, threshold=0.0, mode="containment")
     assert [h.program_id for h in hits] == ["b"]
 
 
 def test_query_threshold_and_ordering():
-    probe = make_program("probe", [0, 1024, 2048])
+    probe = program("probe", [0, 1024, 2048])
     entries = [
-        make_program("full", [0, 1024, 2048]),          # 1.0
-        make_program("two_of_three", [0, 1024, 2**63]),  # 2/3
-        make_program("one_of_three", [0, 2**62, 2**63]), # 1/3
+        program("full", [0, 1024, 2048]),              # 1.0
+        program("two_of_three", [0, 1024, 2**63]),     # 2/3
+        program("one_of_three", [0, 2**62, 2**63]),    # 1/3
     ]
     index = make_index(entries)
     hits = index.query(probe, alpha=0, threshold=0.5, mode="containment")
@@ -96,14 +91,14 @@ def test_query_threshold_and_ordering():
     assert hits[0].score.value == 1.0
     assert hits[0].grade == "identical"
     # ties on score break by id
-    tied = make_index([make_program("zz", [0]), make_program("aa", [0])])
-    ordered = tied.query(make_program("probe", [0]), 0, 0.0, "containment")
+    tied = make_index([program("zz", [0]), program("aa", [0])])
+    ordered = tied.query(program("probe", [0]), 0, 0.0, "containment")
     assert [h.program_id for h in ordered] == ["aa", "zz"]
 
 
 def test_query_skips_unscoreable_records_and_counts_scorings():
-    index = make_index([make_program("a", [1]), make_program("empty", [])])
-    hits = index.query(make_program("probe", [1]), 0, 0.0, "containment")
+    index = make_index([program("a", [1]), program("empty", [])])
+    hits = index.query(program("probe", [1]), 0, 0.0, "containment")
     assert [h.program_id for h in hits] == ["a"]
     assert index.last_query_scorings == 1  # the empty record cost nothing
 
@@ -111,7 +106,7 @@ def test_query_skips_unscoreable_records_and_counts_scorings():
 def test_query_scoring_counter_is_per_call():
     rng = random.Random(77)
     index = make_index(_random_programs(rng, 9))
-    probe = make_program("probe", [rng.randrange(2**64)])
+    probe = program("probe", [rng.randrange(2**64)])
     index.query(probe, 5, 0.0, "containment")
     assert index.last_query_scorings == 9
     index.query(probe, 5, 0.99, "containment")
@@ -119,14 +114,14 @@ def test_query_scoring_counter_is_per_call():
 
 
 def test_query_unscoreable_probe_raises():
-    index = make_index([make_program("a", [1])])
+    index = make_index([program("a", [1])])
     with pytest.raises(ValueError, match="unscoreable"):
-        index.query(make_program("probe", []), 0, 0.5, "containment")
+        index.query(program("probe", []), 0, 0.5, "containment")
 
 
 def test_query_candidate_evidence_is_hex():
-    index = make_index([make_program("a", [0xDEAD])])
-    (hit,) = index.query(make_program("p", [0xDEAD]), 0, 0.5, "containment")
+    index = make_index([program("a", [0xDEAD])])
+    (hit,) = index.query(program("p", [0xDEAD]), 0, 0.5, "containment")
     ((probe_hex, record_hex, distance),) = hit.matched_path_evidence
     assert probe_hex == format(0xDEAD, "016x")
     assert record_hex == format(0xDEAD, "016x")
@@ -157,7 +152,7 @@ def _share_sets(programs, copies):
     """Give each (source, target) position of `copies` the source's
     fingerprint set, keeping the target's id."""
     for source, target in copies:
-        programs[target] = make_program(
+        programs[target] = program(
             programs[target].program_id, list(programs[source].fingerprints)
         )
 
@@ -170,13 +165,13 @@ def test_query_matches_a_per_record_pair_report_loop():
     # the record the scan skips), a near twin's, and a second empty one
     rng = random.Random(41)
     for round_ in range(20):
-        probe = make_program("p003", [rng.randrange(2**64) for _ in range(rng.randint(1, 9))])
+        probe = program("p003", [rng.randrange(2**64) for _ in range(rng.randint(1, 9))])
         programs = _random_programs(rng, 14)
         programs[3] = probe
-        programs[7] = make_program("p007", [])
+        programs[7] = program("p007", [])
         for k in (2, 9, 11):
             flipped = [bits ^ (1 << rng.randrange(64)) for bits in probe.fingerprints]
-            programs[k] = make_program(f"p{k:03d}", flipped[: rng.randint(1, len(flipped))])
+            programs[k] = program(f"p{k:03d}", flipped[: rng.randint(1, len(flipped))])
         if round_ >= 10:
             _share_sets(programs, [(4, 8), (4, 13), (3, 10), (2, 12), (7, 0)])
         index = make_index(programs)
@@ -200,23 +195,23 @@ def scan_cases(draw):
     twins of the probe (a few bits flipped), unscoreable, or the
     probe's own id."""
     probe_bits = draw(_FINGERPRINTS.filter(bool))
-    probe = make_program("probe", probe_bits)
+    probe = program("probe", probe_bits)
 
-    def program(program_id):
+    def draw_program(program_id):
         kind = draw(st.sampled_from(["random", "twin", "empty", "self"]))
         if kind == "random":
-            return make_program(program_id, draw(_FINGERPRINTS))
+            return program(program_id, draw(_FINGERPRINTS))
         if kind == "empty":
-            return make_program(program_id, [])
+            return program(program_id, [])
         flips = draw(st.lists(st.integers(0, 63), max_size=6))
         bits = [b ^ sum(1 << f for f in set(flips)) for b in probe_bits]
-        return make_program("probe" if kind == "self" else program_id, bits)
+        return program("probe" if kind == "self" else program_id, bits)
 
     programs = {}
     for i in range(draw(st.integers(0, 7))):
-        made = program(f"p{i}")
+        made = draw_program(f"p{i}")
         programs.setdefault(made.program_id, made)
-    added = program("added")
+    added = draw_program("added")
     overwrite = draw(st.sampled_from(sorted(programs))) if programs else None
     return probe, list(programs.values()), added, overwrite, draw(_FINGERPRINTS)
 
@@ -270,7 +265,7 @@ def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode)
         check()
     if overwrite is not None:
         index.records[overwrite] = record_from_program(
-            make_program(overwrite, new_bits), f"{overwrite}.mp", STAMP
+            program(overwrite, new_bits), f"{overwrite}.mp", STAMP
         )
         check()
         del index.records[overwrite]
@@ -329,8 +324,8 @@ def test_query_alphas_matches_a_query_per_alpha(case, alphas, threshold, mode):
 
 @pytest.mark.parametrize("alphas", [[], [5], [7, 0, 7]])
 def test_query_alphas_unscoreable_probe_raises_like_query(alphas):
-    index = make_index([make_program("a", [1])])
-    probe = make_program("probe", [])
+    index = make_index([program("a", [1])])
+    probe = program("probe", [])
     with pytest.raises(ValueError, match="unscoreable") as from_query:
         index.query(probe, 0, 0.5, "containment")
     with pytest.raises(ValueError, match="unscoreable") as from_sweep:
@@ -353,7 +348,7 @@ def _count_minima_passes(monkeypatch):
 def test_query_alphas_hands_off_only_for_its_own_calls(monkeypatch):
     rng = random.Random(5)
     index = make_index(_random_programs(rng, 8))
-    probe = make_program("probe", [rng.randrange(2**64) for _ in range(4)])
+    probe = program("probe", [rng.randrange(2**64) for _ in range(4)])
     passes = _count_minima_passes(monkeypatch)
     index.query_alphas(probe, [0, 3, 64], 0.0, "containment")
     assert len(passes) == 1
@@ -375,15 +370,15 @@ def test_query_ignores_minima_for_another_probe_or_layout(monkeypatch):
     rng = random.Random(6)
     programs = _random_programs(rng, 6)
     index = make_index(programs)
-    probe = make_program("probe", list(programs[2].fingerprints))
+    probe = program("probe", list(programs[2].fingerprints))
     expected = per_record_query(index, probe, 5, 0.0, "containment")
     columns = index._scan_columns()
     wrong = [64] * len(columns.records)
-    twin = make_program("probe", list(probe.fingerprints))
+    twin = program("probe", list(probe.fingerprints))
     monkeypatch.setattr(index, "_minima", index_store._Minima(columns, twin, wrong))
     assert index.query(probe, 5, 0.0, "containment") == expected
     stale = index_store._Minima(columns, probe, wrong)
-    index.add_program(record_from_program(make_program("later", [1]), "later.mp", STAMP))
+    index.add_program(record_from_program(program("later", [1]), "later.mp", STAMP))
     monkeypatch.setattr(index, "_minima", stale)
     expected = per_record_query(index, probe, 5, 0.0, "containment")
     assert index.query(probe, 5, 0.0, "containment") == expected
@@ -400,7 +395,7 @@ def test_scaling_run_makes_one_minima_pass_per_query(monkeypatch):
 def test_scans_leave_the_ufunc_buffer_as_they_found_it():
     rng = random.Random(19)
     index = make_index(_random_programs(rng, 8))
-    probe = make_program("probe", [rng.randrange(2**64) for _ in range(4)])
+    probe = program("probe", [rng.randrange(2**64) for _ in range(4)])
     caller = np.setbufsize(4096)
     try:
         index.query(probe, 5, 0.0, "containment")
@@ -450,36 +445,18 @@ def test_save_bytes_unchanged_by_queries_and_clustering(tmp_path):
 # -- cluster -------------------------------------------------------------------------
 
 
-def bfs_components(ids, linked):
-    remaining = set(ids)
-    components = []
-    while remaining:
-        seed = min(remaining)
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            node = frontier.pop()
-            for other in list(remaining - component):
-                if (node, other) in linked or (other, node) in linked:
-                    component.add(other)
-                    frontier.append(other)
-        components.append(sorted(component))
-        remaining -= component
-    return [c for c in components if len(c) >= 2]
-
-
 def test_cluster_matches_bfs_oracle():
     rng = random.Random(2024)
     for round_ in range(40):
         programs = _random_programs(rng, 12)
         # plant some identical twins so clusters exist
-        programs[1] = make_program("p001", list(programs[0].fingerprints))
-        programs[5] = make_program("p005", list(programs[4].fingerprints))
+        programs[1] = program("p001", list(programs[0].fingerprints))
+        programs[5] = program("p005", list(programs[4].fingerprints))
         if round_ >= 25:
             # a set held by three records, one apart from the other two,
             # a pair apart in id order, and two empty records
-            programs[10] = make_program("p010", [])
-            programs[11] = make_program("p011", [])
+            programs[10] = program("p010", [])
+            programs[11] = program("p011", [])
             _share_sets(programs, [(0, 8), (3, 9)])
         index = make_index(programs)
         alpha, threshold = rng.randint(0, 6), 0.6
@@ -504,11 +481,11 @@ def test_cluster_in_small_blocks_matches_default_and_oracle(monkeypatch):
     rng = random.Random(4048)
     for _ in range(10):
         programs = _random_programs(rng, 12)
-        programs[1] = make_program("p001", list(programs[0].fingerprints))
+        programs[1] = program("p001", list(programs[0].fingerprints))
         base = [rng.randrange(2**64) for _ in range(10)]
         for k in (4, 5, 9):
             flipped = [b ^ (1 << rng.randrange(64)) for b in base]
-            programs[k] = make_program(f"p{k:03d}", flipped[: rng.randint(8, 10)])
+            programs[k] = program(f"p{k:03d}", flipped[: rng.randint(8, 10)])
         index = make_index(programs)
         assert max(len(p.fingerprints) for p in programs) > 7
         for mode in ("containment", "resemblance"):
@@ -542,7 +519,7 @@ def test_cluster_matches_bfs_oracle_on_chained_links():
     rng = random.Random(77)
     for _ in range(40):
         programs = [
-            make_program(f"p{i:03d}", rng.sample(pool, rng.randint(1, 3)))
+            program(f"p{i:03d}", rng.sample(pool, rng.randint(1, 3)))
             for i in range(rng.randint(2, 14))
         ]
         index = make_index(programs)
@@ -558,9 +535,9 @@ def test_cluster_matches_bfs_oracle_on_chained_links():
 
 
 def test_cluster_group_mean_score():
-    a = make_program("a", [1, 2, 3])
-    b = make_program("b", [1, 2, 3])
-    c = make_program("c", [1, 2, 2**63])
+    a = program("a", [1, 2, 3])
+    b = program("b", [1, 2, 3])
+    c = program("c", [1, 2, 2**63])
     index = make_index([a, b, c])
     (group,) = index.cluster(alpha=0, threshold=0.6, mode="containment")
     assert list(group.members) == ["a", "b", "c"]
@@ -590,8 +567,8 @@ def test_cluster_mean_scores_match_an_unhinted_pair_loop(monkeypatch):
         programs = _random_programs(rng, 12)
         for k in (1, 2, 5):
             flipped = [b ^ (1 << rng.randrange(64)) for b in programs[0].fingerprints]
-            programs[k] = make_program(f"p{k:03d}", flipped + [rng.randrange(2**64)])
-        programs[7] = make_program("p007", [])
+            programs[k] = program(f"p{k:03d}", flipped + [rng.randrange(2**64)])
+        programs[7] = program("p007", [])
         if round_ >= 10:
             # a near twin's set held by three records apart in id order,
             # the first record's set again at the end, and an empty twin
@@ -616,9 +593,9 @@ def test_cluster_mean_scores_match_an_unhinted_pair_loop(monkeypatch):
 def test_cluster_mean_score_counts_pairs_that_score_zero():
     # a chain a - b - c whose ends share nothing within alpha: the a, c
     # pair scores 0 and still counts in the group's mean
-    a = make_program("a", [1, 2])
-    b = make_program("b", [1, 2, 2**40, 2**41])
-    c = make_program("c", [2**40, 2**41])
+    a = program("a", [1, 2])
+    b = program("b", [1, 2, 2**40, 2**41])
+    c = program("c", [2**40, 2**41])
     index = make_index([a, b, c])
     for mode in ("containment", "resemblance"):
         (group,) = index.cluster(alpha=0, threshold=0.5, mode=mode)
@@ -629,7 +606,7 @@ def test_cluster_mean_score_counts_pairs_that_score_zero():
 
 
 def test_cluster_no_groups_when_nothing_matches():
-    index = make_index([make_program("a", [0]), make_program("b", [2**64 - 1])])
+    index = make_index([program("a", [0]), program("b", [2**64 - 1])])
     assert index.cluster(0, 0.5, "containment") == []
 
 
@@ -639,7 +616,7 @@ def test_cluster_no_groups_when_nothing_matches():
 def test_round_trip_preserves_everything(tmp_path):
     rng = random.Random(55)
     programs = _random_programs(rng, 20)
-    programs.append(make_program("trunc", [7, 8], truncated=True))
+    programs.append(program("trunc", [7, 8], truncated=True))
     index = make_index(programs)
     path = tmp_path / "programs.cdx"
     index.save(path)
@@ -661,7 +638,7 @@ def test_round_trip_preserves_everything(tmp_path):
 
 
 def test_save_format_header(tmp_path):
-    index = make_index([make_program("a", [3])])
+    index = make_index([program("a", [3])])
     path = tmp_path / "one.cdx"
     index.save(path)
     lines = path.read_text().splitlines()
@@ -676,7 +653,7 @@ def test_save_format_header(tmp_path):
 
 
 def test_load_reports_line_numbers(tmp_path):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "bad.cdx"
     index.save(path)
     lines = path.read_text().splitlines()
@@ -687,7 +664,7 @@ def test_load_reports_line_numbers(tmp_path):
 
 
 def test_load_rejects_missing_keys(tmp_path):
-    index = make_index([make_program("a", [1])])
+    index = make_index([program("a", [1])])
     path = tmp_path / "bad.cdx"
     index.save(path)
     lines = path.read_text().splitlines()
@@ -707,7 +684,7 @@ def test_load_rejects_wrong_format_marker(tmp_path):
 
 
 def test_load_rejects_wrong_hash_or_normalization(tmp_path):
-    index = make_index([make_program("a", [1])])
+    index = make_index([program("a", [1])])
     path = tmp_path / "h.cdx"
     index.save(path)
     lines = path.read_text().splitlines()
@@ -730,7 +707,7 @@ def test_load_rejects_wrong_hash_or_normalization(tmp_path):
 def test_load_commits_nothing_on_failure(tmp_path):
     # a bad line halfway through must not leave a half-loaded index around;
     # load either returns a complete index or raises
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "half.cdx"
     index.save(path)
     content = path.read_text().splitlines()
@@ -763,7 +740,7 @@ def _rewrite_records(path, edit):
 
 
 def test_load_rejects_duplicate_program_id(tmp_path):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "dup.cdx"
     index.save(path)
     _rewrite_records(path, lambda records: records.append(dict(records[0])))
@@ -773,7 +750,7 @@ def test_load_rejects_duplicate_program_id(tmp_path):
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_load_rejects_non_boolean_truncated(tmp_path, value):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "trunc.cdx"
     index.save(path)
 
@@ -788,7 +765,7 @@ def test_load_rejects_non_boolean_truncated(tmp_path, value):
 @pytest.mark.parametrize("path_count", [-5, -1, 0, 1])
 def test_load_rejects_path_count_below_fingerprints(tmp_path, path_count):
     # two distinct fingerprints need at least two paths
-    index = make_index([make_program("a", [1]), make_program("b", [2, 3])])
+    index = make_index([program("a", [1]), program("b", [2, 3])])
     path = tmp_path / "count.cdx"
     index.save(path)
 
@@ -804,7 +781,7 @@ def test_load_rejects_path_count_below_fingerprints(tmp_path, path_count):
 
 def test_load_accepts_path_count_above_fingerprints(tmp_path):
     # duplicate paths share a fingerprint, so the count may exceed it
-    index = make_index([make_program("a", [1, 1, 1]), make_program("empty", [])])
+    index = make_index([program("a", [1, 1, 1]), program("empty", [])])
     path = tmp_path / "count.cdx"
     index.save(path)
     loaded = load_index(path)
@@ -814,7 +791,7 @@ def test_load_accepts_path_count_above_fingerprints(tmp_path):
 
 @pytest.mark.parametrize("value", [None, [3], "3", 3.0, True, float("inf")])
 def test_load_rejects_non_integer_path_count(tmp_path, value):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "count.cdx"
     index.save(path)
 
@@ -829,7 +806,7 @@ def test_load_rejects_non_integer_path_count(tmp_path, value):
 @pytest.mark.parametrize("key", ["program_id", "source_path"])
 @pytest.mark.parametrize("value", [None, 1, True, ["a"], {"a": 1}])
 def test_load_rejects_non_string_id_or_path(tmp_path, key, value):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "ids.cdx"
     index.save(path)
 
@@ -845,7 +822,7 @@ def test_load_rejects_non_string_id_or_path(tmp_path, key, value):
 @pytest.mark.parametrize("value", [None, "5", 5.5, False, float("inf")])
 def test_load_rejects_non_integer_header_values(tmp_path, key, value):
     path = tmp_path / "header.cdx"
-    make_index([make_program("a", [1])]).save(path)
+    make_index([program("a", [1])]).save(path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     header[key] = value
@@ -867,7 +844,7 @@ def test_load_rejects_non_integer_header_values(tmp_path, key, value):
 )
 def test_load_rejects_impossible_header_stamps(tmp_path, key, value, message):
     path = tmp_path / "stamp.cdx"
-    make_index([make_program("a", [1])]).save(path)
+    make_index([program("a", [1])]).save(path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     header[key] = value
@@ -886,7 +863,7 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
 @pytest.mark.parametrize("r", [32, 63, 65])
 def test_load_rejects_r_other_than_64(tmp_path, r):
     path = tmp_path / "width.cdx"
-    make_index([make_program("a", [1])]).save(path)
+    make_index([program("a", [1])]).save(path)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["r"] == 64
@@ -898,7 +875,7 @@ def test_load_rejects_r_other_than_64(tmp_path, r):
 
 def test_load_rejects_fingerprint_wider_than_r(tmp_path):
     path = tmp_path / "wide.cdx"
-    make_index([make_program("a", [7])]).save(path)
+    make_index([program("a", [7])]).save(path)
 
     def edit(records):
         records[0]["fingerprints"] = ["0000000000000007", "10000000000000000"]
@@ -921,7 +898,7 @@ def test_load_rejects_fingerprint_wider_than_r(tmp_path):
     ],
 )
 def test_load_rejects_bad_fingerprint_lists(tmp_path, fingerprints, message):
-    index = make_index([make_program("a", [1]), make_program("b", [2])])
+    index = make_index([program("a", [1]), program("b", [2])])
     path = tmp_path / "fp.cdx"
     index.save(path)
 

@@ -7,24 +7,7 @@ import pytest
 from cfgprint.cfg_builder import BasicBlock, cfg_from_statements
 from cfgprint.frontend import normalize_source
 from cfgprint.path_enum import ExecutionPath, enumerate_paths, filter_paths
-from graphs import graph_from_edges
-
-
-def brute_force_paths(n_blocks, edges, entry, exit_id):
-    """All simple entry->exit paths over a raw adjacency set."""
-    adjacency = {i: sorted(d for s, d in edges if s == i) for i in range(n_blocks)}
-    found = []
-
-    def walk(node, trail):
-        if node == exit_id:
-            found.append(tuple(trail))
-            return
-        for nxt in adjacency[node]:
-            if nxt not in trail:
-                walk(nxt, trail + [nxt])
-
-    walk(entry, [entry])
-    return sorted(found)
+from oracles import graph_from_edges, simple_paths
 
 
 def random_graph(rng, n):
@@ -51,7 +34,7 @@ def test_brute_force_agreement_on_random_graphs():
     for trial in range(500):
         n = rng.randint(2, 8)
         cfg = random_graph(rng, n)
-        expected = brute_force_paths(n, cfg.edges, 0, n - 1)
+        expected = simple_paths(n, cfg.edges, 0, n - 1)
         got = sorted(p.block_ids for p in enumerate_paths(cfg).paths)
         assert got == expected, f"trial {trial}"
 

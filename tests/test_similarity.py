@@ -23,53 +23,7 @@ from cfgprint.similarity import (
     record_minima,
     score_pair,
 )
-
-
-def make_program(program_id, bit_values):
-    return ProgramFingerprint(
-        program_id=program_id,
-        fingerprints=tuple(sorted(set(bit_values))),
-        path_count=len(bit_values),
-        truncated=False,
-    )
-
-
-# -- oracles -----------------------------------------------------------------
-
-
-def _popcount(x):
-    count = 0
-    while x:
-        count += x & 1
-        x >>= 1
-    return count
-
-
-def _matched(from_bits, into_bits, alpha):
-    return sum(
-        1
-        for x in from_bits
-        if any(_popcount(x ^ y) <= alpha for y in into_bits)
-    )
-
-
-def oracle_containment(a_bits, b_bits, alpha):
-    na, nb = len(a_bits), len(b_bits)
-    if na < nb:
-        matched = _matched(a_bits, b_bits, alpha)
-    elif nb < na:
-        matched = _matched(b_bits, a_bits, alpha)
-    else:
-        matched = max(
-            _matched(a_bits, b_bits, alpha), _matched(b_bits, a_bits, alpha)
-        )
-    return matched / min(na, nb)
-
-
-def oracle_resemblance(a_bits, b_bits, alpha):
-    return (
-        _matched(a_bits, b_bits, alpha) + _matched(b_bits, a_bits, alpha)
-    ) / (len(a_bits) + len(b_bits))
+from oracles import count_matched, pair_evidence, popcount, program, score_counts
 
 
 def _random_bits(rng, low=1, high=12):
@@ -82,11 +36,12 @@ def _random_bits(rng, low=1, high=12):
 def test_containment_matches_oracle():
     rng = random.Random(31337)
     for _ in range(300):
-        a = make_program("a", _random_bits(rng))
-        b = make_program("b", _random_bits(rng))
+        a = program("a", _random_bits(rng))
+        b = program("b", _random_bits(rng))
         alpha = rng.randint(0, 12)
         got = score_pair(a, b, alpha, "containment")
-        assert got.value == pytest.approx(oracle_containment(a.fingerprints, b.fingerprints, alpha))
+        matched_count, denominator = score_counts(a.fingerprints, b.fingerprints, alpha, "containment")
+        assert got.value == pytest.approx(matched_count / denominator)
         assert got.mode == "containment"
         assert got.denominator == min(len(a.fingerprints), len(b.fingerprints))
 
@@ -94,17 +49,18 @@ def test_containment_matches_oracle():
 def test_resemblance_matches_oracle():
     rng = random.Random(31338)
     for _ in range(300):
-        a = make_program("a", _random_bits(rng))
-        b = make_program("b", _random_bits(rng))
+        a = program("a", _random_bits(rng))
+        b = program("b", _random_bits(rng))
         alpha = rng.randint(0, 12)
         got = score_pair(a, b, alpha, "resemblance")
-        assert got.value == pytest.approx(oracle_resemblance(a.fingerprints, b.fingerprints, alpha))
+        matched_count, denominator = score_counts(a.fingerprints, b.fingerprints, alpha, "resemblance")
+        assert got.value == pytest.approx(matched_count / denominator)
         assert got.denominator == len(a.fingerprints) + len(b.fingerprints)
 
 
 def test_score_pair_dispatch():
-    a = make_program("a", [1, 2])
-    b = make_program("b", [1, 4])
+    a = program("a", [1, 2])
+    b = program("b", [1, 4])
     assert score_pair(a, b, 0, "containment").mode == "containment"
     assert score_pair(a, b, 0, "resemblance").mode == "resemblance"
     with pytest.raises(ValueError):
@@ -115,50 +71,50 @@ def test_score_pair_dispatch():
 
 
 def test_identical_sets_score_one():
-    a = make_program("a", [10, 20, 30])
-    b = make_program("b", [10, 20, 30])
+    a = program("a", [10, 20, 30])
+    b = program("b", [10, 20, 30])
     assert score_pair(a, b, 0, "containment").value == 1.0
     assert score_pair(a, b, 0, "resemblance").value == 1.0
 
 
 def test_disjoint_far_sets_score_zero():
-    a = make_program("a", [0])
-    b = make_program("b", [2**64 - 1])
+    a = program("a", [0])
+    b = program("b", [2**64 - 1])
     assert score_pair(a, b, 5, "containment").value == 0.0
     assert score_pair(a, b, 5, "resemblance").value == 0.0
 
 
 def test_containment_ignores_extra_paths_in_larger_program():
-    small = make_program("s", [100, 200])
+    small = program("s", [100, 200])
     rng = random.Random(5)
-    big = make_program("b", [100, 200] + _random_bits(rng, 6, 6))
+    big = program("b", [100, 200] + _random_bits(rng, 6, 6))
     assert score_pair(small, big, 0, "containment").value == 1.0
     assert score_pair(small, big, 0, "resemblance").value < 1.0
 
 
 def test_containment_tie_takes_best_direction():
     # same sizes; a's paths all land within alpha of b's, not vice versa
-    a = make_program("a", [0b0000, 0b0001])
-    b = make_program("b", [0b0000, 0b0111])
+    a = program("a", [0b0000, 0b0001])
+    b = program("b", [0b0000, 0b0111])
     # at alpha 1: a->b matches both (0 exact, 1 via 0b0000); b->a matches 0b0000 only...
     # both directions actually: b 0b0111 to a nearest is 0b0001 at distance 2
-    a_to_b = _matched(a.fingerprints, b.fingerprints, 1)
-    b_to_a = _matched(b.fingerprints, a.fingerprints, 1)
+    a_to_b = count_matched(a.fingerprints, b.fingerprints, 1)
+    b_to_a = count_matched(b.fingerprints, a.fingerprints, 1)
     assert a_to_b != b_to_a
     expected = max(a_to_b, b_to_a) / 2
     assert score_pair(a, b, 1, "containment").value == expected
 
 
 def test_alpha_widens_matches():
-    a = make_program("a", [0b1111_0000])
-    b = make_program("b", [0b1111_0110])
+    a = program("a", [0b1111_0000])
+    b = program("b", [0b1111_0110])
     assert score_pair(a, b, 1, "containment").value == 0.0
     assert score_pair(a, b, 2, "containment").value == 1.0
 
 
 def test_unscoreable_raises():
     empty = ProgramFingerprint("empty", (), 0, False)
-    full = make_program("full", [1])
+    full = program("full", [1])
     with pytest.raises(ValueError, match="unscoreable program"):
         score_pair(empty, full, 0, "containment")
     with pytest.raises(ValueError, match="unscoreable program"):
@@ -178,8 +134,8 @@ _BITS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(a_bits=_BITS, b_bits=_BITS, alpha=st.integers(min_value=0, max_value=64))
 def test_scores_are_symmetric_and_bounded(a_bits, b_bits, alpha):
-    a = make_program("a", a_bits)
-    b = make_program("b", b_bits)
+    a = program("a", a_bits)
+    b = program("b", b_bits)
     for mode in ("containment", "resemblance"):
         ab = score_pair(a, b, alpha, mode).value
         ba = score_pair(b, a, alpha, mode).value
@@ -190,8 +146,8 @@ def test_scores_are_symmetric_and_bounded(a_bits, b_bits, alpha):
 @settings(max_examples=100, deadline=None)
 @given(a_bits=_BITS, b_bits=_BITS, alpha=st.integers(min_value=0, max_value=63))
 def test_scores_monotone_in_alpha(a_bits, b_bits, alpha):
-    a = make_program("a", a_bits)
-    b = make_program("b", b_bits)
+    a = program("a", a_bits)
+    b = program("b", b_bits)
     for mode in ("containment", "resemblance"):
         assert (
             score_pair(a, b, alpha, mode).value
@@ -202,8 +158,8 @@ def test_scores_monotone_in_alpha(a_bits, b_bits, alpha):
 @settings(max_examples=100, deadline=None)
 @given(a_bits=_BITS, alpha=st.integers(min_value=0, max_value=64))
 def test_self_similarity_is_one(a_bits, alpha):
-    a = make_program("a", a_bits)
-    b = make_program("b", a_bits)
+    a = program("a", a_bits)
+    b = program("b", a_bits)
     assert score_pair(a, b, alpha, "containment").value == 1.0
     assert score_pair(a, b, alpha, "resemblance").value == 1.0
 
@@ -218,8 +174,8 @@ def test_containment_dominates_resemblance_at_equal_sizes(a_bits, b_bits, alpha)
     # for same-size sets, max(mA, mB)/n >= (mA + mB)/2n. Not true in
     # general: with unequal sizes containment is pinned to the smaller
     # side, which can be the weaker direction.
-    a = make_program("a", a_bits)
-    b = make_program("b", b_bits)
+    a = program("a", a_bits)
+    b = program("b", b_bits)
     if len(a.fingerprints) != len(b.fingerprints):
         return  # dedup may shrink one side; property only claimed for ties
     assert (
@@ -232,18 +188,18 @@ def test_containment_dominates_resemblance_at_equal_sizes(a_bits, b_bits, alpha)
 
 
 def test_distance_matrix_layout():
-    a = make_program("a", [0b00, 0b11])
-    b = make_program("b", [0b01, 0b10, 0b111])
+    a = program("a", [0b00, 0b11])
+    b = program("b", [0b01, 0b10, 0b111])
     matrix = distance_matrix(a, b)
     assert matrix.shape == (2, 3)
     assert matrix.tolist() == [
-        [_popcount(x ^ y) for y in b.fingerprints] for x in a.fingerprints
+        [popcount(x ^ y) for y in b.fingerprints] for x in a.fingerprints
     ]
 
 
 def test_pair_report_evidence():
-    a = make_program("a", [0b0001, 0b1111_1111])
-    b = make_program("b", [0b0000, 0b0110_0000])
+    a = program("a", [0b0001, 0b1111_1111])
+    b = program("b", [0b0000, 0b0110_0000])
     report = pair_report(a, b, alpha=1, mode="containment")
     assert report.score.matched_count == 1
     assert report.min_distance == 1
@@ -255,43 +211,17 @@ def test_pair_report_evidence():
 
 def test_pair_report_evidence_covers_every_matched_probe_path():
     rng = random.Random(8)
-    a = make_program("a", _random_bits(rng, 5, 5))
-    b = make_program("b", list(a.fingerprints)[:3] + _random_bits(rng, 3, 3))
+    a = program("a", _random_bits(rng, 5, 5))
+    b = program("b", list(a.fingerprints)[:3] + _random_bits(rng, 3, 3))
     report = pair_report(a, b, alpha=0, mode="containment")
     matched_probes = {p for p, _, _ in report.evidence}
     assert len(matched_probes) == report.score.matched_count
     for probe_hex, record_hex, distance in report.evidence:
-        assert _popcount(int(probe_hex, 16) ^ int(record_hex, 16)) == distance
+        assert popcount(int(probe_hex, 16) ^ int(record_hex, 16)) == distance
         assert distance <= 0
 
 
 # -- kernel against the oracles ------------------------------------------------------
-
-
-def oracle_counts(a_bits, b_bits, alpha, mode):
-    """(matched_count, denominator) by nested loops."""
-    a_to_b = _matched(a_bits, b_bits, alpha)
-    b_to_a = _matched(b_bits, a_bits, alpha)
-    na, nb = len(a_bits), len(b_bits)
-    if mode == "resemblance":
-        return a_to_b + b_to_a, na + nb
-    if na < nb:
-        return a_to_b, na
-    if nb < na:
-        return b_to_a, nb
-    return max(a_to_b, b_to_a), na
-
-
-def oracle_report(a_bits, b_bits, alpha):
-    """(evidence, min_distance): each probe path within alpha with its
-    nearest partner, the lowest partner bits winning a tie."""
-    evidence = []
-    for x in a_bits:
-        distance, partner = min((_popcount(x ^ y), y) for y in b_bits)
-        if distance <= alpha:
-            evidence.append((format(x, "016x"), format(partner, "016x"), distance))
-    min_distance = min(_popcount(x ^ y) for x in a_bits for y in b_bits)
-    return tuple(evidence), min_distance
 
 
 # values near one another so that ties and small distances are common
@@ -310,10 +240,10 @@ _NEAR_BITS = st.lists(
     mode=st.sampled_from(["containment", "resemblance"]),
 )
 def test_kernel_matches_oracles(a_bits, b_bits, alpha, mode):
-    a = make_program("a", a_bits)
-    b = make_program("b", b_bits)
-    matched, denominator = oracle_counts(a.fingerprints, b.fingerprints, alpha, mode)
-    evidence, min_distance = oracle_report(a.fingerprints, b.fingerprints, alpha)
+    a = program("a", a_bits)
+    b = program("b", b_bits)
+    matched, denominator = score_counts(a.fingerprints, b.fingerprints, alpha, mode)
+    evidence, min_distance = pair_evidence(a.fingerprints, b.fingerprints, alpha)
 
     score = score_pair(a, b, alpha, mode)
     assert (score.matched_count, score.denominator) == (matched, denominator)
@@ -332,10 +262,10 @@ def _boundary_pair(gap):
     apart, and the close pair sits in neither side's first row, so the
     kernel's early exit must look at the whole matrix."""
     if gap == 64:
-        return make_program("a", [0]), make_program("b", [2**64 - 1])
+        return program("a", [0]), program("b", [2**64 - 1])
     top = 1 << 63
-    a = make_program("a", [0xFFFF << 32, top | ((1 << gap) - 1)])
-    b = make_program("b", [0xFFFF << 16, 0x7FFF << 48, top])
+    a = program("a", [0xFFFF << 32, top | ((1 << gap) - 1)])
+    b = program("b", [0xFFFF << 16, 0x7FFF << 48, top])
     return a, b
 
 
@@ -344,8 +274,8 @@ def _boundary_pair(gap):
 def test_early_exit_boundary_matches_oracles(alpha, gap, mode):
     a, b = _boundary_pair(gap)
     for x, y in ((a, b), (b, a)):
-        matched, denominator = oracle_counts(x.fingerprints, y.fingerprints, alpha, mode)
-        evidence, min_distance = oracle_report(x.fingerprints, y.fingerprints, alpha)
+        matched, denominator = score_counts(x.fingerprints, y.fingerprints, alpha, mode)
+        evidence, min_distance = pair_evidence(x.fingerprints, y.fingerprints, alpha)
         assert min_distance == gap
 
         score = score_pair(x, y, alpha, mode)
@@ -381,8 +311,8 @@ def min_distances(a, others):
 def test_min_distances_match_distance_matrix(a_bits, others, cells):
     # small chunks put chunk edges inside records, and a probe with more
     # fingerprints than a chunk is split by rows and steps one column
-    a = make_program("a", a_bits)
-    programs = [make_program(f"b{i}", bits) for i, bits in enumerate(others)]
+    a = program("a", a_bits)
+    programs = [program(f"b{i}", bits) for i, bits in enumerate(others)]
     with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
         got = min_distances(a, programs)
     assert got == [int(distance_matrix(a, b).min()) for b in programs]
@@ -390,18 +320,18 @@ def test_min_distances_match_distance_matrix(a_bits, others, cells):
 
 
 def test_min_distances_of_no_records_is_empty():
-    assert min_distances(make_program("a", [1, 2]), []) == []
+    assert min_distances(program("a", [1, 2]), []) == []
 
 
 def test_min_distances_temporaries_stay_within_a_chunk(monkeypatch):
     # a probe with more fingerprints than one chunk holds cells: the
     # full 40 000 x 60 block would be about 19 MB
     rng = random.Random(3)
-    a = make_program("a", [rng.randrange(2**64) for _ in range(40_000)])
-    programs = [make_program(f"b{i}", _random_bits(rng, 1, 11)) for i in range(10)]
+    a = program("a", [rng.randrange(2**64) for _ in range(40_000)])
+    programs = [program(f"b{i}", _random_bits(rng, 1, 11)) for i in range(10)]
     assert len(a.fingerprints) > similarity._CHUNK_CELLS
-    for program in (a, *programs):
-        program.bits_array  # built before measuring
+    for p in (a, *programs):
+        p.bits_array  # built before measuring
     blocks = []
     count = np.bitwise_count
 
@@ -430,13 +360,13 @@ def test_min_distances_on_either_side_of_the_columns(probe_size, cells):
     # as and taller than the columns, with chunk edges inside, at and
     # past every record boundary
     rng = random.Random(probe_size * 100 + cells)
-    a = make_program("a", [rng.randrange(2**64) for _ in range(probe_size)])
+    a = program("a", [rng.randrange(2**64) for _ in range(probe_size)])
     programs = [
-        make_program(f"b{i}", [rng.randrange(2**64) for _ in range(size)])
+        program(f"b{i}", [rng.randrange(2**64) for _ in range(size)])
         for i, size in enumerate((5, 1, 6))
     ]
     # one record within a few bits of the probe, so minima differ
-    programs[1] = make_program("b1", [a.fingerprints[-1] ^ 0b101])
+    programs[1] = program("b1", [a.fingerprints[-1] ^ 0b101])
     assert len(a.fingerprints) == probe_size
     with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
         got = min_distances(a, programs)
@@ -491,15 +421,15 @@ def _sized(rng, probe_size, record_sizes):
 @example(**_sized(random.Random(5), 77, (12,) * 6 + (7,)), cells=64)
 def test_record_minima_matches_nested_loops(probe, records, cells):
     rows = np.array(probe, dtype=np.uint64)
-    programs = [make_program(f"r{k}", bits) for k, bits in enumerate(records)]
+    programs = [program(f"r{k}", bits) for k, bits in enumerate(records)]
     flat, starts = fingerprint_columns(programs)
     with mock.patch.object(similarity, "_CHUNK_CELLS", cells):
         got = record_minima(rows, flat, starts)
     assert got == [
-        min(_popcount(x ^ y) for x in probe for y in program.fingerprints)
-        for program in programs
+        min(popcount(x ^ y) for x in probe for y in other.fingerprints)
+        for other in programs
     ]
-    assert got == [int(distance_matrix(make_program("p", probe), b).min()) for b in programs]
+    assert got == [int(distance_matrix(program("p", probe), b).min()) for b in programs]
     assert all(type(d) is int for d in got)
 
 
@@ -531,9 +461,9 @@ def test_record_minima_matches_distance_matrix_at_default_blocks(height, width):
     # the blocks on either axis
     short, long = values[:height], values[height:]
     for probe_bits, column_bits in ((short, long), (long, short)):
-        probe = make_program("p", probe_bits)
+        probe = program("p", probe_bits)
         programs = [
-            make_program(f"r{k}", bits)
+            program(f"r{k}", bits)
             for k, bits in enumerate(_split_into_records(rng, column_bits))
         ]
         got = record_minima(probe.bits_array, *fingerprint_columns(programs))
@@ -577,8 +507,8 @@ def test_record_minima_restores_the_ufunc_buffer(monkeypatch):
     mode=st.sampled_from(["containment", "resemblance"]),
 )
 def test_min_distance_hint_changes_nothing(a_bits, b_bits, alpha, mode):
-    a = make_program("a", a_bits)
-    b = make_program("b", b_bits)
+    a = program("a", a_bits)
+    b = program("b", b_bits)
     (nearest,) = min_distances(a, [b])
     assert score_pair(a, b, alpha, mode, min_distance=nearest) == score_pair(a, b, alpha, mode)
     assert pair_report(a, b, alpha, mode, min_distance=nearest) == pair_report(a, b, alpha, mode)
@@ -596,8 +526,8 @@ def test_min_distance_hint_at_the_alpha_boundary(alpha, gap, mode):
 
 
 def test_min_distance_hint_past_alpha_builds_no_matrix(monkeypatch):
-    a = make_program("a", [0, 1])
-    b = make_program("b", [2**64 - 1])
+    a = program("a", [0, 1])
+    b = program("b", [2**64 - 1])
 
     def no_matrix(*args):
         raise AssertionError("distance matrix built")
@@ -612,7 +542,7 @@ def test_min_distance_hint_past_alpha_builds_no_matrix(monkeypatch):
 def test_past_alpha_hint_still_validates():
     # a min_distance past alpha returns before any matrix is built, but
     # not before the mode and both sides are checked, in that order
-    full = make_program("full", [1, 2])
+    full = program("full", [1, 2])
     empty = ProgramFingerprint("empty", (), 0, False)
     other_empty = ProgramFingerprint("other", (), 0, False)
     for scorer in (score_pair, pair_report):
@@ -629,14 +559,14 @@ def test_past_alpha_hint_still_validates():
 
 
 def test_pair_report_tie_goes_to_lowest_partner_bits():
-    a = make_program("a", [0b0100])
-    b = make_program("b", [0b0000, 0b0101, 0b0110])  # all at distance 1
+    a = program("a", [0b0100])
+    b = program("b", [0b0000, 0b0101, 0b0110])  # all at distance 1
     report = pair_report(a, b, alpha=1)
     assert report.evidence == (("0000000000000004", "0000000000000000", 1),)
 
 
 def test_unknown_mode_rejected_by_every_scorer():
-    a = make_program("a", [1, 2])
+    a = program("a", [1, 2])
     for scorer in (score_pair, pair_report):
         with pytest.raises(ValueError, match="unknown similarity mode 'jaccard'"):
             scorer(a, a, 0, "jaccard")
@@ -672,8 +602,8 @@ def test_result_types_are_immutable_named_tuples():
 
 
 def test_scorers_return_the_named_tuples():
-    a = make_program("a", [1, 2, 3])
-    b = make_program("b", [1, 2**63])
+    a = program("a", [1, 2, 3])
+    b = program("b", [1, 2**63])
     score = score_pair(a, b, 0)
     assert type(score) is similarity.SimilarityScore
     assert score == (0.5, "containment", 0, 1, 2)
