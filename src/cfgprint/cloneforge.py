@@ -2,6 +2,8 @@
 
 generate_program() emits seeded, parseable MiniProc with enough shape
 variety that unrelated programs land far apart after normalization.
+Its weighted draws read cumulative weights summed once per program
+(`_draw`), taking the RNG calls and picks `random.choices` would.
 mutate() derives labeled clones: type1 touches only comments and
 whitespace; type2 renames identifiers to m0, m1, ... in order of first
 use and redraws every literal, in one pass over the tokens; type3 parses
@@ -9,7 +11,7 @@ that renamed token list and inserts, deletes, or reorders whole plain
 statements in the tree, which one rule renders back to text.
 build_corpus() writes originals, their mutants and unrelated programs
 with a manifest of the true clone pairs; tests/test_cloneforge_golden.py
-pins the bytes of its corpora and mutants. evaluate() runs the full
+pins the bytes of programs, corpora and mutants. evaluate() runs the full
 index+query loop over such a corpus and reports precision per alpha;
 scaling_run() times queries against growing indexes. Both return rows
 and write no files.
@@ -20,7 +22,9 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -52,14 +56,27 @@ class EditOps:
     delete: int = 0
     reorder: int = 0
 
+    def __post_init__(self) -> None:
+        for name, count in asdict(self).items():
+            if count < 0:
+                raise ValueError(f"EditOps.{name} must be >= 0, got {count}")
+
     @property
     def total(self) -> int:
         return self.insert + self.delete + self.reorder
 
 
+_MUTATION_KINDS = ("type1", "type2", "type3")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _MUTATION_KINDS:
+        raise ValueError(f"unknown mutation kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class MutationSpec:
-    kind: str  # type1 | type2 | type3
+    kind: str  # one of _MUTATION_KINDS
     seed: int = 0
     edit_ops: EditOps = EditOps()
 
@@ -86,6 +103,15 @@ class EvalResult:
 
 _ARITH_OPS = ("+", "-", "*", "/", "%")
 _CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
+_CONSTRUCTS = ("if", "while", "for", "case")
+_CONSTRUCT_CUM = tuple(accumulate((45, 22, 18, 15)))
+
+
+def _draw(rng: random.Random, population: Sequence, cum: Sequence[float]):
+    """`rng.choices(population, weights)[0]` for the running sums `cum`
+    of `weights`: the same single `rng.random()` call and the same pick,
+    without re-summing and re-checking the weights on every draw."""
+    return population[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
 
 
 class _Generator:
@@ -95,6 +121,7 @@ class _Generator:
         n_locals = rng.randint(1, 4)
         self.locals = [f"v{i}" for i in range(n_locals)]
         self.globals = [f"g{i}" for i in range(rng.randint(2, 5))]
+        self.variables = self.locals + self.globals
         self.funcs = [f"f{i}" for i in range(rng.randint(1, 3))]
         self.lines: list[str] = []
         self.constructs_emitted = 0
@@ -103,26 +130,27 @@ class _Generator:
         # Statement shape is what survives normalization, so without this
         # every program samples the same narrow shape distribution and
         # unrelated long paths end up sharing most of their statement
-        # multiset, which reads as a clone.
-        self.op_weights = [rng.uniform(0.15, 1.0) for _ in _ARITH_OPS]
-        self.cmp_weights = [rng.uniform(0.15, 1.0) for _ in _CMP_OPS]
-        self.term_weights = [
+        # multiset, which reads as a clone. Each weight list is held as
+        # its running sums, summed once here for every `_draw`.
+        self.op_cum = list(accumulate(rng.uniform(0.15, 1.0) for _ in _ARITH_OPS))
+        self.cmp_cum = list(accumulate(rng.uniform(0.15, 1.0) for _ in _CMP_OPS))
+        self.term_cum = list(accumulate((
             rng.uniform(0.05, 0.35),
             rng.uniform(0.4, 1.0),
             rng.uniform(0.4, 1.0),
             rng.uniform(0.15, 0.9),
-        ]
-        self.operand_weights = [rng.uniform(0.25, 1.0) for _ in range(4)]
-        self.arity_weights = [rng.uniform(0.1, 1.0) for _ in range(5)]
-        self.role_weights = [
+        )))
+        self.operand_cum = list(accumulate(rng.uniform(0.25, 1.0) for _ in range(4)))
+        self.arity_cum = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(5)))
+        self.role_cum = list(accumulate((
             rng.uniform(0.45, 0.8),
             rng.uniform(0.1, 0.35),
             rng.uniform(0.1, 0.35),
-        ]
+        )))
         self.paren_p = rng.uniform(0.08, 0.4)
 
     def _operand(self) -> str:
-        pick = self.rng.choices(range(4), weights=self.operand_weights)[0]
+        pick = _draw(self.rng, range(4), self.operand_cum)
         if pick == 0:
             return self.rng.choice(self.locals)
         if pick == 1:
@@ -132,11 +160,11 @@ class _Generator:
         return f'"s{self.rng.randint(0, 99)}"'
 
     def _expr(self, depth: int = 0) -> str:
-        n_terms = self.rng.choices([1, 2, 3, 4], weights=self.term_weights)[0]
+        n_terms = _draw(self.rng, (1, 2, 3, 4), self.term_cum)
         parts = []
         for i in range(n_terms):
             if i:
-                parts.append(self.rng.choices(_ARITH_OPS, weights=self.op_weights)[0])
+                parts.append(_draw(self.rng, _ARITH_OPS, self.op_cum))
             if depth == 0 and self.rng.random() < self.paren_p:
                 parts.append(f"( {self._expr(depth + 1)} )")
             else:
@@ -145,12 +173,12 @@ class _Generator:
 
     def _cmp_side(self) -> str:
         if self.rng.random() < 0.3:
-            op = self.rng.choices(_ARITH_OPS, weights=self.op_weights)[0]
+            op = _draw(self.rng, _ARITH_OPS, self.op_cum)
             return f"{self._operand()} {op} {self._operand()}"
         return self._operand()
 
     def _comparison(self) -> str:
-        op = self.rng.choices(_CMP_OPS, weights=self.cmp_weights)[0]
+        op = _draw(self.rng, _CMP_OPS, self.cmp_cum)
         return f"{self._cmp_side()} {op} {self._cmp_side()}"
 
     def _guard(self) -> str:
@@ -159,7 +187,7 @@ class _Generator:
         # stack up and drown out the rest of the path in the fingerprint
         if self.rng.random() < 0.45:
             return self._operand()
-        op = self.rng.choices(_ARITH_OPS, weights=self.op_weights)[0]
+        op = _draw(self.rng, _ARITH_OPS, self.op_cum)
         return f"{self._operand()} {op} {self._operand()}"
 
     def _condition(self) -> str:
@@ -169,14 +197,14 @@ class _Generator:
         return cond
 
     def _plain(self) -> str:
-        role = self.rng.choices(("assign", "output", "call"), weights=self.role_weights)[0]
+        role = _draw(self.rng, ("assign", "output", "call"), self.role_cum)
         if role == "assign":
-            target = self.rng.choice(self.locals + self.globals)
+            target = self.rng.choice(self.variables)
             return f"{target} = {self._expr()};"
         if role == "output":
             return f"output {self._expr()};"
         func = self.rng.choice(self.funcs)
-        n_args = self.rng.choices(range(5), weights=self.arity_weights)[0]
+        n_args = _draw(self.rng, range(5), self.arity_cum)
         args = ", ".join(self._operand() for _ in range(n_args))
         return f"call {func}({args});"
 
@@ -195,9 +223,7 @@ class _Generator:
         return spent
 
     def _construct(self, budget: int, depth: int, pad: str) -> int:
-        kind = self.rng.choices(
-            ["if", "while", "for", "case"], weights=[45, 22, 18, 15]
-        )[0]
+        kind = _draw(self.rng, _CONSTRUCTS, _CONSTRUCT_CUM)
         self.constructs_emitted += 1
         inner = pad + "  "
         if kind == "if":
@@ -217,7 +243,7 @@ class _Generator:
             self.lines.append(pad + "endwhile")
             return spent
         if kind == "for":
-            var = self.rng.choice(self.locals + self.globals)
+            var = self.rng.choice(self.variables)
             self.lines.append(pad + f"for {var} = {self._expr()} to {self._expr()}")
             spent = 1 + self._body(self.rng.randint(1, min(3, budget)), depth + 1, inner)
             self.lines.append(pad + "endfor")
@@ -425,6 +451,7 @@ def _mutate_type3(source: str, rng: random.Random, ops: EditOps) -> str:
 
 def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
     """Derive a labeled clone. The result always parses."""
+    _check_kind(spec.kind)
     rng = random.Random(spec.seed)
     if spec.kind == "type1":
         mutated = _mutate_type1(source, rng)
@@ -436,11 +463,9 @@ def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
         parse(tokens)
         mutated = _render_tokens(_rename(tokens, rng))
         label = {"type": "type2"}
-    elif spec.kind == "type3":
+    else:
         mutated = _mutate_type3(source, rng, spec.edit_ops)
         label = {"type": "type3", "edits": asdict(spec.edit_ops)}
-    else:
-        raise ValueError(f"unknown mutation kind {spec.kind!r}")
     parse(tokenize(mutated))  # mutants must stay inside the language
     return mutated, label
 
@@ -456,13 +481,18 @@ def build_corpus(
     out_dir: str | Path,
     originals: int,
     unrelated: int,
-    types: Sequence[str] = ("type1", "type2", "type3"),
+    types: Sequence[str] = _MUTATION_KINDS,
     seed: int = 0,
 ) -> Path:
     """Write originals, one mutant per original (types cycling), and
     unrelated programs, plus manifest.json naming the true clone pairs.
     Distinct programs are guaranteed distinct after normalization.
     Returns the manifest path."""
+    # checked before the first write, so a bad value leaves no files
+    if not types:
+        raise ValueError("build_corpus needs at least one mutation type, got types=()")
+    for kind in types:
+        _check_kind(kind)
     rng = random.Random(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,17 @@
 """Generator, mutators, corpus assembly, and the evaluation loop."""
 
 import json
+import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from cfgprint.cfg_builder import cfg_from_statements
 from cfgprint.cloneforge import (
     _BLOCK_BUCKETS,
+    _CONSTRUCT_CUM,
+    _CONSTRUCTS,
     _LINE_BUCKETS,
     EditOps,
     MutationSpec,
@@ -17,6 +21,7 @@ from cfgprint.cloneforge import (
     generate_program,
     mutate,
     _bucket,
+    _draw,
     scaling_run,
 )
 from cfgprint.config import ConfigStamp, RunConfig
@@ -65,6 +70,27 @@ def test_generator_programs_are_scoreable():
     for seed in range(50):
         program = fingerprint_source(generate_program(seed), f"s{seed}", config)
         assert program.scoreable
+
+
+def _draw_cases():
+    rng = random.Random(5)
+    for n in range(2, 7):
+        for _ in range(40):
+            yield tuple(range(n)), [rng.uniform(0.05, 1.0) for _ in range(n)]
+    yield _CONSTRUCTS, [45, 22, 18, 15]
+
+
+def test_draw_matches_random_choices():
+    # the generator's bytes rest on _draw picking what choices picks
+    # from the same RNG state and leaving the RNG where choices leaves it
+    cases = list(_draw_cases())
+    assert list(accumulate(cases[-1][1])) == list(_CONSTRUCT_CUM)
+    for seed, (population, weights) in enumerate(cases):
+        expected, actual = random.Random(seed), random.Random(seed)
+        cum = list(accumulate(weights))
+        for _ in range(20):
+            assert _draw(actual, population, cum) == expected.choices(population, weights)[0]
+            assert actual.random() == expected.random()
 
 
 # -- mutators ------------------------------------------------------------------
@@ -129,6 +155,13 @@ def test_type3_requires_an_edit():
         mutate("output 1;", MutationSpec("type3", seed=0, edit_ops=EditOps(0, 0, 0)))
 
 
+@pytest.mark.parametrize("field", ["insert", "delete", "reorder"])
+def test_edit_ops_refuse_negative_counts(field):
+    counts = {"insert": 0, "delete": 0, "reorder": 3, field: -2}
+    with pytest.raises(ValueError, match=f"EditOps.{field} must be >= 0, got -2"):
+        EditOps(**counts)
+
+
 def test_type3_refuses_to_empty_program():
     with pytest.raises(ValueError, match="empty the program"):
         mutate("output 1;", MutationSpec("type3", seed=0,
@@ -186,6 +219,18 @@ def test_build_corpus_programs_distinct_after_normalization(tmp_path):
         shape = tuple(_norm_texts(path.read_text()))
         assert shape not in shapes
         shapes.add(shape)
+
+
+@pytest.mark.parametrize(
+    "types, message",
+    [((), r"at least one mutation type, got types=\(\)"),
+     (("type1", "typo"), "unknown mutation kind 'typo'")],
+    ids=["empty", "typo"],
+)
+def test_build_corpus_checks_types_before_writing(tmp_path, types, message):
+    with pytest.raises(ValueError, match=message):
+        build_corpus(tmp_path / "c", originals=3, unrelated=1, types=types, seed=1)
+    assert not (tmp_path / "c").exists()
 
 
 def test_build_corpus_deterministic(tmp_path):
