@@ -33,7 +33,7 @@ from .fingerprint import to_hex
 from .frontend import normalize_source
 from .index_store import IndexCompatibilityError, IndexRecord, load_index
 from .pipeline import index_directory, read_source, run_pipeline
-from .similarity import classify, distance_matrix, score_pair
+from .similarity import _kernel, classify, score_pair, shared_pair_kernels
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,16 +329,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 0
 
     t0 = time.perf_counter()
-    scores = {mode: score_pair(a, b, config.alpha, mode) for mode in MODES}
-    distances = distance_matrix(a, b)
+    # both modes and the printed matrix come from one kernel of the pair
+    with shared_pair_kernels():
+        scores = {mode: score_pair(a, b, config.alpha, mode) for mode in MODES}
+        kernel = _kernel(a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0
 
-    matrix = distances.tolist()
+    matrix = kernel.matrix.tolist()
     row_hex = [to_hex(bits) for bits in a.fingerprints]
     col_hex = [to_hex(bits) for bits in b.fingerprints]
     path_grades = [
         {"probe": h, "distance": d, "grade": classify(d)}
-        for h, d in zip(row_hex, distances.min(axis=1).tolist())
+        for h, d in zip(row_hex, kernel.matrix.min(axis=1).tolist())
     ]
     warnings = [fp.program_id for fp in (a, b) if fp.truncated]
     report.update(
@@ -347,7 +349,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for mode, s in scores.items()
         },
         verdict="scored",
-        grade=classify(int(distances.min())),
+        grade=classify(kernel.min_distance),
         row_fingerprints=row_hex,
         col_fingerprints=col_hex,
         distance_matrix=matrix,

@@ -548,6 +548,26 @@ def _bucket(value: int, buckets) -> str:
     return "0"
 
 
+def _manifest_pairs(manifest: object) -> list[tuple[str, str]]:
+    """The (original, mutant) pair of each manifest entry, in order. The
+    manifest must be a list of objects whose `original` and `mutant` are
+    strings; ValueError names the first entry that is not."""
+    if not isinstance(manifest, list):
+        raise ValueError(f"manifest must be a list of objects, got {type(manifest).__name__}")
+    pairs = []
+    for i, entry in enumerate(manifest):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("original"), str)
+            and isinstance(entry.get("mutant"), str)
+        ):
+            raise ValueError(
+                f"manifest entry {i}: needs string 'original' and 'mutant', got {entry!r}"
+            )
+        pairs.append((entry["original"], entry["mutant"]))
+    return pairs
+
+
 def evaluate(
     corpus_dir: str | Path,
     config: RunConfig,
@@ -560,11 +580,14 @@ def evaluate(
     `index_directory` does. Precision is TP / (TP + FP); the
     false-positive rate quoted elsewhere is 1 - precision. The sweep
     goes probe by probe, each probe's `query_alphas` giving its
-    candidates at every alpha from one minima pass. A file that
+    candidates at every alpha from one minima pass and one kernel per
+    record within reach of the largest alpha. A file that
     `index_directory` would skip (unreadable, not UTF-8, unparseable)
     is left out here too; if the manifest names it, that is the usual
-    missing-program error. Every swept alpha and the threshold must
-    pass `RunConfig.validate`'s rules, or ValueError is raised."""
+    missing-program error, raised after indexing. Every swept alpha and
+    the threshold must pass `RunConfig.validate`'s rules, and the
+    manifest must be a list of objects whose `original` and `mutant`
+    are strings, or ValueError is raised before any program is read."""
     config.validate()
     alphas = list(alpha_values)
     threshold = config.threshold if threshold is None else threshold
@@ -575,7 +598,7 @@ def evaluate(
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"corpus manifest missing: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    named = _manifest_pairs(json.loads(manifest_path.read_text(encoding="utf-8")))
 
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)
@@ -589,13 +612,11 @@ def evaluate(
             index.add_program(record_from_program(result.program, str(path), stamp))
             sizes[program_id] = (len(result.cfg.real_blocks), len(source.splitlines()))
 
-    labeled: set[frozenset[str]] = set()
-    for entry in manifest:
-        pair = frozenset({entry["original"], entry["mutant"]})
+    for pair in named:
         for pid in pair:
             if pid not in index.records:
                 raise ValueError(f"manifest names {pid!r} but the corpus lacks it")
-        labeled.add(pair)
+    labeled = {frozenset(pair) for pair in named}
 
     probes = {
         pid: record for pid, record in sorted(index.records.items()) if record.fingerprints

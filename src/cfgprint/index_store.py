@@ -25,8 +25,11 @@ call gets that minimum as `min_distance`, so a pair with nothing within
 alpha is scored zero without a distance matrix. A probe's minima do not
 depend on alpha, so `query_alphas` runs the pass once and hands it to
 one `query` call per alpha; the hand-off lives only for that call, so
-any other `query` runs its own pass. `cluster` joins the linked pairs
-by union-find.
+any other `query` runs its own pass. Nor does a pair's kernel depend on
+alpha, so `query_alphas` runs its `query` calls in one
+`shared_pair_kernels` block: each record within reach of the largest
+alpha gets one distance matrix for the whole sweep. `cluster` joins the
+linked pairs by union-find.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .similarity import (
     fingerprint_columns,
     pair_report,
     record_minima,
+    shared_pair_kernels,
 )
 
 
@@ -255,13 +259,17 @@ class FingerprintIndex:
         order, from one `record_minima` pass: a probe's smallest
         distance to a record does not depend on alpha. The pass is
         handed to the `query` calls through index state that lasts only
-        for this call."""
+        for this call. The calls run in one `shared_pair_kernels`
+        block, so each record within reach of an alpha has its kernel
+        built once and read at every alpha; the table goes with the
+        call, however it ends."""
         if not probe.scoreable:
             raise _unscoreable(probe)
         columns = self._scan_columns()
         self._minima = _Minima(columns, probe, _record_minima(probe, columns))
         try:
-            return [self.query(probe, alpha, threshold, mode) for alpha in alphas]
+            with shared_pair_kernels():
+                return [self.query(probe, alpha, threshold, mode) for alpha in alphas]
         finally:
             self._minima = None
 

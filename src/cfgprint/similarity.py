@@ -5,13 +5,22 @@ is within alpha bits. Containment asks how much of the smaller program
 is matched by the larger one (so a file pasted into a bigger file still
 scores 1.0); resemblance is symmetric and rewards mutual coverage.
 
-`score_pair` and `pair_report` are thin callers of one kernel,
-`_score`, which builds the uint8 Hamming distance matrix once
-(`distance_matrix`, from each side's cached `bits_array`) and takes its
-smallest entry in one flat reduction. When that exceeds alpha, as it
-does for nearly every pair of unrelated programs, the score is zero and
-the call returns at once; only pairs within alpha get row and column
-minima, match counts and (in `pair_report`) evidence.
+`score_pair` and `pair_report` read every score through one path,
+`_score`, from the pair's kernel (`_PairKernel`): its alpha-independent
+facts, worked out from one uint8 Hamming distance matrix
+(`distance_matrix`, from each side's cached `bits_array`). The kernel
+takes the matrix's smallest entry in one flat reduction. When that
+exceeds alpha, as it does for nearly every pair of unrelated programs,
+the score is zero and the call returns at once; only a pair within
+alpha gets its row and column minima, from which each alpha's match
+counts are read, and (in `pair_report`) each row's evidence entry.
+
+Outside any block each call builds its own kernel. Inside a
+`shared_pair_kernels` block a kernel is built once per ordered pair of
+program objects and read by every call on that pair, at every alpha
+and in both modes, so the entry tuples of the evidence are shared too.
+`FingerprintIndex.query_alphas` and `cfgprint compare` open one; the
+table goes when the block ends.
 
 `record_minima` gives one program's smallest distance to each of many
 others in one pass over their fingerprints laid end to end, in 2-D
@@ -41,7 +50,10 @@ fields.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,8 +85,8 @@ class PairReport(NamedTuple):
     min_distance: int
 
 
-# tuple.__new__ skips the Python-level NamedTuple constructor, on the
-# two returns nearly every per-pair call takes
+# tuple.__new__ skips the Python-level NamedTuple constructor on the
+# per-pair calls' returns
 _new_tuple = tuple.__new__
 
 # the most cells one `record_minima` block holds: 1 << 15 uint64 XORs,
@@ -169,25 +181,97 @@ def _zero_score(
     return _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
 
 
+class _PairKernel:
+    """One pair's alpha-independent facts, from one distance matrix:
+    its smallest entry at once, then, the first time an alpha reaches
+    it, the row and column minima (kept sorted, so each alpha's match
+    counts are two bisections), and, the first time evidence is asked
+    for, each row's entry (probe hex, nearest partner hex, distance).
+    It holds both programs, so an entry keyed by their identities stays
+    theirs."""
+
+    __slots__ = ("a", "b", "matrix", "min_distance", "_minima", "_entries")
+
+    def __init__(self, a: ProgramFingerprint, b: ProgramFingerprint) -> None:
+        self.a, self.b = a, b
+        self.matrix = distance_matrix(a, b)
+        self.min_distance = int(np.minimum.reduce(self.matrix, axis=None))
+        self._minima: tuple[list[int], list[int]] | None = None
+        self._entries: tuple[tuple[str, str, int], ...] | None = None
+
+    def matched(self, alpha: int) -> tuple[int, int]:
+        """How many A paths have a B path within alpha, and how many B
+        paths have an A path within alpha."""
+        if self._minima is None:
+            matrix = self.matrix
+            self._minima = sorted(matrix.min(axis=1).tolist()), sorted(matrix.min(axis=0).tolist())
+        rows, cols = self._minima
+        return bisect_right(rows, alpha), bisect_right(cols, alpha)
+
+    def evidence(self, alpha: int) -> tuple[tuple[str, str, int], ...]:
+        """The entries of the A paths within alpha, in A's order."""
+        entries = self._entries
+        if entries is None:
+            # ties go to the lowest partner bits; columns are in
+            # ascending bits order, so argmin already lands there
+            matrix = self.matrix
+            partners = matrix.argmin(axis=1).tolist()
+            b_bits = self.b.fingerprints
+            entries = self._entries = tuple(
+                (to_hex(x), to_hex(b_bits[j]), d)
+                for x, j, d in zip(self.a.fingerprints, partners, matrix.min(axis=1).tolist())
+            )
+        if self.matched(alpha)[0] == len(entries):
+            return entries
+        return tuple(entry for entry in entries if entry[2] <= alpha)
+
+
+# the kernels of one `shared_pair_kernels` block, keyed by the ids of
+# the pair's two programs; None outside any block
+_PAIR_KERNELS: ContextVar[dict[tuple[int, int], _PairKernel] | None] = ContextVar(
+    "pair_kernels", default=None
+)
+
+
+@contextmanager
+def shared_pair_kernels() -> Iterator[None]:
+    """Within the block, build each pair's kernel once for every call
+    that scores that same pair of program objects, at any alpha and in
+    either mode, not once per call. The table is dropped when the block
+    ends, however it ends, so no kernel outlives the call that opened
+    it. It is held in a ContextVar, so other threads do not see it."""
+    reset = _PAIR_KERNELS.set({})
+    try:
+        yield
+    finally:
+        _PAIR_KERNELS.reset(reset)
+
+
+def _kernel(a: ProgramFingerprint, b: ProgramFingerprint) -> _PairKernel:
+    """The pair's kernel: from the open block's table, built there on
+    first use, or built for this call alone outside any block."""
+    table = _PAIR_KERNELS.get()
+    if table is None:
+        return _PairKernel(a, b)
+    key = (id(a), id(b))
+    kernel = table.get(key)
+    if kernel is None:
+        kernel = table[key] = _PairKernel(a, b)
+    return kernel
+
+
 def _score(
     a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
-) -> tuple[SimilarityScore, np.ndarray, np.ndarray | None, int]:
-    """The one scoring kernel: (score, distance matrix, row minima,
-    smallest distance).
-
-    Row minima are each A path's nearest distance in B, and None when
-    no path is within alpha: the smallest distance, one flat reduction,
-    settles that before any per-row or per-column minimum is taken, and
-    the score is then `_zero_score`'s.
-    """
+) -> tuple[SimilarityScore, _PairKernel]:
+    """The one scoring path: the score at alpha, read from the pair's
+    kernel, and the kernel. When the smallest distance exceeds alpha
+    the score is `_zero_score`'s and no row or column minimum is
+    taken."""
     zero = _zero_score(a, b, alpha, mode)
-    matrix = distance_matrix(a, b)
-    min_distance = int(np.minimum.reduce(matrix, axis=None))
-    if min_distance > alpha:
-        return zero, matrix, None, min_distance
-    row_min = matrix.min(axis=1)
-    a_to_b = int(np.count_nonzero(row_min <= alpha))
-    b_to_a = int(np.count_nonzero(matrix.min(axis=0) <= alpha))
+    kernel = _kernel(a, b)
+    if kernel.min_distance > alpha:
+        return zero, kernel
+    a_to_b, b_to_a = kernel.matched(alpha)
     if mode == "resemblance":
         matched = a_to_b + b_to_a
     else:
@@ -196,8 +280,8 @@ def _score(
         na, nb = len(a.fingerprints), len(b.fingerprints)
         matched = a_to_b if na < nb else b_to_a if nb < na else max(a_to_b, b_to_a)
     denominator = zero.denominator
-    score = SimilarityScore(matched / denominator, mode, alpha, matched, denominator)
-    return score, matrix, row_min, min_distance
+    score = _new_tuple(SimilarityScore, (matched / denominator, mode, alpha, matched, denominator))
+    return score, kernel
 
 
 def score_pair(
@@ -227,26 +311,15 @@ def pair_report(
     *,
     min_distance: int | None = None,
 ) -> PairReport:
-    """Score plus per-path evidence, computed off one distance matrix.
+    """Score plus per-path evidence, both read from the pair's kernel.
     `min_distance`, if given, must be the pair's exact smallest
     distance, and past alpha it is used as in `score_pair`."""
     if min_distance is not None and min_distance > alpha:
         return _new_tuple(PairReport, (_zero_score(a, b, alpha, mode), (), min_distance))
-    score, matrix, row_min, min_distance = _score(a, b, alpha, mode)
-    if row_min is None:
-        return _new_tuple(PairReport, (score, (), min_distance))
-    matched_rows = np.flatnonzero(row_min <= alpha)
-    # ties go to the lowest partner bits; columns are in ascending bits
-    # order, so argmin already lands there
-    partners = matrix[matched_rows].argmin(axis=1)
-    a_bits, b_bits = a.fingerprints, b.fingerprints
-    evidence = tuple(
-        (to_hex(a_bits[i]), to_hex(b_bits[j]), d)
-        for i, j, d in zip(
-            matched_rows.tolist(), partners.tolist(), row_min[matched_rows].tolist()
-        )
-    )
-    return PairReport(score=score, evidence=evidence, min_distance=min_distance)
+    score, kernel = _score(a, b, alpha, mode)
+    if kernel.min_distance > alpha:
+        return _new_tuple(PairReport, (score, (), kernel.min_distance))
+    return _new_tuple(PairReport, (score, kernel.evidence(alpha), kernel.min_distance))
 
 
 def classify(distance: int) -> str:

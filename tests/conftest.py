@@ -1,5 +1,7 @@
 import pytest
 
+from cfgprint import similarity
+
 _acceptance_outcomes: dict[str, str] = {}
 
 
@@ -20,3 +22,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"{name}: {_acceptance_outcomes[name].upper()}"
         )
+
+
+@pytest.fixture
+def built_matrices(monkeypatch):
+    """Wrap `similarity.distance_matrix` for the test and return the
+    list each call appends its (left id, right id) to."""
+    built = []
+    plain = similarity.distance_matrix
+
+    def distance_matrix(a, b):
+        built.append((a.program_id, b.program_id))
+        return plain(a, b)
+
+    monkeypatch.setattr(similarity, "distance_matrix", distance_matrix)
+    return built

@@ -13,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cfgprint import similarity
 from cfgprint.cli import _resolves_to, _self_match, main
 from cfgprint.cloneforge import build_corpus
 from cfgprint.config import ConfigStamp, RunConfig
@@ -486,6 +487,17 @@ def test_compare_scored_report(corpus, capsys):
     assert len(report["distance_matrix"]) == rows
     assert all(len(r) == cols for r in report["distance_matrix"])
     assert len(report["path_grades"]) == rows
+
+
+def test_compare_builds_the_pair_matrix_once(corpus, capsys, built_matrices):
+    # both modes and the printed table read one kernel of the pair
+    left, right = corpus / "clone_a.mp", corpus / "unrelated.mp"
+    report = run_json(capsys, "compare", str(left), str(right), "--alpha", "64")
+    assert built_matrices == [(str(left), str(right))]
+    assert similarity._PAIR_KERNELS.get() is None
+    matrix = report["distance_matrix"]
+    assert report["grade"] == similarity.classify(min(map(min, matrix)))
+    assert [g["distance"] for g in report["path_grades"]] == [min(row) for row in matrix]
 
 
 def test_compare_dissimilar_programs(corpus, capsys):

@@ -7,6 +7,7 @@ from itertools import accumulate
 
 import pytest
 
+from cfgprint import cloneforge
 from cfgprint.cfg_builder import cfg_from_statements
 from cfgprint.cloneforge import (
     _BLOCK_BUCKETS,
@@ -377,6 +378,34 @@ def test_evaluate_rejects_manifest_corpus_mismatch(tmp_path):
     manifest.append({"original": "ghost.mp", "mutant": "orig_000.mp", "type": "type1"})
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="ghost.mp"):
+        evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
+
+
+_PAIR = {"original": "orig_000.mp", "mutant": "mut_000_type1.mp", "type": "type1"}
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([{"original": "orig_000.mp"}], "manifest entry 0: needs string 'original' and 'mutant'"),
+        (_PAIR, "manifest must be a list of objects, got dict"),
+        ("orig_000.mp", "manifest must be a list of objects, got str"),
+        ([_PAIR, ["orig_001.mp", "mut_001_type2.mp"]], "manifest entry 1: needs string"),
+        ([_PAIR, {**_PAIR, "original": 3}], "manifest entry 1: needs string"),
+    ],
+    ids=["no-mutant", "object", "string", "list-entry", "integer-name"],
+)
+def test_evaluate_rejects_a_malformed_manifest_before_reading_programs(
+    tmp_path, monkeypatch, manifest, message
+):
+    build_corpus(tmp_path / "c", originals=3, unrelated=0, seed=6)
+    (tmp_path / "c" / "manifest.json").write_text(json.dumps(manifest))
+
+    def no_program_read(*args):
+        raise AssertionError("a program was read before the manifest was checked")
+
+    monkeypatch.setattr(cloneforge, "run_program_file", no_program_read)
+    with pytest.raises(ValueError, match=message):
         evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
 
 

@@ -363,6 +363,67 @@ def test_query_alphas_hands_off_only_for_its_own_calls(monkeypatch):
     assert len(passes) == 4
 
 
+def _reach_index(rng):
+    """A probe and an index around it: twins of the probe with 0 to 20
+    bits flipped in every fingerprint, random records, an unscoreable
+    record and one under the probe's own id."""
+    probe_bits = [rng.randrange(2**64) for _ in range(6)]
+    programs = _random_programs(rng, 6)
+    for flips in (0, 0, 2, 5, 9, 10, 11, 20):
+        mask = sum(1 << bit for bit in rng.sample(range(64), flips))
+        programs.append(program(f"twin{len(programs):02d}", [b ^ mask for b in probe_bits]))
+    programs += [program("empty", []), program("probe", probe_bits[:2])]
+    return program("probe", probe_bits), make_index(programs)
+
+
+def test_query_alphas_drops_its_kernel_table(monkeypatch, built_matrices):
+    probe, index = _reach_index(random.Random(7))
+    tables = []
+    plain = similarity._kernel
+
+    def kernel(a, b):
+        tables.append(similarity._PAIR_KERNELS.get())
+        return plain(a, b)
+
+    monkeypatch.setattr(similarity, "_kernel", kernel)
+    assert similarity._PAIR_KERNELS.get() is None
+    index.query_alphas(probe, [0, 3, 64], 0.0, "containment")
+    # one table for the whole sweep, gone once it returns
+    assert tables and all(t is tables[0] and t is not None for t in tables)
+    assert similarity._PAIR_KERNELS.get() is None
+    # an unknown mode raises from the first per-pair call, and the
+    # table still goes
+    with pytest.raises(ValueError, match="unknown similarity mode"):
+        index.query_alphas(probe, [0, 3], 0.0, "jaccard")
+    assert similarity._PAIR_KERNELS.get() is None
+    # a plain query after a sweep builds its kernels fresh, call by call
+    tables.clear()
+    built_matrices.clear()
+    index.query(probe, 64, 0.0, "containment")
+    index.query(probe, 64, 0.0, "containment")
+    scored = [r.program_id for r in index._scan_columns().records if r.program_id != "probe"]
+    assert built_matrices == [("probe", pid) for pid in scored] * 2
+    assert tables == [None] * len(built_matrices)
+
+
+@pytest.mark.parametrize("mode", ["containment", "resemblance"])
+def test_query_alphas_builds_one_matrix_per_record_within_reach(built_matrices, mode):
+    probe, index = _reach_index(random.Random(8))
+    alphas = range(11)
+    records = [r for r in index._scan_columns().records if r.program_id != "probe"]
+    nearest = {r.program_id: int(distance_matrix(probe, r).min()) for r in records}
+    within = [pid for pid, d in nearest.items() if d <= max(alphas)]
+    # the index has records just within and just past the largest alpha
+    assert {10, 11} <= set(nearest.values())
+    built_matrices.clear()
+    swept = index.query_alphas(probe, alphas, 0.0, mode)
+    assert sorted(built_matrices) == [("probe", pid) for pid in sorted(within)]
+    # one `query` per alpha outside the sweep builds one per alpha reached
+    built_matrices.clear()
+    assert [index.query(probe, alpha, 0.0, mode) for alpha in alphas] == swept
+    assert len(built_matrices) == sum(d <= alpha for d in nearest.values() for alpha in alphas)
+
+
 def test_query_ignores_minima_for_another_probe_or_layout(monkeypatch):
     # the hand-off is used only for the very probe object and columns
     # object it was made for: an equal probe or rebuilt columns get a

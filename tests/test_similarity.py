@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgprint import similarity
+from cfgprint.config import MODES
 from cfgprint.fingerprint import ProgramFingerprint
 from cfgprint.similarity import (
     GRADE_DISSIMILAR,
@@ -563,6 +564,100 @@ def test_pair_report_tie_goes_to_lowest_partner_bits():
     b = program("b", [0b0000, 0b0101, 0b0110])  # all at distance 1
     report = pair_report(a, b, alpha=1)
     assert report.evidence == (("0000000000000004", "0000000000000000", 1),)
+
+
+# -- shared pair kernels --------------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """(a, b, c): b and c hold equal fingerprints under different ids;
+    a is random, near-valued, b's own set, or one fingerprint, and b's
+    set may be one fingerprint too."""
+    b_bits = draw(st.one_of(_BITS, _NEAR_BITS, _BITS.map(lambda bits: bits[:1])))
+    kind = draw(st.sampled_from(["random", "near", "equal", "single"]))
+    if kind == "random":
+        a_bits = draw(_BITS)
+    elif kind == "near":
+        a_bits = draw(_NEAR_BITS)
+    elif kind == "equal":
+        a_bits = list(b_bits)
+    else:
+        a_bits = [draw(st.sampled_from(b_bits)) ^ draw(st.sampled_from([0, 1, 3 << 10]))]
+    return program("a", a_bits), program("b", b_bits), program("c", b_bits)
+
+
+def _expected_calls(x, y, alpha, mode):
+    """The oracles' `score_pair` and `pair_report` results, as reprs."""
+    matched, denominator = score_counts(x.fingerprints, y.fingerprints, alpha, mode)
+    evidence, min_distance = pair_evidence(x.fingerprints, y.fingerprints, alpha)
+    score = similarity.SimilarityScore(matched / denominator, mode, alpha, matched, denominator)
+    return repr(score), repr(similarity.PairReport(score, evidence, min_distance))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=kernel_cases(),
+    alphas=st.lists(st.integers(min_value=0, max_value=64), min_size=1, max_size=10),
+)
+def test_shared_kernels_change_no_score_or_evidence(case, alphas):
+    # every call inside one block, in random order with repeats and
+    # then in decreasing order on the same objects, against the same
+    # call outside any block and against the nested-loop oracles
+    a, b, c = case
+    pairs = [(a, b), (b, a), (a, c), (b, c), (c, b)]
+    sequence = alphas + sorted(set(alphas), reverse=True)
+    calls = []
+    for alpha in sequence:
+        for x, y in pairs:
+            (nearest,) = min_distances(x, [y])
+            for mode in ("containment", "resemblance"):
+                for hint in (None, nearest):
+                    calls.append((x, y, alpha, mode, hint))
+
+    def run(x, y, alpha, mode, hint):
+        return (
+            repr(score_pair(x, y, alpha, mode, min_distance=hint)),
+            repr(pair_report(x, y, alpha, mode, min_distance=hint)),
+        )
+
+    outside = [run(*call) for call in calls]
+    with similarity.shared_pair_kernels():
+        inside = [run(*call) for call in calls]
+    assert inside == outside
+    assert outside == [_expected_calls(x, y, alpha, mode) for x, y, alpha, mode, _ in calls]
+
+
+def test_shared_kernel_builds_one_matrix_and_one_set_of_entries(built_matrices):
+    a = program("a", [1, 2, 3, 0xFF00])
+    b = program("b", [1, 6, 0xFF0F])
+    with similarity.shared_pair_kernels():
+        reports = [pair_report(a, b, alpha, mode) for alpha in (4, 0, 64, 4) for mode in MODES]
+        score_pair(a, b, 2, "resemblance")
+        score_pair(b, a, 2, "resemblance")
+    # one matrix per ordered pair of objects, whatever the alpha or mode
+    assert built_matrices == [("a", "b"), ("b", "a")]
+    # every alpha's evidence reads the same entry tuples
+    widest = reports[2 * len(MODES)].evidence  # alpha 64: every row
+    assert len(widest) == 4
+    assert all(id(entry) in map(id, widest) for r in reports for entry in r.evidence)
+    # outside the block each call builds its own
+    built_matrices.clear()
+    pair_report(a, b, 4)
+    pair_report(a, b, 4)
+    assert built_matrices == [("a", "b"), ("a", "b")]
+
+
+def test_shared_kernels_reset_however_the_block_ends():
+    assert similarity._PAIR_KERNELS.get() is None
+    a = program("a", [1])
+    with pytest.raises(ValueError, match="unknown similarity mode"):
+        with similarity.shared_pair_kernels():
+            assert similarity._PAIR_KERNELS.get() == {}
+            score_pair(a, a, 0)
+            assert len(similarity._PAIR_KERNELS.get()) == 1
+            score_pair(a, a, 0, "jaccard")
+    assert similarity._PAIR_KERNELS.get() is None
 
 
 def test_unknown_mode_rejected_by_every_scorer():
