@@ -7,7 +7,7 @@ lines and the timings line, with the same values as the JSON. JSON
 output is deterministic for identical inputs except for the timings_ms
 block. Exit codes: 0 success (including empty result sets), 1
 operational failure (unparseable probe, incompatible index, invalid
-configuration), 2 usage or IO errors.
+configuration, out of memory), 2 usage or IO errors.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", parents=[shared], help="fingerprint a directory of .mp files")
     p.add_argument("directory")
     p.add_argument("-o", "--out", required=True, help="index file to write (.cdx)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel fingerprinting workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel fingerprinting workers (default 1)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", parents=[shared], help="rank index entries against a probe file")
@@ -83,14 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cluster)
 
     return parser
-
-
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    if args.jobs is None:
-        return 1
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
 
 
 class UsageError(Exception):
@@ -159,9 +151,10 @@ def _read_program(path: str) -> str:
 
 def cmd_index(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    jobs = _resolve_jobs(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
-    build = index_directory(args.directory, config, jobs=jobs)
+    build = index_directory(args.directory, config, jobs=args.jobs)
     for program_id, diagnostic in build.skipped:
         print(f"skipped {program_id}: {diagnostic}", file=sys.stderr)
 
@@ -441,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         # MiniProcSyntaxError, IndexFormatError and IndexCompatibilityError
         # are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; a smaller --max-paths may fit", file=sys.stderr)
         return 1
 
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from .cfg_builder import ControlFlowGraph
 from .config import FINGERPRINT_BITS
-from .frontend import NormalizedStatement
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -56,11 +55,6 @@ def fnv1a64(data: bytes) -> int:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK64
     return h
-
-
-def hash_statement(statement: NormalizedStatement) -> int:
-    """64-bit digest of the normalized statement text."""
-    return fnv1a64(statement.text.encode("utf-8"))
 
 
 def simhash_bits(hashes: Iterable[int]) -> int:
@@ -120,7 +114,7 @@ class ProgramFingerprint:
 def fingerprint_path(path_block_ids: Sequence[int], cfg: ControlFlowGraph) -> int:
     """SimHash over every statement in every real block on the path."""
     hashes = [
-        hash_statement(s)
+        fnv1a64(s.text.encode("utf-8"))
         for block_id in path_block_ids
         for s in cfg.blocks[block_id].statements
     ]

@@ -20,7 +20,9 @@ no hook. `query` takes the probe's smallest distance to every distinct
 set in one `record_minima` pass over that array, and each record reads
 its set's. `cluster` runs the pass once per distinct set over the sets
 after it, each pass a few 2-D blocks of the set's fingerprints against
-that suffix; records that share a set are at distance 0. Each per-pair
+that suffix. One rule then gives every pair its minimum: a record of
+the set meets the rest of its set at distance 0, and each record of a
+later set at that set's minimum from the pass. Each per-pair
 call gets that minimum as `min_distance`, so a pair with nothing within
 alpha is scored zero without a distance matrix. A probe's minima do not
 depend on alpha, so `query_alphas` runs the pass once and hands it to
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -282,10 +285,12 @@ class FingerprintIndex:
         mean_score averages all intra-group pairwise scores. It reads
         the layout `query` scans. Each distinct set's smallest distances
         to the sets after it come from one `record_minima` pass over the
-        suffix of that layout, and records of one set are at distance 0.
-        Every record pair is scored by one `score_pair` call, lower id
-        first, handed that minimum as in `query`; going set by set keeps
-        one pass's minima alive at a time."""
+        suffix of that layout. A record of the set meets the rest of its
+        set at distance 0, then every record of a later set at that
+        set's minimum from the pass. Every record pair is scored by one
+        `score_pair` call, lower id first, handed that minimum as in
+        `query`; going set by set keeps one pass's minima alive at a
+        time."""
         from .similarity import score_pair
 
         columns = self._scan_columns()
@@ -317,16 +322,14 @@ class FingerprintIndex:
         for s, members in enumerate(classes):
             lo = bounds[s + 1]
             nearest = record_minima(flat[bounds[s] : lo], flat[lo:], starts[s + 1 :] - lo)
-            # by set: 0 within set s, the pass's minima after it
-            distance = ([0] * (s + 1) + nearest).__getitem__
+            # each record after set s, at its set's minimum from this pass
+            end = done + len(members)
+            row = [nearest[t - s - 1] for t in ranks[end:]]
             for i in members:
                 done += 1
                 program = programs[i]
-                later = order[done:]
-                # the records after the last of a set, when every later
-                # set has one record, are the pass's sets themselves
-                row = nearest if len(later) == len(nearest) else map(distance, ranks[done:])
-                for j, d in zip(later, row):
+                # the rest of set s at distance 0, then the row
+                for j, d in zip(order[done:], chain(repeat(0, end - done), row)):
                     # the lower id goes first
                     if i < j:
                         value = score_pair(program, programs[j], alpha, mode, min_distance=d).value

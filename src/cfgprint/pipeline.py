@@ -110,14 +110,11 @@ def run_program_file(
         return str(exc)
 
 
-def _fingerprint_task(task: tuple[str, str, RunConfig]) -> tuple[str, str, object]:
-    """Worker for parallel indexing: (id, "ok", ProgramFingerprint) or
-    (id, "error", message). Module-level so it pickles."""
-    program_id = task[0]
+def _fingerprint_task(task: tuple[str, str, RunConfig]) -> ProgramFingerprint | str:
+    """One file of `index_directory`: its ProgramFingerprint, or
+    `run_program_file`'s diagnostic. Module-level so it pickles."""
     outcome = run_program_file(*task)
-    if isinstance(outcome, str):
-        return (program_id, "error", outcome)
-    return (program_id, "ok", outcome[1].program)
+    return outcome if isinstance(outcome, str) else outcome[1].program
 
 
 def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> IndexBuild:
@@ -130,9 +127,9 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     serially in this process. Run serially, the call hashes each
     distinct statement text once for all its files
     (`shared_statement_hashes`). Files that cannot be read, are not
-    UTF-8 or do not parse are skipped with a diagnostic; programs with
-    no surviving paths are indexed with an empty fingerprint list and
-    reported as unscoreable.
+    UTF-8 or do not parse are skipped with `run_program_file`'s
+    diagnostic, in file order; programs with no surviving paths are
+    indexed with an empty fingerprint list and reported as unscoreable.
     """
     config.validate()
     root = Path(directory)
@@ -164,12 +161,11 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     index = FingerprintIndex(config_stamp=stamp)
     skipped: list[tuple[str, str]] = []
     unscoreable: list[str] = []
-    for (program_id, source_path, _), (rid, status, payload) in zip(tasks, results):
-        assert rid == program_id
-        if status == "error":
-            skipped.append((program_id, str(payload)))
+    # the pool's map and the list both keep task order
+    for (program_id, source_path, _), program in zip(tasks, results):
+        if isinstance(program, str):
+            skipped.append((program_id, program))
             continue
-        program: ProgramFingerprint = payload  # type: ignore[assignment]
         if not program.scoreable:
             unscoreable.append(program_id)
         index.add_program(record_from_program(program, source_path, stamp))

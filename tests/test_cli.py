@@ -586,9 +586,13 @@ def test_index_backed_commands_check_min_blocks_and_echo_max_paths(
 
 def test_jobs_flag_parity(corpus, tmp_path, capsys):
     seq = tmp_path / "seq.cdx"
+    one = tmp_path / "one.cdx"
     par = tmp_path / "par.cdx"
     run_json(capsys, "index", str(corpus), "-o", str(seq))
+    run_json(capsys, "index", str(corpus), "-o", str(one), "--jobs", "1")
     run_json(capsys, "index", str(corpus), "-o", str(par), "--jobs", "2")
+    # without --jobs, index runs one job
+    assert seq.read_bytes() == one.read_bytes()
     assert seq.read_text().splitlines()[1:] == par.read_text().splitlines()[1:]
 
 
@@ -623,8 +627,11 @@ def test_invalid_flag_values(corpus, tmp_path, capsys):
             "--threshold", "1.5", expect=1)
     run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
             "--max-paths", "0", expect=1)
-    run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
-            "--jobs", "0", expect=2)
+    for jobs in ("0", "-1"):
+        captured = run_cli(capsys, "index", str(corpus), "-o", str(tmp_path / "x.cdx"),
+                           "--jobs", jobs, expect=2)
+        assert f"--jobs must be >= 1, got {jobs}" in captured.err
+    assert not (tmp_path / "x.cdx").exists()
 
 
 def test_usage_errors_exit_two(capsys):

@@ -364,6 +364,31 @@ def test_serial_parallel_and_per_file_records_agree(tmp_path):
     assert serial == parallel == alone
 
 
+def test_serial_and_parallel_skip_with_the_per_file_diagnostics(tmp_path):
+    # three files that cannot be indexed, between the six that can
+    root = tmp_path / "corpus"
+    build_corpus(root, 2, 2, seed=9)
+    (root / "a_latin1.mp").write_bytes('output "caf\xe9";\n'.encode("latin-1"))
+    (root / "n_broken.mp").write_text("while (x > 1) output x;")
+    (root / "z_dangling.mp").symlink_to(tmp_path / "missing.mp")
+    config = RunConfig()
+    outcomes = [
+        (name, pipeline.run_program_file(name, path, config))
+        for name, path in program_files(root)
+    ]
+    expected = [(name, outcome) for name, outcome in outcomes if isinstance(outcome, str)]
+    assert [name for name, _ in expected] == ["a_latin1.mp", "n_broken.mp", "z_dangling.mp"]
+    assert [diagnostic.split(":")[0] for _, diagnostic in expected] == [
+        "not UTF-8 text", "line 1", "cannot read",
+    ]
+    for jobs in (1, 2):
+        build = index_directory(root, config, jobs=jobs)
+        assert build.skipped == expected, jobs
+        assert sorted(build.index.records) == [
+            name for name, outcome in outcomes if not isinstance(outcome, str)
+        ]
+
+
 def test_jobs_capped_by_files_and_cpus(tmp_path, monkeypatch):
     # a stand-in pool records its size and maps in this process, so no
     # worker process starts whatever `jobs` asks for

@@ -10,7 +10,11 @@ few thousand examples of the soup strategy.
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -208,3 +212,38 @@ def test_query_and_cluster_on_corrupt_index_never_raise(workdir, index_lines, da
         code = run_main("cluster", cdx, "--json")
     if must_fail:
         assert code == 1
+
+
+# -- running out of memory ------------------------------------------------------------
+
+# 40 sequential if/else blocks: 2**40 paths, so the walk stops only at
+# the cap, and 5 000 000 kept paths need several times the child's limit
+_BRANCHY = "declare x;\n" + "".join(
+    f"if (x > {i})\nx = x + {i};\nelse\nx = x - {i};\nendif\n" for i in range(40)
+)
+_CHILD_MEMORY = 768 * 2**20
+
+
+def test_out_of_memory_exits_one_with_a_message(tmp_path):
+    resource = pytest.importorskip("resource")
+    program = tmp_path / "branchy.mp"
+    program.write_text(_BRANCHY, encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        # one BLAS thread keeps numpy's import small on many-core machines
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+
+    def limit_child_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfgprint.cli", "compare", str(program), str(program),
+         "--max-paths", "5000000"],
+        env=env, capture_output=True, text=True, timeout=300, preexec_fn=limit_child_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

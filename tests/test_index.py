@@ -651,6 +651,63 @@ def test_cluster_mean_scores_match_an_unhinted_pair_loop(monkeypatch):
                 assert repr(group.mean_score) == repr(sum(scores) / len(scores))
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        # one set held by three records, then single-record sets only
+        "AbAcAd",
+        # multi-record sets before and after a single-record set
+        "AbACcCEdE",
+    ],
+)
+def test_cluster_hands_each_pair_its_minimum_in_every_set_layout(monkeypatch, layout):
+    # the records' sets in id order, one letter a record: records with
+    # the same letter share a set, and sets are first seen in that order
+    calls = []
+    plain = similarity.score_pair
+
+    def recording_score_pair(a, b, alpha, mode, min_distance=None):
+        calls.append((a.program_id, b.program_id, min_distance))
+        return plain(a, b, alpha, mode, min_distance=min_distance)
+
+    monkeypatch.setattr(similarity, "score_pair", recording_score_pair)
+    rng = random.Random(layout)
+    for _ in range(8):
+        base = [rng.randrange(2**64) for _ in range(5)]
+        sets = {}
+        for letter in layout:
+            if letter not in sets:
+                # base values 0..8 bits off, and up to two strangers
+                sets[letter] = [
+                    b ^ sum(1 << k for k in rng.sample(range(64), rng.randint(0, 8)))
+                    for b in base
+                ] + [rng.randrange(2**64) for _ in range(rng.randint(0, 2))]
+        programs = [program(f"p{i:02d}", sets[letter]) for i, letter in enumerate(layout)]
+        index = make_index(programs)
+        ids = [p.program_id for p in programs]
+        for mode in ("containment", "resemblance"):
+            calls.clear()
+            groups = index.cluster(5, 0.5, mode)
+            # every pair once, lower id first, hinted with its true minimum
+            assert sorted(calls) == [
+                (a.program_id, b.program_id, int(distance_matrix(a, b).min()))
+                for i, a in enumerate(programs)
+                for b in programs[i + 1 :]
+            ]
+            score = {
+                (a.program_id, b.program_id): plain(a, b, 5, mode).value
+                for i, a in enumerate(programs)
+                for b in programs[i + 1 :]
+            }
+            linked = {pair for pair, value in score.items() if value >= 0.5}
+            assert [list(g.members) for g in groups] == bfs_components(ids, linked)
+            for group in groups:
+                scores = [
+                    score[(a, b)] for i, a in enumerate(group.members) for b in group.members[i + 1 :]
+                ]
+                assert repr(group.mean_score) == repr(sum(scores) / len(scores))
+
+
 def test_cluster_mean_score_counts_pairs_that_score_zero():
     # a chain a - b - c whose ends share nothing within alpha: the a, c
     # pair scores 0 and still counts in the group's mean
