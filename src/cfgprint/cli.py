@@ -33,7 +33,7 @@ from .fingerprint import to_hex
 from .frontend import normalize_source
 from .index_store import IndexCompatibilityError, IndexRecord, load_index
 from .pipeline import index_directory, read_source, run_pipeline
-from .similarity import _kernel, classify, score_pair, shared_pair_kernels
+from .similarity import _PairKernel, classify, score_pair, shared, shared_alpha_free_work
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,9 +323,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     # both modes and the printed matrix come from one kernel of the pair
-    with shared_pair_kernels():
+    with shared_alpha_free_work():
         scores = {mode: score_pair(a, b, config.alpha, mode) for mode in MODES}
-        kernel = _kernel(a, b)
+        kernel = shared(_PairKernel, a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0
 
     matrix = kernel.matrix.tolist()

@@ -40,6 +40,7 @@ from .frontend import (
 from .fingerprint import shared_statement_hashes
 from .index_store import FingerprintIndex, record_from_program
 from .pipeline import program_files, run_pipeline, run_program_file
+from .similarity import shared_alpha_free_work
 
 
 @dataclass(frozen=True)
@@ -579,9 +580,10 @@ def evaluate(
     text once for the corpus (`shared_statement_hashes`), as a serial
     `index_directory` does. Precision is TP / (TP + FP); the
     false-positive rate quoted elsewhere is 1 - precision. The sweep
-    goes probe by probe, each probe's `query_alphas` giving its
-    candidates at every alpha from one minima pass and one kernel per
-    record within reach of the largest alpha. A file that
+    goes probe by probe, with one `query` per alpha inside one
+    `shared_alpha_free_work` scope per probe, so each probe takes one
+    minima pass and one kernel per record within reach of the largest
+    alpha. A file that
     `index_directory` would skip (unreadable, not UTF-8, unparseable)
     is left out here too; if the manifest names it, that is the usual
     missing-program error, raised after indexing. Every swept alpha and
@@ -622,14 +624,15 @@ def evaluate(
         pid: record for pid, record in sorted(index.records.items()) if record.fingerprints
     }
 
-    # probe-major: one minima pass per probe serves every alpha
+    # probe-major: one scope per probe shares its minima pass and its
+    # kernels across every alpha
     pair_sets: list[set[frozenset[str]]] = [set() for _ in alphas]
     t0 = time.perf_counter()
     for pid, probe in probes.items():
-        found = index.query_alphas(probe, alphas, threshold, config.mode)
-        for pairs, candidates in zip(pair_sets, found):
-            for candidate in candidates:
-                pairs.add(frozenset({pid, candidate.program_id}))
+        with shared_alpha_free_work():
+            for alpha, pairs in zip(alphas, pair_sets):
+                for candidate in index.query(probe, alpha, threshold, config.mode):
+                    pairs.add(frozenset({pid, candidate.program_id}))
     share = (time.perf_counter() - t0) / len(alphas) if alphas else 0.0
 
     results: list[EvalResult] = []

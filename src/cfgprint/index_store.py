@@ -24,14 +24,13 @@ that suffix. One rule then gives every pair its minimum: a record of
 the set meets the rest of its set at distance 0, and each record of a
 later set at that set's minimum from the pass. Each per-pair
 call gets that minimum as `min_distance`, so a pair with nothing within
-alpha is scored zero without a distance matrix. A probe's minima do not
-depend on alpha, so `query_alphas` runs the pass once and hands it to
-one `query` call per alpha; the hand-off lives only for that call, so
-any other `query` runs its own pass. Nor does a pair's kernel depend on
-alpha, so `query_alphas` runs its `query` calls in one
-`shared_pair_kernels` block: each record within reach of the largest
-alpha gets one distance matrix for the whole sweep. `cluster` joins the
-linked pairs by union-find.
+alpha is scored zero without a distance matrix. Neither a probe's
+minima nor a pair's kernel depends on alpha, so inside one
+`shared_alpha_free_work` scope (an alpha sweep) `query` runs the pass
+once per probe object and layout, and each record within reach of the
+largest alpha gets one distance matrix for the whole sweep. Outside any
+scope every `query` runs its own pass. `cluster` joins the linked pairs
+by union-find.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .config import (
     HASH_NAME,
     INDEX_FORMAT,
     INDEX_FORMAT_VERSION,
+    MODES,
     NORMALIZATION_VERSION,
     ConfigStamp,
     RunConfig,
@@ -58,12 +58,13 @@ from .config import (
 from .fingerprint import ProgramFingerprint, from_hex, to_hex
 from .similarity import (
     SimilarityScore,
+    _unknown_mode,
     _unscoreable,
     classify,
     fingerprint_columns,
     pair_report,
     record_minima,
-    shared_pair_kernels,
+    shared,
 )
 
 
@@ -148,15 +149,6 @@ class _Columns(NamedTuple):
     starts: np.ndarray
 
 
-class _Minima(NamedTuple):
-    """A probe's smallest distance to each record of one columns
-    object, handed from `query_alphas` to the `query` calls it makes."""
-
-    columns: _Columns
-    probe: ProgramFingerprint
-    nearest: list[int]
-
-
 def _record_minima(probe: ProgramFingerprint, columns: _Columns) -> list[int]:
     """The probe's smallest distance to each of the columns' records,
     from one `record_minima` pass over their distinct sets."""
@@ -170,7 +162,6 @@ class FingerprintIndex:
     records: dict[str, IndexRecord] = field(default_factory=dict)
     last_query_scorings: int = 0
     _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
-    _minima: _Minima | None = field(default=None, init=False, repr=False, compare=False)
 
     def _scan_columns(self) -> _Columns:
         """The columnar layout of the current records, rebuilt whenever
@@ -214,23 +205,23 @@ class FingerprintIndex:
         by score descending then program_id ascending. A record with
         the probe's own id is skipped, as are unscoreable records.
 
-        One `record_minima` pass over the index's distinct fingerprint
-        sets gives the probe's smallest distance to each, and each
-        scanned record is then scored by one `pair_report` call that is
-        handed its set's minimum. Inside `query_alphas` the pass it ran
-        for this same probe object over these same columns is used
-        instead.
+        An unscoreable probe, then an unknown mode, raises ValueError
+        before the scan. One `record_minima` pass over the index's
+        distinct fingerprint sets gives the probe's smallest distance to
+        each, and each scanned record is then scored by one
+        `pair_report` call that is handed its set's minimum. Inside a
+        `shared_alpha_free_work` scope the pass already run for this
+        same probe object over this same layout is used instead, so an
+        alpha sweep makes one pass per probe.
         The benchmark tracer counts the per-record calls; once it counts
         work instead (ROADMAP item 1), records past alpha need no call
         at all and the `min_distance` parameter can go."""
         if not probe.scoreable:
             raise _unscoreable(probe)
+        if mode not in MODES:
+            raise _unknown_mode(mode)
         columns = self._scan_columns()
-        handed = self._minima
-        if handed is not None and handed.columns is columns and handed.probe is probe:
-            nearest = handed.nearest
-        else:
-            nearest = _record_minima(probe, columns)
+        nearest = shared(_record_minima, probe, columns)
         candidates: list[CloneCandidate] = []
         scanned = 0
         for record, d in zip(columns.records, nearest):
@@ -251,31 +242,6 @@ class FingerprintIndex:
         candidates.sort(key=lambda c: (-c.score.value, c.program_id))
         return candidates
 
-    def query_alphas(
-        self,
-        probe: ProgramFingerprint,
-        alphas: Sequence[int],
-        threshold: float,
-        mode: str = DEFAULT_MODE,
-    ) -> list[list[CloneCandidate]]:
-        """`query(probe, alpha, threshold, mode)` for each alpha in
-        order, from one `record_minima` pass: a probe's smallest
-        distance to a record does not depend on alpha. The pass is
-        handed to the `query` calls through index state that lasts only
-        for this call. The calls run in one `shared_pair_kernels`
-        block, so each record within reach of an alpha has its kernel
-        built once and read at every alpha; the table goes with the
-        call, however it ends."""
-        if not probe.scoreable:
-            raise _unscoreable(probe)
-        columns = self._scan_columns()
-        self._minima = _Minima(columns, probe, _record_minima(probe, columns))
-        try:
-            with shared_pair_kernels():
-                return [self.query(probe, alpha, threshold, mode) for alpha in alphas]
-        finally:
-            self._minima = None
-
     def cluster(
         self, alpha: int, threshold: float, mode: str = DEFAULT_MODE
     ) -> list[CloneGroup]:
@@ -290,9 +256,11 @@ class FingerprintIndex:
         set's minimum from the pass. Every record pair is scored by one
         `score_pair` call, lower id first, handed that minimum as in
         `query`; going set by set keeps one pass's minima alive at a
-        time."""
+        time. An unknown mode raises ValueError before the scan."""
         from .similarity import score_pair
 
+        if mode not in MODES:
+            raise _unknown_mode(mode)
         columns = self._scan_columns()
         programs, flat, starts = columns.records, columns.flat, columns.starts
         n = len(programs)

@@ -15,12 +15,16 @@ the score is zero and the call returns at once; only a pair within
 alpha gets its row and column minima, from which each alpha's match
 counts are read, and (in `pair_report`) each row's evidence entry.
 
-Outside any block each call builds its own kernel. Inside a
-`shared_pair_kernels` block a kernel is built once per ordered pair of
-program objects and read by every call on that pair, at every alpha
-and in both modes, so the entry tuples of the evidence are shared too.
-`FingerprintIndex.query_alphas` and `cfgprint compare` open one; the
-table goes when the block ends.
+Outside any scope each call builds its own kernel. Inside a
+`shared_alpha_free_work` scope, work that does not depend on alpha is
+done once for the scope by `shared`, keyed by the identities of the
+objects it reads: a kernel once per ordered pair of program objects,
+read by every call on that pair at every alpha and in both modes (so
+the entry tuples of the evidence are shared too), and a probe's
+`record_minima` pass once per index layout (see `index_store`).
+`cloneforge.evaluate` opens one scope per probe of its alpha sweep,
+and `cfgprint compare` one for its two modes; the table goes when the
+scope ends.
 
 `record_minima` gives one program's smallest distance to each of many
 others in one pass over their fingerprints laid end to end, in 2-D
@@ -53,12 +57,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from .config import DEFAULT_MODE, MODES
 from .fingerprint import ProgramFingerprint, to_hex
+
+T = TypeVar("T")
 
 GRADE_IDENTICAL = "identical"
 GRADE_NEAR_IDENTICAL = "near-identical"
@@ -100,6 +106,10 @@ _UFUNC_BUFSIZE = 256
 
 def _unscoreable(program: ProgramFingerprint) -> ValueError:
     return ValueError(f"unscoreable program: {program.program_id!r} has no fingerprints")
+
+
+def _unknown_mode(mode: str) -> ValueError:
+    return ValueError(f"unknown similarity mode {mode!r}")
 
 
 def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
@@ -170,7 +180,7 @@ def _zero_score(
     denominator: both sizes for resemblance, the smaller for
     containment."""
     if mode not in MODES:
-        raise ValueError(f"unknown similarity mode {mode!r}")
+        raise _unknown_mode(mode)
     na = len(a.fingerprints)
     if not na:
         raise _unscoreable(a)
@@ -226,38 +236,40 @@ class _PairKernel:
         return tuple(entry for entry in entries if entry[2] <= alpha)
 
 
-# the kernels of one `shared_pair_kernels` block, keyed by the ids of
-# the pair's two programs; None outside any block
-_PAIR_KERNELS: ContextVar[dict[tuple[int, int], _PairKernel] | None] = ContextVar(
-    "pair_kernels", default=None
+# what one `shared_alpha_free_work` scope has built, keyed by the
+# builder and the ids of its arguments; None outside any scope
+_ALPHA_FREE_WORK: ContextVar[dict[tuple, tuple] | None] = ContextVar(
+    "alpha_free_work", default=None
 )
 
 
 @contextmanager
-def shared_pair_kernels() -> Iterator[None]:
-    """Within the block, build each pair's kernel once for every call
-    that scores that same pair of program objects, at any alpha and in
-    either mode, not once per call. The table is dropped when the block
-    ends, however it ends, so no kernel outlives the call that opened
-    it. It is held in a ContextVar, so other threads do not see it."""
-    reset = _PAIR_KERNELS.set({})
+def shared_alpha_free_work() -> Iterator[None]:
+    """Within the scope, `shared` builds each piece of alpha-independent
+    work once for every call that asks for it on the same objects, not
+    once per call. The table is dropped when the scope ends, however it
+    ends, so nothing built outlives the call that opened it. It is held
+    in a ContextVar, so other threads do not see it."""
+    reset = _ALPHA_FREE_WORK.set({})
     try:
         yield
     finally:
-        _PAIR_KERNELS.reset(reset)
+        _ALPHA_FREE_WORK.reset(reset)
 
 
-def _kernel(a: ProgramFingerprint, b: ProgramFingerprint) -> _PairKernel:
-    """The pair's kernel: from the open block's table, built there on
-    first use, or built for this call alone outside any block."""
-    table = _PAIR_KERNELS.get()
+def shared(build: Callable[..., T], *args: object) -> T:
+    """`build(*args)`: from the open scope's table, built there on first
+    use for these very argument objects, or built for this call alone
+    outside any scope. The entry holds the arguments, so the ids in its
+    key stay theirs."""
+    table = _ALPHA_FREE_WORK.get()
     if table is None:
-        return _PairKernel(a, b)
-    key = (id(a), id(b))
-    kernel = table.get(key)
-    if kernel is None:
-        kernel = table[key] = _PairKernel(a, b)
-    return kernel
+        return build(*args)
+    key = (build, *map(id, args))
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = (build(*args), args)
+    return entry[0]
 
 
 def _score(
@@ -268,7 +280,7 @@ def _score(
     the score is `_zero_score`'s and no row or column minimum is
     taken."""
     zero = _zero_score(a, b, alpha, mode)
-    kernel = _kernel(a, b)
+    kernel = shared(_PairKernel, a, b)
     if kernel.min_distance > alpha:
         return zero, kernel
     a_to_b, b_to_a = kernel.matched(alpha)

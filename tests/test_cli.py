@@ -494,7 +494,7 @@ def test_compare_builds_the_pair_matrix_once(corpus, capsys, built_matrices):
     left, right = corpus / "clone_a.mp", corpus / "unrelated.mp"
     report = run_json(capsys, "compare", str(left), str(right), "--alpha", "64")
     assert built_matrices == [(str(left), str(right))]
-    assert similarity._PAIR_KERNELS.get() is None
+    assert similarity._ALPHA_FREE_WORK.get() is None
     matrix = report["distance_matrix"]
     assert report["grade"] == similarity.classify(min(map(min, matrix)))
     assert [g["distance"] for g in report["path_grades"]] == [min(row) for row in matrix]

@@ -7,7 +7,7 @@ from itertools import accumulate
 
 import pytest
 
-from cfgprint import cloneforge
+from cfgprint import cloneforge, index_store, similarity
 from cfgprint.cfg_builder import cfg_from_statements
 from cfgprint.cloneforge import (
     _BLOCK_BUCKETS,
@@ -362,6 +362,35 @@ def test_evaluate_matches_the_alpha_major_sweep(tmp_path, seed, mode):
         assert rows == alpha_major_sweep(tmp_path / "c", config, alphas, threshold)
         assert all(r.wall_time_s > 0 for r in results)
     assert evaluate(tmp_path / "c", config, []) == []
+
+
+def test_evaluate_sweep_makes_one_pass_per_probe_and_one_matrix_per_pair_within_reach(
+    tmp_path, monkeypatch, built_matrices
+):
+    build_corpus(tmp_path / "c", originals=8, unrelated=6, seed=3)
+    config = RunConfig()
+    programs = [p for p in index_directory(tmp_path / "c", config).index.records.values()]
+    scoreable = [p for p in programs if p.fingerprints]
+    within = sorted(
+        (a.program_id, b.program_id)
+        for a in scoreable
+        for b in scoreable
+        if a is not b and int(similarity.distance_matrix(a, b).min()) <= 10
+    )
+    # the corpus has pairs past alpha 10 as well as within it
+    assert 0 < len(within) < len(scoreable) * (len(scoreable) - 1)
+    passes = []
+    plain = index_store.record_minima
+
+    def record_minima(*args):
+        passes.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(index_store, "record_minima", record_minima)
+    built_matrices.clear()
+    evaluate(tmp_path / "c", config, range(11))
+    assert len(passes) == len(scoreable)
+    assert sorted(built_matrices) == within
 
 
 def test_evaluate_requires_manifest(tmp_path):

@@ -272,7 +272,7 @@ def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode)
         check()
 
 
-# -- query_alphas -------------------------------------------------------------------
+# -- alpha sweeps in one scope ----------------------------------------------------
 
 
 def _recording_queries(mp):
@@ -291,6 +291,12 @@ def _recording_queries(mp):
     return calls
 
 
+def _sweep(index, probe, alphas, threshold, mode):
+    """One `query` per alpha, in order, inside one scope."""
+    with similarity.shared_alpha_free_work():
+        return [index.query(probe, alpha, threshold, mode) for alpha in alphas]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     case=scan_cases(),
@@ -298,21 +304,21 @@ def _recording_queries(mp):
     threshold=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
     mode=st.sampled_from(["containment", "resemblance"]),
 )
-def test_query_alphas_matches_a_query_per_alpha(case, alphas, threshold, mode):
+def test_in_scope_queries_match_plain_queries(case, alphas, threshold, mode):
     # alpha lists come unsorted, repeated or empty; records include
     # unscoreable ones, near twins and the probe's own id
     probe, programs, _, _, _ = case
     index = make_index(programs)
     with pytest.MonkeyPatch.context() as mp:
         calls = _recording_queries(mp)
-        swept = index.query_alphas(probe, alphas, threshold, mode)
-        through_sweep = list(calls)
+        swept = _sweep(index, probe, alphas, threshold, mode)
+        in_scope = list(calls)
         calls.clear()
         one_by_one = [index.query(probe, alpha, threshold, mode) for alpha in alphas]
     assert swept == one_by_one
-    # one `query` call per alpha, each leaving the same scan count
-    assert through_sweep == calls
-    assert [alpha for alpha, _, _ in through_sweep] == alphas
+    # each call leaves the same scan count in scope as outside
+    assert in_scope == calls
+    assert [alpha for alpha, _, _ in in_scope] == alphas
     if threshold == 0.0:
         for alpha, hits in zip(alphas, swept):
             for hit in hits:
@@ -322,15 +328,32 @@ def test_query_alphas_matches_a_query_per_alpha(case, alphas, threshold, mode):
                     assert hit.score.value == 0.0 and hit.matched_path_evidence == ()
 
 
-@pytest.mark.parametrize("alphas", [[], [5], [7, 0, 7]])
-def test_query_alphas_unscoreable_probe_raises_like_query(alphas):
+def test_in_scope_query_of_an_unscoreable_probe_raises_like_plain_query():
     index = make_index([program("a", [1])])
     probe = program("probe", [])
-    with pytest.raises(ValueError, match="unscoreable") as from_query:
+    with pytest.raises(ValueError, match="unscoreable") as plain:
         index.query(probe, 0, 0.5, "containment")
-    with pytest.raises(ValueError, match="unscoreable") as from_sweep:
-        index.query_alphas(probe, alphas, 0.5, "containment")
-    assert str(from_sweep.value) == str(from_query.value)
+    with pytest.raises(ValueError, match="unscoreable") as in_scope:
+        _sweep(index, probe, [7, 0, 7], 0.5, "containment")
+    assert str(in_scope.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("mode", ["resemblence", "jaccard"])
+def test_unknown_mode_raises_whatever_the_index_holds(mode):
+    probe = program("probe", [1, 2])
+    message = f"unknown similarity mode {mode!r}"
+    # nothing to score: an empty index, and one holding only the
+    # probe's own id
+    for index in (make_index([]), make_index([program("probe", [1])])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            index.query(probe, 5, 0.5, mode)
+    # no pair to score
+    for index in (make_index([]), make_index([program("a", [1])])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            index.cluster(5, 0.5, mode)
+    # an unscoreable probe is reported first, as before
+    with pytest.raises(ValueError, match="unscoreable"):
+        make_index([]).query(program("probe", []), 5, 0.5, mode)
 
 
 def _count_minima_passes(monkeypatch):
@@ -345,19 +368,21 @@ def _count_minima_passes(monkeypatch):
     return passes
 
 
-def test_query_alphas_hands_off_only_for_its_own_calls(monkeypatch):
+def test_scope_shares_a_minima_pass_only_within_itself(monkeypatch):
     rng = random.Random(5)
     index = make_index(_random_programs(rng, 8))
     probe = program("probe", [rng.randrange(2**64) for _ in range(4)])
     passes = _count_minima_passes(monkeypatch)
-    index.query_alphas(probe, [0, 3, 64], 0.0, "containment")
+    _sweep(index, probe, [0, 3, 64], 0.0, "containment")
     assert len(passes) == 1
     index.query(probe, 3, 0.0, "containment")
     assert len(passes) == 2
-    # an unknown mode raises from the first per-pair call, after the
-    # sweep's pass; the next plain query still runs its own
+    # a second scope runs its own pass; an unknown mode raises before
+    # the scan, so it runs none
+    _sweep(index, probe, [3, 0], 0.0, "containment")
+    assert len(passes) == 3
     with pytest.raises(ValueError, match="unknown similarity mode"):
-        index.query_alphas(probe, [0, 3], 0.0, "jaccard")
+        _sweep(index, probe, [0, 3], 0.0, "jaccard")
     assert len(passes) == 3
     index.query(probe, 3, 0.0, "containment")
     assert len(passes) == 4
@@ -376,38 +401,41 @@ def _reach_index(rng):
     return program("probe", probe_bits), make_index(programs)
 
 
-def test_query_alphas_drops_its_kernel_table(monkeypatch, built_matrices):
+def test_scope_is_empty_after_a_return_and_after_a_raise(built_matrices):
     probe, index = _reach_index(random.Random(7))
-    tables = []
-    plain = similarity._kernel
-
-    def kernel(a, b):
-        tables.append(similarity._PAIR_KERNELS.get())
-        return plain(a, b)
-
-    monkeypatch.setattr(similarity, "_kernel", kernel)
-    assert similarity._PAIR_KERNELS.get() is None
-    index.query_alphas(probe, [0, 3, 64], 0.0, "containment")
-    # one table for the whole sweep, gone once it returns
-    assert tables and all(t is tables[0] and t is not None for t in tables)
-    assert similarity._PAIR_KERNELS.get() is None
-    # an unknown mode raises from the first per-pair call, and the
-    # table still goes
-    with pytest.raises(ValueError, match="unknown similarity mode"):
-        index.query_alphas(probe, [0, 3], 0.0, "jaccard")
-    assert similarity._PAIR_KERNELS.get() is None
-    # a plain query after a sweep builds its kernels fresh, call by call
-    tables.clear()
+    work = similarity._ALPHA_FREE_WORK
+    assert work.get() is None
+    with similarity.shared_alpha_free_work():
+        table = work.get()
+        index.query(probe, 0, 0.0, "containment")
+        index.query(probe, 64, 0.0, "containment")
+        index.query(probe, 3, 0.0, "resemblance")
+    # the scope held one minima pass and one kernel per scored record,
+    # each keyed by its builder and the ids of the objects it read
+    columns = index._scan_columns()
+    scored = [r for r in columns.records if r.program_id != "probe"]
+    assert set(table) == {(index_store._record_minima, id(probe), id(columns))} | {
+        (similarity._PairKernel, id(probe), id(r)) for r in scored
+    }
+    assert work.get() is None
+    # a raise inside the scope, after work was kept, still empties it
+    with pytest.raises(ZeroDivisionError):
+        with similarity.shared_alpha_free_work():
+            index.query(probe, 64, 0.0, "containment")
+            assert len(work.get()) == 1 + len(scored)
+            1 / 0
+    assert work.get() is None
+    # plain queries after a scope build their kernels fresh, call by call
     built_matrices.clear()
     index.query(probe, 64, 0.0, "containment")
     index.query(probe, 64, 0.0, "containment")
-    scored = [r.program_id for r in index._scan_columns().records if r.program_id != "probe"]
-    assert built_matrices == [("probe", pid) for pid in scored] * 2
-    assert tables == [None] * len(built_matrices)
+    assert built_matrices == [("probe", r.program_id) for r in scored] * 2
 
 
 @pytest.mark.parametrize("mode", ["containment", "resemblance"])
-def test_query_alphas_builds_one_matrix_per_record_within_reach(built_matrices, mode):
+def test_in_scope_sweep_builds_one_matrix_per_record_within_reach(
+    monkeypatch, built_matrices, mode
+):
     probe, index = _reach_index(random.Random(8))
     alphas = range(11)
     records = [r for r in index._scan_columns().records if r.program_id != "probe"]
@@ -416,33 +444,41 @@ def test_query_alphas_builds_one_matrix_per_record_within_reach(built_matrices, 
     # the index has records just within and just past the largest alpha
     assert {10, 11} <= set(nearest.values())
     built_matrices.clear()
-    swept = index.query_alphas(probe, alphas, 0.0, mode)
+    passes = _count_minima_passes(monkeypatch)
+    swept = _sweep(index, probe, alphas, 0.0, mode)
+    assert len(passes) == 1
     assert sorted(built_matrices) == [("probe", pid) for pid in sorted(within)]
-    # one `query` per alpha outside the sweep builds one per alpha reached
+    # one `query` per alpha outside a scope builds one per alpha reached
     built_matrices.clear()
     assert [index.query(probe, alpha, 0.0, mode) for alpha in alphas] == swept
     assert len(built_matrices) == sum(d <= alpha for d in nearest.values() for alpha in alphas)
+    assert len(passes) == 1 + len(alphas)
 
 
 def test_query_ignores_minima_for_another_probe_or_layout(monkeypatch):
-    # the hand-off is used only for the very probe object and columns
-    # object it was made for: an equal probe or rebuilt columns get a
-    # pass of their own
+    # in a scope a pass is reused only for the very probe object and
+    # layout it was run for: an equal probe or a rebuilt layout gets a
+    # pass of its own
     rng = random.Random(6)
     programs = _random_programs(rng, 6)
     index = make_index(programs)
     probe = program("probe", list(programs[2].fingerprints))
-    expected = per_record_query(index, probe, 5, 0.0, "containment")
-    columns = index._scan_columns()
-    wrong = [64] * len(columns.records)
     twin = program("probe", list(probe.fingerprints))
-    monkeypatch.setattr(index, "_minima", index_store._Minima(columns, twin, wrong))
-    assert index.query(probe, 5, 0.0, "containment") == expected
-    stale = index_store._Minima(columns, probe, wrong)
-    index.add_program(record_from_program(program("later", [1]), "later.mp", STAMP))
-    monkeypatch.setattr(index, "_minima", stale)
-    expected = per_record_query(index, probe, 5, 0.0, "containment")
-    assert index.query(probe, 5, 0.0, "containment") == expected
+    passes = _count_minima_passes(monkeypatch)
+    with similarity.shared_alpha_free_work():
+        expected = per_record_query(index, probe, 5, 0.0, "containment")
+        assert index.query(probe, 5, 0.0, "containment") == expected
+        assert index.query(twin, 5, 0.0, "containment") == expected
+        assert len(passes) == 2
+        assert index.query(probe, 0, 0.0, "containment") == per_record_query(
+            index, probe, 0, 0.0, "containment"
+        )
+        assert len(passes) == 2
+        index.add_program(record_from_program(program("later", [1]), "later.mp", STAMP))
+        expected = per_record_query(index, probe, 5, 0.0, "containment")
+        assert index.query(probe, 5, 0.0, "containment") == expected
+        assert "later" in {hit.program_id for hit in expected}
+        assert len(passes) == 3
 
 
 def test_scaling_run_makes_one_minima_pass_per_query(monkeypatch):
@@ -461,7 +497,7 @@ def test_scans_leave_the_ufunc_buffer_as_they_found_it():
     try:
         index.query(probe, 5, 0.0, "containment")
         assert np.getbufsize() == 4096
-        index.query_alphas(probe, [0, 5, 64], 0.0, "containment")
+        _sweep(index, probe, [0, 5, 64], 0.0, "containment")
         assert np.getbufsize() == 4096
         index.cluster(5, 0.0, "resemblance")
         assert np.getbufsize() == 4096

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import re
 import subprocess
@@ -36,3 +37,18 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    # `ast.parse` with `feature_version` rejects syntax newer than the
+    # `requires-python` floor (such as `except*`), so a 3.11-only
+    # construct fails here even when the suite runs on 3.11
+    root = Path(cfgprint.__file__).parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor is not None
+    version = (int(floor.group(1)), int(floor.group(2)))
+    files = [f for d in ("src", "tests", "demos", "perfbench") for f in (root / d).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
