@@ -328,13 +328,16 @@ def test_in_scope_queries_match_plain_queries(case, alphas, threshold, mode):
                     assert hit.score.value == 0.0 and hit.matched_path_evidence == ()
 
 
-def test_in_scope_query_of_an_unscoreable_probe_raises_like_plain_query():
+@pytest.mark.parametrize("alphas", [[5], [0, 64], [7, 0, 7]])
+def test_query_alphas_unscoreable_probe_raises_like_query(alphas):
+    # an in-scope sweep over several alphas raises plain query's error;
+    # an empty sweep makes no call, so every list here holds an alpha
     index = make_index([program("a", [1])])
     probe = program("probe", [])
     with pytest.raises(ValueError, match="unscoreable") as plain:
         index.query(probe, 0, 0.5, "containment")
     with pytest.raises(ValueError, match="unscoreable") as in_scope:
-        _sweep(index, probe, [7, 0, 7], 0.5, "containment")
+        _sweep(index, probe, alphas, 0.5, "containment")
     assert str(in_scope.value) == str(plain.value)
 
 
