@@ -29,11 +29,11 @@ from .config import (
     RunConfig,
 )
 from .cfg_builder import cfg_from_statements, export_dot
-from .fingerprint import to_hex
+from .fingerprint import shared, shared_work, to_hex
 from .frontend import normalize_source
 from .index_store import IndexCompatibilityError, IndexRecord, load_index
 from .pipeline import index_directory, read_source, run_pipeline
-from .similarity import _PairKernel, classify, score_pair, shared, shared_alpha_free_work
+from .similarity import _PairKernel, classify, score_pair
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,7 +323,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     # both modes and the printed matrix come from one kernel of the pair
-    with shared_alpha_free_work():
+    with shared_work():
         scores = {mode: score_pair(a, b, config.alpha, mode) for mode in MODES}
         kernel = shared(_PairKernel, a, b)
     timings["score"] = (time.perf_counter() - t0) * 1000.0

@@ -37,10 +37,9 @@ from .frontend import (
     parse,
     tokenize,
 )
-from .fingerprint import shared_statement_hashes
+from .fingerprint import shared_work
 from .index_store import FingerprintIndex, record_from_program
 from .pipeline import program_files, run_pipeline, run_program_file
-from .similarity import shared_alpha_free_work
 
 
 @dataclass(frozen=True)
@@ -576,20 +575,17 @@ def evaluate(
     threshold: float | None = None,
 ) -> list[EvalResult]:
     """Index the corpus once, sweep alpha, score candidate pairs
-    against the manifest. The indexing hashes each distinct statement
-    text once for the corpus (`shared_statement_hashes`), as a serial
-    `index_directory` does. Precision is TP / (TP + FP); the
-    false-positive rate quoted elsewhere is 1 - precision. The sweep
+    against the manifest. The indexing runs in one `shared_work` scope,
+    as a serial `index_directory` does. Precision is TP / (TP + FP);
+    the false-positive rate quoted elsewhere is 1 - precision. The sweep
     goes probe by probe, with one `query` per alpha inside one
-    `shared_alpha_free_work` scope per probe, so each probe takes one
-    minima pass and one kernel per record within reach of the largest
-    alpha. A file that
-    `index_directory` would skip (unreadable, not UTF-8, unparseable)
-    is left out here too; if the manifest names it, that is the usual
-    missing-program error, raised after indexing. Every swept alpha and
-    the threshold must pass `RunConfig.validate`'s rules, and the
-    manifest must be a list of objects whose `original` and `mutant`
-    are strings, or ValueError is raised before any program is read."""
+    `shared_work` scope per probe. A file that `index_directory` would
+    skip (unreadable, not UTF-8, unparseable) is left out here too; if
+    the manifest names it, that is the usual missing-program error,
+    raised after indexing. Every swept alpha and the threshold must
+    pass `RunConfig.validate`'s rules, and the manifest must be a list
+    of objects whose `original` and `mutant` are strings, or ValueError
+    is raised before any program is read."""
     config.validate()
     alphas = list(alpha_values)
     threshold = config.threshold if threshold is None else threshold
@@ -605,7 +601,7 @@ def evaluate(
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)
     sizes: dict[str, tuple[int, int]] = {}
-    with shared_statement_hashes():
+    with shared_work():
         for program_id, path in program_files(root):
             outcome = run_program_file(program_id, path, config)
             if isinstance(outcome, str):
@@ -629,7 +625,7 @@ def evaluate(
     pair_sets: list[set[frozenset[str]]] = [set() for _ in alphas]
     t0 = time.perf_counter()
     for pid, probe in probes.items():
-        with shared_alpha_free_work():
+        with shared_work():
             for alpha, pairs in zip(alphas, pair_sets):
                 for candidate in index.query(probe, alpha, threshold, config.mode):
                     pairs.add(frozenset({pid, candidate.program_id}))

@@ -19,6 +19,12 @@ DEFAULT_MODE = "containment"
 MODES = ("containment", "resemblance")
 
 
+def check_mode(mode: str) -> None:
+    """The one mode rule: ValueError unless `mode` is one of `MODES`."""
+    if mode not in MODES:
+        raise ValueError(f"unknown similarity mode {mode!r}, expected one of {MODES}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs that shape fingerprinting and scoring.
@@ -44,8 +50,7 @@ class RunConfig:
             raise ValueError(f"min_blocks must be >= 1, got {self.min_blocks}")
         if self.max_paths < 1:
             raise ValueError(f"max_paths must be >= 1, got {self.max_paths}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_mode(self.mode)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ in BLAS; every cell is an integer sum far below 2**53, so float64 holds
 it exactly. `fingerprint_path` and `simhash_bits` compute the same bits
 one path at a time and are kept as the reference.
 
-"Once" means once per program, or once per call inside a
-`shared_statement_hashes` block: a serial `index_directory` and
-`evaluate`'s indexing open one, so the texts that recur across a
-corpus's programs are hashed once for the whole call. The table goes
-when the block ends; nothing is kept from one call to the next.
+"Once" means once per program, or once per `shared_work` scope.
 
 A program's fingerprints are plain ints: the ascending tuple of its
 distinct path values, the same tuple an index record stores and the
@@ -37,12 +33,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .cfg_builder import ControlFlowGraph
 from .config import FINGERPRINT_BITS
+
+T = TypeVar("T")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -145,26 +143,40 @@ def fingerprint_program(
     )
 
 
-# statement text -> FNV-1a hash, shared by every program fingerprinted
-# inside one `shared_statement_hashes` block; None outside any block
-_STATEMENT_HASHES: ContextVar[dict[str, int] | None] = ContextVar(
-    "statement_hashes", default=None
-)
+# what one `shared_work` scope has built, keyed by the builder and the
+# ids of its arguments; None outside any scope
+_SHARED_WORK: ContextVar[dict[tuple, tuple] | None] = ContextVar("shared_work", default=None)
 
 
 @contextmanager
-def shared_statement_hashes() -> Iterator[None]:
-    """Within the block, hash each distinct statement text once for
-    all the programs fingerprinted, not once per program. The table is
-    dropped when the block ends, however it ends, so no hash outlives
-    the call that opened it. It is held in a ContextVar, so other
-    threads do not see it; worker processes keep one table per
-    program."""
-    reset = _STATEMENT_HASHES.set({})
+def shared_work() -> Iterator[None]:
+    """Within the scope, `shared` builds each piece of work once for
+    every call that asks for it on the same argument objects, not once
+    per call. The table is dropped when the scope ends, however it
+    ends, so nothing built outlives the call that opened it; a scope
+    opened inside another has a table of its own, and the outer table
+    is back when it ends. It is held in a ContextVar, so other threads
+    do not see it."""
+    reset = _SHARED_WORK.set({})
     try:
         yield
     finally:
-        _STATEMENT_HASHES.reset(reset)
+        _SHARED_WORK.reset(reset)
+
+
+def shared(build: Callable[..., T], *args: object) -> T:
+    """`build(*args)`: from the open scope's table, built there on first
+    use for these very argument objects, or built for this call alone
+    outside any scope. The entry holds the arguments, so the ids in its
+    key stay theirs."""
+    table = _SHARED_WORK.get()
+    if table is None:
+        return build(*args)
+    key = (build, *map(id, args))
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = (build(*args), args)
+    return entry[0]
 
 
 # float64 cells in one per-chunk temporary (about 64 KB)
@@ -175,11 +187,9 @@ def _block_counts(cfg: ControlFlowGraph) -> np.ndarray:
     """One float64 row per block: column i < 64 counts the block's
     statements whose hash has bit i set, column 64 counts all its
     statements, and columns 65..71 are zero. Each distinct text is
-    hashed once: through the table `shared_statement_hashes` opened, or
-    else a table for this program alone."""
-    known = _STATEMENT_HASHES.get()
-    if known is None:
-        known = {}
+    hashed once per statement-hash table, `shared(dict)`: one for the
+    open scope, or else one for this program alone."""
+    known: dict[str, int] = shared(dict)
     n_blocks = len(cfg.blocks)
     row_of: dict[str, int] = {}  # distinct text -> its row, in first-seen order
     cells: list[int] = []  # per statement: row * n_blocks + its block's position

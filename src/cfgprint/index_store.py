@@ -24,13 +24,10 @@ that suffix. One rule then gives every pair its minimum: a record of
 the set meets the rest of its set at distance 0, and each record of a
 later set at that set's minimum from the pass. Each per-pair
 call gets that minimum as `min_distance`, so a pair with nothing within
-alpha is scored zero without a distance matrix. Neither a probe's
-minima nor a pair's kernel depends on alpha, so inside one
-`shared_alpha_free_work` scope (an alpha sweep) `query` runs the pass
-once per probe object and layout, and each record within reach of the
-largest alpha gets one distance matrix for the whole sweep. Outside any
-scope every `query` runs its own pass. `cluster` joins the linked pairs
-by union-find.
+alpha is scored zero without a distance matrix. `query` takes its pass
+through `shared`, so inside a `shared_work` scope (see `fingerprint`)
+it reuses the pass for the same probe object and layout. `cluster`
+joins the linked pairs by union-find.
 """
 
 from __future__ import annotations
@@ -50,21 +47,19 @@ from .config import (
     HASH_NAME,
     INDEX_FORMAT,
     INDEX_FORMAT_VERSION,
-    MODES,
     NORMALIZATION_VERSION,
     ConfigStamp,
     RunConfig,
+    check_mode,
 )
-from .fingerprint import ProgramFingerprint, from_hex, to_hex
+from .fingerprint import ProgramFingerprint, from_hex, shared, to_hex
 from .similarity import (
     SimilarityScore,
-    _unknown_mode,
     _unscoreable,
     classify,
     fingerprint_columns,
     pair_report,
     record_minima,
-    shared,
 )
 
 
@@ -210,16 +205,14 @@ class FingerprintIndex:
         distinct fingerprint sets gives the probe's smallest distance to
         each, and each scanned record is then scored by one
         `pair_report` call that is handed its set's minimum. Inside a
-        `shared_alpha_free_work` scope the pass already run for this
-        same probe object over this same layout is used instead, so an
-        alpha sweep makes one pass per probe.
+        `shared_work` scope the pass already run for this same probe
+        object over this same layout is used instead.
         The benchmark tracer counts the per-record calls; once it counts
         work instead (ROADMAP item 1), records past alpha need no call
         at all and the `min_distance` parameter can go."""
         if not probe.scoreable:
             raise _unscoreable(probe)
-        if mode not in MODES:
-            raise _unknown_mode(mode)
+        check_mode(mode)
         columns = self._scan_columns()
         nearest = shared(_record_minima, probe, columns)
         candidates: list[CloneCandidate] = []
@@ -259,8 +252,7 @@ class FingerprintIndex:
         time. An unknown mode raises ValueError before the scan."""
         from .similarity import score_pair
 
-        if mode not in MODES:
-            raise _unknown_mode(mode)
+        check_mode(mode)
         columns = self._scan_columns()
         programs, flat, starts = columns.records, columns.flat, columns.starts
         n = len(programs)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .cfg_builder import ControlFlowGraph, cfg_from_statements
 from .config import ConfigStamp, RunConfig
-from .fingerprint import ProgramFingerprint, fingerprint_program, shared_statement_hashes
+from .fingerprint import ProgramFingerprint, fingerprint_program, shared_work
 from .frontend import MiniProcSyntaxError, NormalizedStatement, normalize, parse, tokenize
 from .index_store import FingerprintIndex, record_from_program
 from .path_enum import ExecutionPath, PathSet, enumerate_paths, filter_paths
@@ -124,12 +124,11 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     so the resulting index is deterministic regardless of filesystem
     ordering or worker count. At most `jobs` worker processes run, and
     never more than there are files or CPUs; with one, the call runs
-    serially in this process. Run serially, the call hashes each
-    distinct statement text once for all its files
-    (`shared_statement_hashes`). Files that cannot be read, are not
-    UTF-8 or do not parse are skipped with `run_program_file`'s
-    diagnostic, in file order; programs with no surviving paths are
-    indexed with an empty fingerprint list and reported as unscoreable.
+    serially in this process, inside one `shared_work` scope. Files
+    that cannot be read, are not UTF-8 or do not parse are skipped with
+    `run_program_file`'s diagnostic, in file order; programs with no
+    surviving paths are indexed with an empty fingerprint list and
+    reported as unscoreable.
     """
     config.validate()
     root = Path(directory)
@@ -153,7 +152,7 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fingerprint_task, tasks, chunksize=8))
     else:
-        with shared_statement_hashes():
+        with shared_work():
             results = [_fingerprint_task(t) for t in tasks]
     t2 = time.perf_counter()
 

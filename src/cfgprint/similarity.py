@@ -14,31 +14,13 @@ exceeds alpha, as it does for nearly every pair of unrelated programs,
 the score is zero and the call returns at once; only a pair within
 alpha gets its row and column minima, from which each alpha's match
 counts are read, and (in `pair_report`) each row's evidence entry.
-
-Outside any scope each call builds its own kernel. Inside a
-`shared_alpha_free_work` scope, work that does not depend on alpha is
-done once for the scope by `shared`, keyed by the identities of the
-objects it reads: a kernel once per ordered pair of program objects,
-read by every call on that pair at every alpha and in both modes (so
-the entry tuples of the evidence are shared too), and a probe's
-`record_minima` pass once per index layout (see `index_store`).
-`cloneforge.evaluate` opens one scope per probe of its alpha sweep,
-and `cfgprint compare` one for its two modes; the table goes when the
-scope ends.
+A kernel is built through `shared`, so inside a `shared_work` scope
+(see `fingerprint`) each ordered pair of program objects gets one.
 
 `record_minima` gives one program's smallest distance to each of many
 others in one pass over their fingerprints laid end to end, in 2-D
-blocks of at most 256 KB: the shorter side runs down the rows, the
-longer along the contiguous axis, and each block is one broadcast XOR,
-one popcount and one minimum over the probe's axis, whichever side the
-probe is. The blocks run under a 256-element ufunc buffer, set for the
-loop and then given back: under numpy's default of 8192 elements a
-broadcast XOR whose rows are narrower than about 2 980 cells buffers
-its stride-0 operand and runs about 3x slower per cell, and a
-`cluster` call's short suffix passes are mostly such blocks. Only
-integer ufuncs run in that scope; no float sum does, whose pairwise
-blocks follow the buffer size. `fingerprint_columns` lays the others
-out for it.
+blocks of at most 256 KB under a small ufunc buffer (see its
+docstring). `fingerprint_columns` lays the others out for it.
 
 A caller that already has a pair's exact smallest distance, from
 `record_minima`, hands it to `score_pair` or `pair_report` as the
@@ -55,16 +37,12 @@ fields.
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_MODE, MODES
-from .fingerprint import ProgramFingerprint, to_hex
-
-T = TypeVar("T")
+from .config import DEFAULT_MODE, check_mode
+from .fingerprint import ProgramFingerprint, shared, to_hex
 
 GRADE_IDENTICAL = "identical"
 GRADE_NEAR_IDENTICAL = "near-identical"
@@ -100,16 +78,12 @@ _new_tuple = tuple.__new__
 _CHUNK_CELLS = 1 << 15
 
 # the ufunc buffer, in elements, that `record_minima` runs its blocks
-# under, well below numpy's default of 8192 (see its docstring)
+# under
 _UFUNC_BUFSIZE = 256
 
 
 def _unscoreable(program: ProgramFingerprint) -> ValueError:
     return ValueError(f"unscoreable program: {program.program_id!r} has no fingerprints")
-
-
-def _unknown_mode(mode: str) -> ValueError:
-    return ValueError(f"unknown similarity mode {mode!r}")
 
 
 def distance_matrix(a: ProgramFingerprint, b: ProgramFingerprint) -> np.ndarray:
@@ -146,7 +120,10 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
     on the way out, raised or not. Under numpy's default (8192) a block
     narrower than about 2 980 columns has its stride-0 operand buffered,
     and its XOR runs about 3x slower per cell. Wide blocks take the
-    same time under either size.
+    same time under either size, and `cluster`'s short suffix passes are
+    mostly narrow blocks. Only integer ufuncs run under the small
+    buffer; no float sum does, whose pairwise blocks follow the buffer
+    size.
     """
     if not len(flat):
         return []
@@ -179,8 +156,7 @@ def _zero_score(
     then that A, then that B has fingerprints, and works out the
     denominator: both sizes for resemblance, the smaller for
     containment."""
-    if mode not in MODES:
-        raise _unknown_mode(mode)
+    check_mode(mode)
     na = len(a.fingerprints)
     if not na:
         raise _unscoreable(a)
@@ -234,42 +210,6 @@ class _PairKernel:
         if self.matched(alpha)[0] == len(entries):
             return entries
         return tuple(entry for entry in entries if entry[2] <= alpha)
-
-
-# what one `shared_alpha_free_work` scope has built, keyed by the
-# builder and the ids of its arguments; None outside any scope
-_ALPHA_FREE_WORK: ContextVar[dict[tuple, tuple] | None] = ContextVar(
-    "alpha_free_work", default=None
-)
-
-
-@contextmanager
-def shared_alpha_free_work() -> Iterator[None]:
-    """Within the scope, `shared` builds each piece of alpha-independent
-    work once for every call that asks for it on the same objects, not
-    once per call. The table is dropped when the scope ends, however it
-    ends, so nothing built outlives the call that opened it. It is held
-    in a ContextVar, so other threads do not see it."""
-    reset = _ALPHA_FREE_WORK.set({})
-    try:
-        yield
-    finally:
-        _ALPHA_FREE_WORK.reset(reset)
-
-
-def shared(build: Callable[..., T], *args: object) -> T:
-    """`build(*args)`: from the open scope's table, built there on first
-    use for these very argument objects, or built for this call alone
-    outside any scope. The entry holds the arguments, so the ids in its
-    key stay theirs."""
-    table = _ALPHA_FREE_WORK.get()
-    if table is None:
-        return build(*args)
-    key = (build, *map(id, args))
-    entry = table.get(key)
-    if entry is None:
-        entry = table[key] = (build(*args), args)
-    return entry[0]
 
 
 def _score(

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cfgprint import similarity
+from cfgprint import fingerprint, similarity
 from cfgprint.cli import _resolves_to, _self_match, main
 from cfgprint.cloneforge import build_corpus
 from cfgprint.config import ConfigStamp, RunConfig
@@ -494,7 +494,7 @@ def test_compare_builds_the_pair_matrix_once(corpus, capsys, built_matrices):
     left, right = corpus / "clone_a.mp", corpus / "unrelated.mp"
     report = run_json(capsys, "compare", str(left), str(right), "--alpha", "64")
     assert built_matrices == [(str(left), str(right))]
-    assert similarity._ALPHA_FREE_WORK.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
     matrix = report["distance_matrix"]
     assert report["grade"] == similarity.classify(min(map(min, matrix)))
     assert [g["distance"] for g in report["path_grades"]] == [min(row) for row in matrix]

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from cfgprint import fingerprint, pipeline
+from cfgprint import cloneforge, fingerprint, pipeline
 from cfgprint.cfg_builder import BasicBlock, cfg_from_statements
 from cfgprint.cloneforge import SizeSpec, build_corpus, evaluate, generate_program
 from cfgprint.config import ConfigStamp, RunConfig
@@ -18,7 +18,8 @@ from cfgprint.fingerprint import (
     fingerprint_program,
     fnv1a64,
     from_hex,
-    shared_statement_hashes,
+    shared,
+    shared_work,
     simhash_bits,
     to_hex,
 )
@@ -298,12 +299,12 @@ def test_fingerprint_program_rejects_path_without_statements():
 
 def test_shared_hash_table_gives_the_per_program_fingerprints(cloneforge_programs):
     alone = [fingerprint_program(paths, cfg, "p") for paths, cfg in cloneforge_programs]
-    with shared_statement_hashes():
-        shared = [fingerprint_program(paths, cfg, "p") for paths, cfg in cloneforge_programs]
-        table = fingerprint._STATEMENT_HASHES.get()
-    assert shared == alone
+    with shared_work():
+        in_scope = [fingerprint_program(paths, cfg, "p") for paths, cfg in cloneforge_programs]
+        table = shared(dict)
+    assert in_scope == alone
     assert table and all(h == fnv1a64(text.encode("utf-8")) for text, h in table.items())
-    assert fingerprint._STATEMENT_HASHES.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
 
 
 def test_hash_table_lives_exactly_as_long_as_one_indexing_call(tmp_path, monkeypatch):
@@ -314,25 +315,39 @@ def test_hash_table_lives_exactly_as_long_as_one_indexing_call(tmp_path, monkeyp
     tables = []
 
     def spy(*args, **kwargs):
-        tables.append(fingerprint._STATEMENT_HASHES.get())
+        tables.append(fingerprint._SHARED_WORK.get())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "fingerprint_program", spy)
     for _ in range(2):
-        index_directory(root, config)
-        assert fingerprint._STATEMENT_HASHES.get() is None
-    # each call shares one table among its 18 programs, and opens a new one
+        build = index_directory(root, config)
+        assert fingerprint._SHARED_WORK.get() is None
+    # each call shares one table among its 18 programs, and opens a new
+    # one; the scope holds the statement-hash table and nothing else
     first, second = tables[:18], tables[18:]
     assert len(second) == 18 and first[0] is not second[0]
     assert all(t is first[0] for t in first) and all(t is second[0] for t in second)
+    assert list(first[0]) == [(dict,)]
 
+    # `evaluate` indexes in one scope, closes it, then opens one scope
+    # per probe outside any other: no probe sees the indexing table
+    plain_scope = cloneforge.shared_work
+    outside = []
+
+    def scope():
+        outside.append(fingerprint._SHARED_WORK.get())
+        return plain_scope()
+
+    monkeypatch.setattr(cloneforge, "shared_work", scope)
     tables.clear()
     evaluate(root, config, [5])
-    assert fingerprint._STATEMENT_HASHES.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
     assert len(tables) == 18 and all(t is tables[0] is not None for t in tables)
+    probes = len(build.index.records) - len(build.unscoreable)
+    assert probes > 0 and outside == [None] * (1 + probes)
 
     def fails_on_the_second_file(*args, **kwargs):
-        tables.append(fingerprint._STATEMENT_HASHES.get())
+        tables.append(fingerprint._SHARED_WORK.get())
         if len(tables) == 2:
             raise RuntimeError("fingerprinting failed")
         return real(*args, **kwargs)
@@ -342,7 +357,7 @@ def test_hash_table_lives_exactly_as_long_as_one_indexing_call(tmp_path, monkeyp
     with pytest.raises(RuntimeError, match="fingerprinting failed"):
         index_directory(root, config)
     assert len(tables) == 2 and tables[0] is not None
-    assert fingerprint._STATEMENT_HASHES.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
 
 
 def test_serial_parallel_and_per_file_records_agree(tmp_path):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgprint import index_store, similarity
-from cfgprint.cloneforge import scaling_run
+from cfgprint import fingerprint, index_store, pipeline, similarity
+from cfgprint.cloneforge import build_corpus, scaling_run
 from cfgprint.config import ConfigStamp, RunConfig
-from cfgprint.fingerprint import ProgramFingerprint
+from cfgprint.fingerprint import ProgramFingerprint, shared_work
 from cfgprint.index_store import (
     CloneCandidate,
     FingerprintIndex,
@@ -293,7 +293,7 @@ def _recording_queries(mp):
 
 def _sweep(index, probe, alphas, threshold, mode):
     """One `query` per alpha, in order, inside one scope."""
-    with similarity.shared_alpha_free_work():
+    with shared_work():
         return [index.query(probe, alpha, threshold, mode) for alpha in alphas]
 
 
@@ -359,6 +359,25 @@ def test_unknown_mode_raises_whatever_the_index_holds(mode):
         make_index([]).query(program("probe", []), 5, 0.5, mode)
 
 
+def test_every_mode_check_gives_one_message():
+    # the config, both scorers, query and cluster apply one rule
+    a = program("a", [1, 2])
+    index = make_index([a, program("b", [1])])
+    checks = [
+        lambda: RunConfig(mode="jaccard").validate(),
+        lambda: score_pair(a, a, 5, "jaccard"),
+        lambda: pair_report(a, a, 5, "jaccard"),
+        lambda: index.query(a, 5, 0.5, "jaccard"),
+        lambda: index.cluster(5, 0.5, "jaccard"),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == (
+            "unknown similarity mode 'jaccard', expected one of ('containment', 'resemblance')"
+        )
+
+
 def _count_minima_passes(monkeypatch):
     passes = []
     plain = index_store.record_minima
@@ -406,9 +425,9 @@ def _reach_index(rng):
 
 def test_scope_is_empty_after_a_return_and_after_a_raise(built_matrices):
     probe, index = _reach_index(random.Random(7))
-    work = similarity._ALPHA_FREE_WORK
+    work = fingerprint._SHARED_WORK
     assert work.get() is None
-    with similarity.shared_alpha_free_work():
+    with shared_work():
         table = work.get()
         index.query(probe, 0, 0.0, "containment")
         index.query(probe, 64, 0.0, "containment")
@@ -423,7 +442,7 @@ def test_scope_is_empty_after_a_return_and_after_a_raise(built_matrices):
     assert work.get() is None
     # a raise inside the scope, after work was kept, still empties it
     with pytest.raises(ZeroDivisionError):
-        with similarity.shared_alpha_free_work():
+        with shared_work():
             index.query(probe, 64, 0.0, "containment")
             assert len(work.get()) == 1 + len(scored)
             1 / 0
@@ -433,6 +452,41 @@ def test_scope_is_empty_after_a_return_and_after_a_raise(built_matrices):
     index.query(probe, 64, 0.0, "containment")
     index.query(probe, 64, 0.0, "containment")
     assert built_matrices == [("probe", r.program_id) for r in scored] * 2
+
+
+def test_nested_scopes_give_the_outer_table_back(tmp_path, monkeypatch, built_matrices):
+    # a serial `index_directory` opens its own scope inside the open
+    # one; on the way out, returned or raised, the outer table is back
+    # with the work it held and nothing of the inner scope's
+    root = tmp_path / "corpus"
+    build_corpus(root, 3, 3, seed=4)
+    probe, index = _reach_index(random.Random(9))
+    passes = _count_minima_passes(monkeypatch)
+    plain = pipeline.fingerprint_program
+
+    def fails_on_the_second_file(*args, **kwargs):
+        fails_on_the_second_file.calls += 1
+        if fails_on_the_second_file.calls == 2:
+            raise RuntimeError("fingerprinting failed")
+        return plain(*args, **kwargs)
+
+    fails_on_the_second_file.calls = 0
+    work = fingerprint._SHARED_WORK
+    with shared_work():
+        outer = work.get()
+        first = index.query(probe, 5, 0.0, "containment")
+        kept, matrices = dict(outer), len(built_matrices)
+        assert len(pipeline.index_directory(root, RunConfig()).index.records) == 9
+        assert work.get() is outer and outer == kept
+        assert index.query(probe, 5, 0.0, "containment") == first
+        monkeypatch.setattr(pipeline, "fingerprint_program", fails_on_the_second_file)
+        with pytest.raises(RuntimeError, match="fingerprinting failed"):
+            pipeline.index_directory(root, RunConfig())
+        assert work.get() is outer and outer == kept
+        assert index.query(probe, 5, 0.0, "containment") == first
+        # the repeats made no new minima pass and built no new matrix
+        assert len(passes) == 1 and len(built_matrices) == matrices
+    assert work.get() is None
 
 
 @pytest.mark.parametrize("mode", ["containment", "resemblance"])
@@ -468,7 +522,7 @@ def test_query_ignores_minima_for_another_probe_or_layout(monkeypatch):
     probe = program("probe", list(programs[2].fingerprints))
     twin = program("probe", list(probe.fingerprints))
     passes = _count_minima_passes(monkeypatch)
-    with similarity.shared_alpha_free_work():
+    with shared_work():
         expected = per_record_query(index, probe, 5, 0.0, "containment")
         assert index.query(probe, 5, 0.0, "containment") == expected
         assert index.query(twin, 5, 0.0, "containment") == expected

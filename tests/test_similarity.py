@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgprint import similarity
+from cfgprint import fingerprint, similarity
 from cfgprint.config import MODES
-from cfgprint.fingerprint import ProgramFingerprint
+from cfgprint.fingerprint import ProgramFingerprint, shared_work
 from cfgprint.similarity import (
     GRADE_DISSIMILAR,
     GRADE_IDENTICAL,
@@ -622,7 +622,7 @@ def test_shared_kernels_change_no_score_or_evidence(case, alphas):
         )
 
     outside = [run(*call) for call in calls]
-    with similarity.shared_alpha_free_work():
+    with shared_work():
         inside = [run(*call) for call in calls]
     assert inside == outside
     assert outside == [_expected_calls(x, y, alpha, mode) for x, y, alpha, mode, _ in calls]
@@ -631,7 +631,7 @@ def test_shared_kernels_change_no_score_or_evidence(case, alphas):
 def test_shared_kernel_builds_one_matrix_and_one_set_of_entries(built_matrices):
     a = program("a", [1, 2, 3, 0xFF00])
     b = program("b", [1, 6, 0xFF0F])
-    with similarity.shared_alpha_free_work():
+    with shared_work():
         reports = [pair_report(a, b, alpha, mode) for alpha in (4, 0, 64, 4) for mode in MODES]
         score_pair(a, b, 2, "resemblance")
         score_pair(b, a, 2, "resemblance")
@@ -649,15 +649,15 @@ def test_shared_kernel_builds_one_matrix_and_one_set_of_entries(built_matrices):
 
 
 def test_shared_kernels_reset_however_the_block_ends():
-    assert similarity._ALPHA_FREE_WORK.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
     a = program("a", [1])
     with pytest.raises(ValueError, match="unknown similarity mode"):
-        with similarity.shared_alpha_free_work():
-            assert similarity._ALPHA_FREE_WORK.get() == {}
+        with shared_work():
+            assert fingerprint._SHARED_WORK.get() == {}
             score_pair(a, a, 0)
-            assert len(similarity._ALPHA_FREE_WORK.get()) == 1
+            assert len(fingerprint._SHARED_WORK.get()) == 1
             score_pair(a, a, 0, "jaccard")
-    assert similarity._ALPHA_FREE_WORK.get() is None
+    assert fingerprint._SHARED_WORK.get() is None
 
 
 def test_unknown_mode_rejected_by_every_scorer():
