@@ -171,10 +171,13 @@ class _Generator:
                 parts.append(self._operand())
         return " ".join(parts)
 
+    def _binary(self) -> str:
+        op = _draw(self.rng, _ARITH_OPS, self.op_cum)
+        return f"{self._operand()} {op} {self._operand()}"
+
     def _cmp_side(self) -> str:
         if self.rng.random() < 0.3:
-            op = _draw(self.rng, _ARITH_OPS, self.op_cum)
-            return f"{self._operand()} {op} {self._operand()}"
+            return self._binary()
         return self._operand()
 
     def _comparison(self) -> str:
@@ -187,8 +190,7 @@ class _Generator:
         # stack up and drown out the rest of the path in the fingerprint
         if self.rng.random() < 0.45:
             return self._operand()
-        op = _draw(self.rng, _ARITH_OPS, self.op_cum)
-        return f"{self._operand()} {op} {self._operand()}"
+        return self._binary()
 
     def _condition(self) -> str:
         cond = self._comparison()
@@ -425,8 +427,6 @@ def _mutate_type3(source: str, rng: random.Random, ops: EditOps) -> str:
         positions = _plain_positions(root)
         if not positions:
             raise ValueError("no deletable statement left")
-        if len(root.children) == 1 and positions == [(root, 0)]:
-            raise ValueError("type3 edits would empty the program")
         container, pos = rng.choice(positions)
         del container.children[pos]
         if not root.children:

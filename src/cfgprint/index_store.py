@@ -19,22 +19,21 @@ tag, so `add_program`, `load_index` and direct writes to `records` need
 no hook. `query` takes the probe's smallest distance to every distinct
 set in one `record_minima` pass over that array, and each record reads
 its set's. `cluster` runs the pass once per distinct set over the sets
-after it, each pass a few 2-D blocks of the set's fingerprints against
-that suffix. One rule then gives every pair its minimum: a record of
-the set meets the rest of its set at distance 0, and each record of a
-later set at that set's minimum from the pass. Each per-pair
-call gets that minimum as `min_distance`, so a pair with nothing within
-alpha is scored zero without a distance matrix. `query` takes its pass
-through `shared`, so inside a `shared_work` scope (see `fingerprint`)
-it reuses the pass for the same probe object and layout. `cluster`
-joins the linked pairs by union-find.
+after it and keeps the minima in one S x S uint8 table of set
+distances (S distinct sets, so S**2 bytes), zero on the diagonal; each
+record pair i < j in id order is hinted with the table's entry for
+their two sets. Each per-pair call gets its minimum as `min_distance`,
+so a pair with nothing within alpha is scored zero without a distance
+matrix. `query` takes its pass through `shared`, so inside a
+`shared_work` scope (see `fingerprint`) it reuses the pass for the
+same probe object and layout. `cluster` joins the linked pairs by
+union-find.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -244,27 +243,25 @@ class FingerprintIndex:
         mean_score averages all intra-group pairwise scores. It reads
         the layout `query` scans. Each distinct set's smallest distances
         to the sets after it come from one `record_minima` pass over the
-        suffix of that layout. A record of the set meets the rest of its
-        set at distance 0, then every record of a later set at that
-        set's minimum from the pass. Every record pair is scored by one
-        `score_pair` call, lower id first, handed that minimum as in
-        `query`; going set by set keeps one pass's minima alive at a
-        time. An unknown mode raises ValueError before the scan."""
+        suffix of that layout, kept both ways in the S x S uint8 table
+        `near` (S**2 bytes). Each record pair i < j in id order is
+        scored by one `score_pair` call handed `near[set_i, set_j]` as
+        in `query`. An unknown mode raises ValueError before the scan."""
         from .similarity import score_pair
 
         check_mode(mode)
         columns = self._scan_columns()
         programs, flat, starts = columns.records, columns.flat, columns.starts
+        set_of = np.asarray(columns.set_of, dtype=np.intp)
         n = len(programs)
         bounds = [*starts.tolist(), len(flat)]
-        # the records grouped by set, sets in first-seen order: a record
-        # meets every record after it in this order once, in the pass of
-        # the lower of their two sets
-        classes: list[list[int]] = [[] for _ in starts]
-        for i, s in enumerate(columns.set_of):
-            classes[s].append(i)
-        order = [i for members in classes for i in members]
-        ranks = [s for s, members in enumerate(classes) for _ in members]
+        # near[s, t]: the smallest distance between sets s and t, from the
+        # pass of the lower of the two; 0 on the diagonal
+        near = np.zeros((len(starts), len(starts)), dtype=np.uint8)
+        for s in range(len(starts)):
+            lo = bounds[s + 1]
+            minima = record_minima(flat[bounds[s] : lo], flat[lo:], starts[s + 1 :] - lo)
+            near[s, s + 1 :] = near[s + 1 :, s] = minima
         # union-find over the linked pairs; each root is its component's
         # smallest index
         root = list(range(n))
@@ -278,28 +275,15 @@ class FingerprintIndex:
         # nonzero scores only: most pairs score zero, and adding the
         # zeros back in `mean_score` is exact
         score_of: dict[tuple[int, int], float] = {}
-        done = 0
-        for s, members in enumerate(classes):
-            lo = bounds[s + 1]
-            nearest = record_minima(flat[bounds[s] : lo], flat[lo:], starts[s + 1 :] - lo)
-            # each record after set s, at its set's minimum from this pass
-            end = done + len(members)
-            row = [nearest[t - s - 1] for t in ranks[end:]]
-            for i in members:
-                done += 1
-                program = programs[i]
-                # the rest of set s at distance 0, then the row
-                for j, d in zip(order[done:], chain(repeat(0, end - done), row)):
-                    # the lower id goes first
-                    if i < j:
-                        value = score_pair(program, programs[j], alpha, mode, min_distance=d).value
-                    else:
-                        value = score_pair(programs[j], program, alpha, mode, min_distance=d).value
-                    if value:
-                        score_of[(i, j) if i < j else (j, i)] = value
-                    if value >= threshold:
-                        ri, rj = find(i), find(j)
-                        root[max(ri, rj)] = min(ri, rj)
+        for i, program in enumerate(programs):
+            row = near[set_of[i], set_of[i + 1 :]].tolist()
+            for j, d in enumerate(row, i + 1):
+                value = score_pair(program, programs[j], alpha, mode, min_distance=d).value
+                if value:
+                    score_of[(i, j)] = value
+                if value >= threshold:
+                    ri, rj = find(i), find(j)
+                    root[max(ri, rj)] = min(ri, rj)
         # members ascend, and groups come in order of their smallest member
         members_of: dict[int, list[int]] = {}
         for i in range(n):

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -799,6 +800,52 @@ def test_cluster_hands_each_pair_its_minimum_in_every_set_layout(monkeypatch, la
                     score[(a, b)] for i, a in enumerate(group.members) for b in group.members[i + 1 :]
                 ]
                 assert repr(group.mean_score) == repr(sum(scores) / len(scores))
+
+
+def test_cluster_makes_one_pass_per_set_over_the_sets_after_it(monkeypatch):
+    # records that share a set share its pass: one pass per distinct set,
+    # in first-seen id order, its fingerprints against the later sets
+    passes = []
+    plain = index_store.record_minima
+
+    def record_minima(rows, flat, starts):
+        passes.append((rows.tolist(), flat.tolist(), starts.tolist()))
+        return plain(rows, flat, starts)
+
+    monkeypatch.setattr(index_store, "record_minima", record_minima)
+    rng = random.Random(34)
+    programs = _random_programs(rng, 12)
+    programs[3] = program("p003", [])
+    _share_sets(programs, [(1, 4), (1, 10), (2, 7), (0, 11)])
+    index = make_index(programs)
+    index.cluster(5, 0.5, "containment")
+    sets = list(dict.fromkeys(p.fingerprints for p in programs if p.fingerprints))
+    assert len(sets) == 7
+    expected = []
+    for k, rows in enumerate(sets):
+        later = sets[k + 1 :]
+        starts = np.cumsum([0, *map(len, later)])[:-1].tolist()
+        expected.append((list(rows), [b for s in later for b in s], starts))
+    assert passes == expected
+
+
+def test_cluster_set_table_stays_small():
+    # 600 distinct sets: the S x S set table is 360 KB of uint8, where a
+    # table of Python ints would take about 2.9 MB
+    rng = random.Random(600)
+    programs = [
+        program(f"p{i:03d}", [rng.randrange(2**64) for _ in range(4)]) for i in range(600)
+    ]
+    index = make_index(programs)
+    # the first scan builds the layout, outside the measured call
+    index.query(programs[0], 5, 0.5)
+    tracemalloc.start()
+    try:
+        assert index.cluster(5, 0.5) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cluster_mean_score_counts_pairs_that_score_zero():
