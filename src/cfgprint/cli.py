@@ -7,7 +7,8 @@ lines and the timings line, with the same values as the JSON. JSON
 output is deterministic for identical inputs except for the timings_ms
 block. Exit codes: 0 success (including empty result sets), 1
 operational failure (unparseable probe, incompatible index, invalid
-configuration, out of memory), 2 usage or IO errors.
+configuration, out of memory), 2 usage or IO errors (a closed stdout
+exits 2 with no message).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .config import (
 )
 from .cfg_builder import cfg_from_statements, export_dot
 from .fingerprint import shared, shared_work, to_hex
-from .frontend import normalize_source
+from .frontend import MiniProcSyntaxError, normalize_source
 from .index_store import IndexCompatibilityError, IndexRecord, load_index
 from .pipeline import index_directory, read_source, run_pipeline
 from .similarity import _PairKernel, classify, score_pair
@@ -137,13 +140,17 @@ def _emit(args: argparse.Namespace, report: dict, title: str, body: list[str]) -
     print("\n".join([title, _config_line(report["config"]), *body, f"timings_ms: {timings}"]))
 
 
-def _read_program(path: str) -> str:
-    """`read_source`, with a file that is not UTF-8 named in the error
-    (exit 1), as `index` names the files it skips."""
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Name `path` in the error (exit 1) when the program file inside
+    the block is not UTF-8 or does not parse, as `index` names the
+    files it skips."""
     try:
-        return read_source(path)
+        yield
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except MiniProcSyntaxError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- index ---------------------------------------------------------------
@@ -239,7 +246,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     t_load = (time.perf_counter() - t0) * 1000.0
     config = _run_config(args, index.config_stamp)
 
-    source = _read_program(args.file)
     # if the probe file is itself indexed, adopt the record's id so the
     # scan skips the trivial self-match
     probe_id = _self_match(index.records, str(Path(args.file).resolve()))
@@ -249,7 +255,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         probe_id = str(args.file)
         while probe_id in index.records:
             probe_id = "probe:" + probe_id
-    result = run_pipeline(source, probe_id, config)
+    with _naming(args.file):
+        result = run_pipeline(read_source(args.file), probe_id, config)
     probe = result.program
 
     timings = {**result.timings_ms, "load": t_load}
@@ -299,8 +306,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = {}
     timings: dict[str, float] = {}
     for side, path in (("left", args.left), ("right", args.right)):
-        source = _read_program(path)
-        results[side] = run_pipeline(source, str(path), config)
+        with _naming(path):
+            results[side] = run_pipeline(read_source(path), str(path), config)
         for stage, ms in results[side].timings_ms.items():
             timings[f"{side}_{stage}"] = ms
     a, b = results["left"].program, results["right"].program
@@ -373,8 +380,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    source = _read_program(args.file)
-    statements = normalize_source(source)
+    with _naming(args.file):
+        statements = normalize_source(read_source(args.file))
     dot = export_dot(cfg_from_statements(statements))
     if args.out is None:
         sys.stdout.write(dot)
@@ -426,7 +433,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout is seen here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; what is left in its buffer goes to
+        # the null device, so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,16 +6,17 @@ is matched by the larger one (so a file pasted into a bigger file still
 scores 1.0); resemblance is symmetric and rewards mutual coverage.
 
 `score_pair` and `pair_report` read every score through one path,
-`_score`, from the pair's kernel (`_PairKernel`): its alpha-independent
-facts, worked out from one uint8 Hamming distance matrix
+`_score`. It checks the arguments, works out the denominator and takes
+the pair's smallest distance; past alpha, as for nearly every pair of
+unrelated programs, the score is zero and nothing more is read.
+Within reach the matched counts come from the pair's kernel
+(`_PairKernel`), built from one uint8 Hamming distance matrix
 (`distance_matrix`, from each side's cached `bits_array`). The kernel
-takes the matrix's smallest entry in one flat reduction. When that
-exceeds alpha, as it does for nearly every pair of unrelated programs,
-the score is zero and the call returns at once; only a pair within
-alpha gets its row and column minima, from which each alpha's match
-counts are read, and (in `pair_report`) each row's evidence entry.
-A kernel is built through `shared`, so inside a `shared_work` scope
-(see `fingerprint`) each ordered pair of program objects gets one.
+sorts the matrix's row and column minima when it is built, and each
+alpha's match counts are read from them; the first `pair_report` to
+ask also has it build each row's evidence entry. A kernel is
+built through `shared`, so inside a `shared_work` scope (see
+`fingerprint`) each ordered pair of program objects gets one.
 
 `record_minima` gives one program's smallest distance to each of many
 others in one pass over their fingerprints laid end to end, in 2-D
@@ -24,10 +25,9 @@ docstring). `fingerprint_columns` lays the others out for it.
 
 A caller that already has a pair's exact smallest distance, from
 `record_minima`, hands it to `score_pair` or `pair_report` as the
-`min_distance` hint: past alpha they return `_zero_score`, which checks
-the arguments and works out only the denominator, without calling the
-kernel. Which scans run the pass and hand the hint on is described in
-`index_store`'s docstring.
+`min_distance` hint, and `_score` takes it in place of the kernel's, so
+a pair past alpha gets no distance matrix. Which scans run the pass and
+hand the hint on is described in `index_store`'s docstring.
 
 `SimilarityScore` and `PairReport` are `NamedTuple`s: immutable, cheap
 to build, and equal (and hashing alike) to the plain tuples of their
@@ -149,50 +149,28 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
         np.setbufsize(bufsize)
 
 
-def _zero_score(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
-) -> SimilarityScore:
-    """The score of a pair with no path matched. It checks the mode,
-    then that A, then that B has fingerprints, and works out the
-    denominator: both sizes for resemblance, the smaller for
-    containment."""
-    check_mode(mode)
-    na = len(a.fingerprints)
-    if not na:
-        raise _unscoreable(a)
-    nb = len(b.fingerprints)
-    if not nb:
-        raise _unscoreable(b)
-    denominator = na + nb if mode == "resemblance" else na if na < nb else nb
-    return _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator))
-
-
 class _PairKernel:
     """One pair's alpha-independent facts, from one distance matrix:
-    its smallest entry at once, then, the first time an alpha reaches
-    it, the row and column minima (kept sorted, so each alpha's match
-    counts are two bisections), and, the first time evidence is asked
-    for, each row's entry (probe hex, nearest partner hex, distance).
-    It holds both programs, so an entry keyed by their identities stays
-    theirs."""
+    the row and column minima, sorted so each alpha's match counts are
+    two bisections, the smallest distance (the first row minimum), and,
+    the first time evidence is asked for, each row's entry (probe hex,
+    nearest partner hex, distance). It holds both programs, so an entry
+    keyed by their identities stays theirs."""
 
-    __slots__ = ("a", "b", "matrix", "min_distance", "_minima", "_entries")
+    __slots__ = ("a", "b", "matrix", "min_distance", "_rows", "_cols", "_entries")
 
     def __init__(self, a: ProgramFingerprint, b: ProgramFingerprint) -> None:
         self.a, self.b = a, b
-        self.matrix = distance_matrix(a, b)
-        self.min_distance = int(np.minimum.reduce(self.matrix, axis=None))
-        self._minima: tuple[list[int], list[int]] | None = None
+        matrix = self.matrix = distance_matrix(a, b)
+        self._rows = sorted(matrix.min(axis=1).tolist())
+        self._cols = sorted(matrix.min(axis=0).tolist())
+        self.min_distance = self._rows[0]
         self._entries: tuple[tuple[str, str, int], ...] | None = None
 
     def matched(self, alpha: int) -> tuple[int, int]:
         """How many A paths have a B path within alpha, and how many B
         paths have an A path within alpha."""
-        if self._minima is None:
-            matrix = self.matrix
-            self._minima = sorted(matrix.min(axis=1).tolist()), sorted(matrix.min(axis=0).tolist())
-        rows, cols = self._minima
-        return bisect_right(rows, alpha), bisect_right(cols, alpha)
+        return bisect_right(self._rows, alpha), bisect_right(self._cols, alpha)
 
     def evidence(self, alpha: int) -> tuple[tuple[str, str, int], ...]:
         """The entries of the A paths within alpha, in A's order."""
@@ -213,27 +191,43 @@ class _PairKernel:
 
 
 def _score(
-    a: ProgramFingerprint, b: ProgramFingerprint, alpha: int, mode: str
-) -> tuple[SimilarityScore, _PairKernel]:
-    """The one scoring path: the score at alpha, read from the pair's
-    kernel, and the kernel. When the smallest distance exceeds alpha
-    the score is `_zero_score`'s and no row or column minimum is
-    taken."""
-    zero = _zero_score(a, b, alpha, mode)
-    kernel = shared(_PairKernel, a, b)
-    if kernel.min_distance > alpha:
-        return zero, kernel
+    a: ProgramFingerprint,
+    b: ProgramFingerprint,
+    alpha: int,
+    mode: str,
+    min_distance: int | None,
+) -> tuple[SimilarityScore, _PairKernel | None, int]:
+    """The one scoring path: the score at alpha, the pair's kernel (None
+    past alpha) and the pair's smallest distance. It checks the mode,
+    then that A, then that B has fingerprints, and works out the
+    denominator: both sizes for resemblance, the smaller for
+    containment. The smallest distance is the `min_distance` hint if
+    one is given, and otherwise the kernel's. Past alpha the score is
+    zero; within reach the matched counts are read from the kernel."""
+    check_mode(mode)
+    na = len(a.fingerprints)
+    if not na:
+        raise _unscoreable(a)
+    nb = len(b.fingerprints)
+    if not nb:
+        raise _unscoreable(b)
+    denominator = na + nb if mode == "resemblance" else na if na < nb else nb
+    kernel = None
+    if min_distance is None:
+        kernel = shared(_PairKernel, a, b)
+        min_distance = kernel.min_distance
+    if min_distance > alpha:
+        return _new_tuple(SimilarityScore, (0.0, mode, alpha, 0, denominator)), None, min_distance
+    kernel = kernel or shared(_PairKernel, a, b)
     a_to_b, b_to_a = kernel.matched(alpha)
     if mode == "resemblance":
         matched = a_to_b + b_to_a
     else:
         # containment: the smaller side's matched share; on equal sizes
         # the better direction counts
-        na, nb = len(a.fingerprints), len(b.fingerprints)
         matched = a_to_b if na < nb else b_to_a if nb < na else max(a_to_b, b_to_a)
-    denominator = zero.denominator
     score = _new_tuple(SimilarityScore, (matched / denominator, mode, alpha, matched, denominator))
-    return score, kernel
+    return score, kernel, min_distance
 
 
 def score_pair(
@@ -247,12 +241,9 @@ def score_pair(
     """Containment: matched share of the smaller program's paths (on
     equal sizes the better direction counts). Resemblance: matched
     paths of both sides over both sizes. `min_distance`, if given, must
-    be the pair's exact smallest distance (from `record_minima`); past
-    alpha the zero score comes back with no matrix built, and otherwise
-    the kernel runs as without it."""
-    if min_distance is not None and min_distance > alpha:
-        return _zero_score(a, b, alpha, mode)
-    return _score(a, b, alpha, mode)[0]
+    be the pair's exact smallest distance (from `record_minima`); it
+    stands in for the kernel's, so past alpha no matrix is built."""
+    return _score(a, b, alpha, mode, min_distance)[0]
 
 
 def pair_report(
@@ -263,15 +254,12 @@ def pair_report(
     *,
     min_distance: int | None = None,
 ) -> PairReport:
-    """Score plus per-path evidence, both read from the pair's kernel.
-    `min_distance`, if given, must be the pair's exact smallest
-    distance, and past alpha it is used as in `score_pair`."""
-    if min_distance is not None and min_distance > alpha:
-        return _new_tuple(PairReport, (_zero_score(a, b, alpha, mode), (), min_distance))
-    score, kernel = _score(a, b, alpha, mode)
-    if kernel.min_distance > alpha:
-        return _new_tuple(PairReport, (score, (), kernel.min_distance))
-    return _new_tuple(PairReport, (score, kernel.evidence(alpha), kernel.min_distance))
+    """Score plus per-path evidence, both read from the pair's kernel;
+    past alpha the evidence is empty. `min_distance` is taken as in
+    `score_pair`."""
+    score, kernel, nearest = _score(a, b, alpha, mode, min_distance)
+    evidence = () if kernel is None else kernel.evidence(alpha)
+    return _new_tuple(PairReport, (score, evidence, nearest))
 
 
 def classify(distance: int) -> str:

@@ -346,7 +346,27 @@ def test_query_unparseable_probe_exits_one(corpus, tmp_path, capsys):
     probe = tmp_path / "bad.mp"
     probe.write_text("x = ;")
     captured = run_cli(capsys, "query", str(probe), str(idx), expect=1)
-    assert captured.err.startswith("error: line 1:")
+    assert captured.err == f"error: {probe}: line 1: expected expression, got ';'\n"
+
+
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("compare", "declare x;\nx = ;\n", "line 2: expected expression, got ';'"),
+        ("compare", "", "line 1: empty program"),
+        ("dot", "declare x;\nx = ;\n", "line 2: expected expression, got ';'"),
+    ],
+)
+def test_unparseable_program_is_named(corpus, tmp_path, capsys, command, source, message):
+    bad = tmp_path / "bad.mp"
+    bad.write_text(source)
+    argv = {
+        "compare": ["compare", str(corpus / "clone_a.mp"), str(bad)],
+        "dot": ["dot", str(bad)],
+    }[command]
+    captured = run_cli(capsys, *argv, expect=1)
+    assert captured.err == f"error: {bad}: {message}\n"
+    assert captured.out == ""
 
 
 def test_query_corrupt_index_exits_one(corpus, tmp_path, capsys):
@@ -425,7 +445,7 @@ def test_query_too_deeply_nested_probe_exits_one(corpus, tmp_path, capsys):
     probe = tmp_path / "deep.mp"
     probe.write_text(DEEP)
     captured = run_cli(capsys, "query", str(probe), str(idx), expect=1)
-    assert captured.err.startswith("error: line 102: nesting deeper than 100 levels")
+    assert captured.err == f"error: {probe}: line 102: nesting deeper than 100 levels\n"
 
 
 def test_query_truncation_warnings(tmp_path, capsys):
@@ -524,7 +544,7 @@ def test_compare_too_deeply_nested_exits_one(corpus, tmp_path, capsys):
     deep = tmp_path / "deep.mp"
     deep.write_text(DEEP)
     captured = run_cli(capsys, "compare", str(corpus / "clone_a.mp"), str(deep), expect=1)
-    assert captured.err == "error: line 102: nesting deeper than 100 levels\n"
+    assert captured.err == f"error: {deep}: line 102: nesting deeper than 100 levels\n"
 
 
 # -- dot ------------------------------------------------------------------------
@@ -677,19 +697,42 @@ def test_config_line_matches_the_json_echo(corpus, capsys, flags, threshold):
     assert set(line.removeprefix("config: ").split()) == {f"{k}={v}" for k, v in echo.items()}
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _child_env() -> dict[str, str]:
+    """This environment with the checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = (
         "import sys, cfgprint.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_two_without_a_message(corpus, tmp_path, capsys):
+    # the read end is closed before the child starts, so its first
+    # write to stdout fails
+    idx = _indexed(corpus, tmp_path, capsys)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfgprint.cli", "query", str(corpus / "clone_a.mp"), str(idx),
+             "--json"],
+            env=_child_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 2
 
 
 # -- source encoding ------------------------------------------------------------

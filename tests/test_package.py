@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import doctest
 import os
 import re
 import subprocess
@@ -15,6 +16,11 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(cfgprint, name)]
     assert missing == []
+
+
+def test_package_docstring_example_runs():
+    results = doctest.testmod(cfgprint)
+    assert results == (0, 4)
 
 
 def test_readme_stage_names_are_exported():
