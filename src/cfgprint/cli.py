@@ -340,7 +340,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     col_hex = [to_hex(bits) for bits in b.fingerprints]
     path_grades = [
         {"probe": h, "distance": d, "grade": classify(d)}
-        for h, d in zip(row_hex, kernel.matrix.min(axis=1).tolist())
+        for h, d in zip(row_hex, kernel.row_minima)
     ]
     warnings = [fp.program_id for fp in (a, b) if fp.truncated]
     report.update(

@@ -583,9 +583,10 @@ def evaluate(
     skip (unreadable, not UTF-8, unparseable) is left out here too; if
     the manifest names it, that is the usual missing-program error,
     raised after indexing. Every swept alpha and the threshold must
-    pass `RunConfig.validate`'s rules, and the manifest must be a list
-    of objects whose `original` and `mutant` are strings, or ValueError
-    is raised before any program is read."""
+    pass `RunConfig.validate`'s rules, and the manifest must be JSON (a
+    ValueError names it otherwise) holding a list of objects whose
+    `original` and `mutant` are strings, or ValueError is raised before
+    any program is read."""
     config.validate()
     alphas = list(alpha_values)
     threshold = config.threshold if threshold is None else threshold
@@ -596,7 +597,14 @@ def evaluate(
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"corpus manifest missing: {manifest_path}")
-    named = _manifest_pairs(json.loads(manifest_path.read_text(encoding="utf-8")))
+    text = manifest_path.read_text(encoding="utf-8")
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # named as `load_index` names a bad index line
+        reason = getattr(exc, "msg", exc)
+        raise ValueError(f"{manifest_path}: malformed JSON ({reason})") from exc
+    named = _manifest_pairs(manifest)
 
     stamp = ConfigStamp.from_config(config)
     index = FingerprintIndex(config_stamp=stamp)

@@ -346,7 +346,8 @@ def _parse_fingerprints(value: list) -> tuple[int, ...]:
 def load_index(path: str | Path) -> FingerprintIndex:
     """Parse a .cdx file fully before returning. A file that is not
     UTF-8 raises IndexFormatError naming the file; a malformed or
-    truncated file, or a header stamp outside the ranges
+    truncated file (JSON nested too deeply or holding an integer too
+    long to convert included), or a header stamp outside the ranges
     `RunConfig.validate` allows, raises IndexFormatError naming the bad
     line; an unsupported configuration raises IndexCompatibilityError."""
     try:
@@ -360,8 +361,11 @@ def load_index(path: str | Path) -> FingerprintIndex:
     def parse_line(i: int) -> dict:
         try:
             value = json.loads(lines[i])
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(f"{path}: line {i + 1}: malformed JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError gives its bare message; nesting too deep
+            # and an integer past the interpreter's digit limit give theirs
+            reason = getattr(exc, "msg", exc)
+            raise IndexFormatError(f"{path}: line {i + 1}: malformed JSON ({reason})") from exc
         if not isinstance(value, dict):
             raise IndexFormatError(f"{path}: line {i + 1}: expected a JSON object")
         return value

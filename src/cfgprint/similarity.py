@@ -12,11 +12,11 @@ unrelated programs, the score is zero and nothing more is read.
 Within reach the matched counts come from the pair's kernel
 (`_PairKernel`), built from one uint8 Hamming distance matrix
 (`distance_matrix`, from each side's cached `bits_array`). The kernel
-sorts the matrix's row and column minima when it is built, and each
-alpha's match counts are read from them; the first `pair_report` to
-ask also has it build each row's evidence entry. A kernel is
-built through `shared`, so inside a `shared_work` scope (see
-`fingerprint`) each ordered pair of program objects gets one.
+reduces each direction once, when it is built: each alpha's match
+counts come from the sorted minima, and the evidence and `cfgprint
+compare` read its row minima. A kernel is built through `shared`, so
+inside a `shared_work` scope (see `fingerprint`) each ordered pair of
+program objects gets one.
 
 `record_minima` gives one program's smallest distance to each of many
 others in one pass over their fingerprints laid end to end, in 2-D
@@ -151,18 +151,20 @@ def record_minima(rows: np.ndarray, flat: np.ndarray, starts: np.ndarray) -> lis
 
 class _PairKernel:
     """One pair's alpha-independent facts, from one distance matrix:
-    the row and column minima, sorted so each alpha's match counts are
-    two bisections, the smallest distance (the first row minimum), and,
-    the first time evidence is asked for, each row's entry (probe hex,
-    nearest partner hex, distance). It holds both programs, so an entry
-    keyed by their identities stays theirs."""
+    each A path's nearest distance, in A's order (`row_minima`); the row
+    and column minima sorted, so each alpha's match counts are two
+    bisections; and the smallest distance. `_score` reads the counts,
+    `evidence` and `cfgprint compare` read `row_minima`. The kernel
+    keeps the programs only because `evidence` formats their
+    fingerprints into entries (probe hex, nearest partner hex, distance)."""
 
-    __slots__ = ("a", "b", "matrix", "min_distance", "_rows", "_cols", "_entries")
+    __slots__ = ("a", "b", "matrix", "row_minima", "min_distance", "_rows", "_cols", "_entries")
 
     def __init__(self, a: ProgramFingerprint, b: ProgramFingerprint) -> None:
         self.a, self.b = a, b
         matrix = self.matrix = distance_matrix(a, b)
-        self._rows = sorted(matrix.min(axis=1).tolist())
+        self.row_minima: list[int] = matrix.min(axis=1).tolist()
+        self._rows = sorted(self.row_minima)
         self._cols = sorted(matrix.min(axis=0).tolist())
         self.min_distance = self._rows[0]
         self._entries: tuple[tuple[str, str, int], ...] | None = None
@@ -176,14 +178,12 @@ class _PairKernel:
         """The entries of the A paths within alpha, in A's order."""
         entries = self._entries
         if entries is None:
-            # ties go to the lowest partner bits; columns are in
-            # ascending bits order, so argmin already lands there
-            matrix = self.matrix
-            partners = matrix.argmin(axis=1).tolist()
+            # ties go to the lowest partner bits: columns ascend, argmin takes the first
+            partners = self.matrix.argmin(axis=1).tolist()
             b_bits = self.b.fingerprints
             entries = self._entries = tuple(
                 (to_hex(x), to_hex(b_bits[j]), d)
-                for x, j, d in zip(self.a.fingerprints, partners, matrix.min(axis=1).tolist())
+                for x, j, d in zip(self.a.fingerprints, partners, self.row_minima)
             )
         if self.matched(alpha)[0] == len(entries):
             return entries

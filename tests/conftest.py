@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cfgprint import similarity
@@ -37,3 +38,25 @@ def built_matrices(monkeypatch):
 
     monkeypatch.setattr(similarity, "distance_matrix", distance_matrix)
     return built
+
+
+@pytest.fixture
+def row_reductions(monkeypatch):
+    """Wrap `similarity.distance_matrix` for the test so each matrix it
+    returns counts its row reductions (`min(axis=1)`), and return the
+    counts: matrices built and row reductions taken."""
+    counts = {"matrices": 0, "row_reductions": 0}
+    plain = similarity.distance_matrix
+
+    class CountingMatrix(np.ndarray):
+        def min(self, axis=None, *args, **kwargs):
+            if axis == 1:
+                counts["row_reductions"] += 1
+            return super().min(axis, *args, **kwargs)
+
+    def distance_matrix(a, b):
+        counts["matrices"] += 1
+        return plain(a, b).view(CountingMatrix)
+
+    monkeypatch.setattr(similarity, "distance_matrix", distance_matrix)
+    return counts

@@ -197,6 +197,13 @@ def test_index_missing_directory(tmp_path, capsys):
             expect=2)
 
 
+def test_index_of_a_regular_file_exits_two(corpus, tmp_path, capsys):
+    target = corpus / "clone_a.mp"
+    captured = run_cli(capsys, "index", str(target), "-o", str(tmp_path / "x.cdx"), expect=2)
+    assert captured.err == f"error: not a directory: {target}\n"
+    assert not (tmp_path / "x.cdx").exists()
+
+
 def test_index_reports_unscoreable_programs(tmp_path, capsys):
     root = tmp_path / "small"
     root.mkdir()
@@ -385,6 +392,34 @@ def test_index_that_is_not_utf8_is_named(corpus, tmp_path, capsys, command):
     assert len(captured.err.splitlines()) == 1
 
 
+# the interpreter's limit on the digits of an integer it parses, or 0
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+        pytest.param(
+            '{"path_count": ' + "9" * (_INT_DIGITS + 1) + "}",
+            "Exceeds the limit",
+            marks=pytest.mark.skipif(not _INT_DIGITS, reason="no integer digit limit"),
+        ),
+    ],
+    ids=["deep-array", "long-integer"],
+)
+@pytest.mark.parametrize("command", ["query", "cluster"])
+def test_index_line_that_json_cannot_read_is_named(
+    corpus, tmp_path, capsys, command, line, message
+):
+    idx = _indexed(corpus, tmp_path, capsys)
+    idx.write_text(idx.read_text() + line + "\n")
+    argv = [str(idx)] if command == "cluster" else [str(corpus / "clone_a.mp"), str(idx)]
+    captured = run_cli(capsys, command, *argv, expect=1)
+    assert captured.err.startswith(f"error: {idx}: line 5: malformed JSON ({message}")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -518,6 +553,13 @@ def test_compare_builds_the_pair_matrix_once(corpus, capsys, built_matrices):
     matrix = report["distance_matrix"]
     assert report["grade"] == similarity.classify(min(map(min, matrix)))
     assert [g["distance"] for g in report["path_grades"]] == [min(row) for row in matrix]
+
+
+def test_compare_reduces_the_pair_matrix_rows_once(corpus, capsys, row_reductions):
+    # the path grades read the row minima the kernel took for the scores
+    left, right = corpus / "clone_a.mp", corpus / "unrelated.mp"
+    run_json(capsys, "compare", str(left), str(right), "--alpha", "64")
+    assert row_reductions == {"matrices": 1, "row_reductions": 1}
 
 
 def test_compare_dissimilar_programs(corpus, capsys):

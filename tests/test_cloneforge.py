@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 from itertools import accumulate
 
@@ -434,6 +435,28 @@ def test_evaluate_rejects_a_malformed_manifest_before_reading_programs(
         raise AssertionError("a program was read before the manifest was checked")
 
     monkeypatch.setattr(cloneforge, "run_program_file", no_program_read)
+    with pytest.raises(ValueError, match=message):
+        evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('[{"original": "orig_000.mp", "mutant": ', "Expecting value"),
+    ],
+    ids=["deep-array", "truncated"],
+)
+def test_evaluate_names_a_manifest_json_cannot_read(tmp_path, monkeypatch, text, reason):
+    build_corpus(tmp_path / "c", originals=3, unrelated=0, seed=6)
+    manifest_path = tmp_path / "c" / "manifest.json"
+    manifest_path.write_text(text)
+
+    def no_program_read(*args):
+        raise AssertionError("a program was read before the manifest was checked")
+
+    monkeypatch.setattr(cloneforge, "run_program_file", no_program_read)
+    message = f"^{re.escape(str(manifest_path))}: malformed JSON \\({reason}"
     with pytest.raises(ValueError, match=message):
         evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
 

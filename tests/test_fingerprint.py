@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,13 @@ def test_serial_and_parallel_skip_with_the_per_file_diagnostics(tmp_path):
         assert sorted(build.index.records) == [
             name for name, outcome in outcomes if not isinstance(outcome, str)
         ]
+
+
+def test_index_directory_refuses_a_regular_file(tmp_path):
+    target = tmp_path / "one.mp"
+    target.write_text("output 1;\n")
+    with pytest.raises(NotADirectoryError, match=f"^not a directory: {re.escape(str(target))}$"):
+        index_directory(target, RunConfig())
 
 
 def test_jobs_capped_by_files_and_cpus(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -918,6 +919,63 @@ def test_load_reports_line_numbers(tmp_path):
     lines[2] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IndexFormatError, match="line 3"):
+        load_index(path)
+
+
+# the interpreter's limit on the digits of an integer it parses; 0 where
+# it has none, as before 3.11 and in some 3.10 patch releases
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _without_r(lines):
+    header = json.loads(lines[0])
+    del header["r"]
+    return [json.dumps(header), *lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        (lambda lines: [], 1, "empty index file"),
+        (
+            lambda lines: ["[" * 200_000 + "]" * 200_000, *lines[1:]],
+            1,
+            r"malformed JSON \(maximum recursion depth exceeded",
+        ),
+        (
+            lambda lines: [*lines[:2], '{"a": ' * 100_000 + "1" + "}" * 100_000],
+            3,
+            r"malformed JSON \(maximum recursion depth exceeded",
+        ),
+        pytest.param(
+            lambda lines: [
+                lines[0],
+                lines[1],
+                lines[2].replace('"path_count": 1', '"path_count": ' + "9" * (_INT_DIGITS + 1)),
+            ],
+            3,
+            r"malformed JSON \(Exceeds the limit",
+            marks=pytest.mark.skipif(not _INT_DIGITS, reason="no integer digit limit"),
+        ),
+        (lambda lines: ["[1, 2]", *lines[1:]], 1, "expected a JSON object"),
+        (lambda lines: [lines[0], "3", lines[2]], 2, "expected a JSON object"),
+        (_without_r, 1, "header missing key 'r'"),
+    ],
+    ids=[
+        "empty-file",
+        "deep-array-header",
+        "deep-object-record",
+        "long-integer",
+        "array-header",
+        "number-record",
+        "header-without-r",
+    ],
+)
+def test_load_names_the_bad_line(tmp_path, edit, line, message):
+    path = tmp_path / "bad.cdx"
+    make_index([program("a", [1]), program("b", [2])]).save(path)
+    path.write_text("".join(f"{text}\n" for text in edit(path.read_text().splitlines())))
+    with pytest.raises(IndexFormatError, match=f"^{re.escape(str(path))}: line {line}: {message}"):
         load_index(path)
 
 

@@ -152,6 +152,17 @@ def test_filter_paths_default_is_three():
     assert [p.real_block_count for p in filter_paths(paths)] == [3]
 
 
+def test_filter_paths_rejects_min_blocks_below_one():
+    with pytest.raises(ValueError, match="^min_blocks must be >= 1, got 0$"):
+        filter_paths([ExecutionPath((0, 1), 1)], 0)
+
+
+def test_entry_that_is_the_exit_gives_one_path():
+    result = enumerate_paths(graph_from_edges(1, set(), 0))
+    assert [(p.block_ids, p.real_block_count) for p in result.paths] == [((0,), 1)]
+    assert not result.truncated
+
+
 def test_unreachable_exit_yields_no_paths():
     cfg = graph_from_edges(3, {(0, 1)}, 2)
     result = enumerate_paths(cfg)

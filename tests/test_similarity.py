@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgprint import fingerprint, similarity
-from cfgprint.config import MODES
+from cfgprint.config import MODES, RunConfig
 from cfgprint.fingerprint import ProgramFingerprint, shared_work
+from cfgprint.pipeline import fingerprint_source
 from cfgprint.similarity import (
     GRADE_DISSIMILAR,
     GRADE_IDENTICAL,
@@ -220,6 +221,64 @@ def test_pair_report_evidence_covers_every_matched_probe_path():
     for probe_hex, record_hex, distance in report.evidence:
         assert popcount(int(probe_hex, 16) ^ int(record_hex, 16)) == distance
         assert distance <= 0
+
+
+def test_a_kernel_reduces_its_rows_once(row_reductions):
+    # the counts and the evidence both read the minima the kernel took
+    a = program("a", [1, 2, 3, 0xFF00])
+    b = program("b", [1, 6, 0xFF0F])
+    report = pair_report(a, b, 64)
+    assert [d for _, _, d in report.evidence] == [
+        min(popcount(x ^ y) for y in b.fingerprints) for x in a.fingerprints
+    ]
+    assert row_reductions == {"matrices": 1, "row_reductions": 1}
+
+
+# -- what a path fingerprint cannot see -------------------------------------------------
+
+# a loop whose body adds, then prints; each pair below keeps its shape
+_LOOP = """\
+declare x, y;
+x = 0;
+y = 2;
+while (x < 10)
+  x = x + y;
+  output x;
+endwhile
+output y;
+"""
+
+
+def test_statement_order_within_a_path_is_invisible():
+    # printing before the add prints 0, 2, .., 8 where the original
+    # prints 2, 4, .., 10, yet a path's vote over its statements is a
+    # sum, so the order on the path changes no fingerprint
+    swapped = _LOOP.replace("  x = x + y;\n  output x;\n", "  output x;\n  x = x + y;\n")
+    assert swapped != _LOOP
+    a = fingerprint_source(_LOOP, "loop", RunConfig())
+    b = fingerprint_source(swapped, "swapped", RunConfig())
+    assert a.fingerprints == b.fingerprints
+    for mode in MODES:
+        assert score_pair(a, b, 0, mode).value == 1.0
+
+
+def test_same_control_shape_with_unrelated_statements_scores_zero():
+    other = """\
+declare n, t;
+n = 99;
+t = 0;
+while (n >= 1)
+  t = n % 7;
+  n = t * t - 1;
+endwhile
+call report(t);
+"""
+    a = fingerprint_source(_LOOP, "loop", RunConfig())
+    b = fingerprint_source(other, "other", RunConfig())
+    assert len(a.fingerprints) == len(b.fingerprints) == 2
+    for alpha in (0, 5, 10):
+        for mode in MODES:
+            assert score_pair(a, b, alpha, mode).value == 0.0, (alpha, mode)
 
 
 # -- kernel against the oracles ------------------------------------------------------
