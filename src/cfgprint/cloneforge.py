@@ -583,8 +583,8 @@ def evaluate(
     skip (unreadable, not UTF-8, unparseable) is left out here too; if
     the manifest names it, that is the usual missing-program error,
     raised after indexing. Every swept alpha and the threshold must
-    pass `RunConfig.validate`'s rules, and the manifest must be JSON (a
-    ValueError names it otherwise) holding a list of objects whose
+    pass `RunConfig.validate`'s rules, and the manifest must be UTF-8
+    JSON (a ValueError names it otherwise) holding a list of objects whose
     `original` and `mutant` are strings, or ValueError is raised before
     any program is read."""
     config.validate()
@@ -597,7 +597,11 @@ def evaluate(
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"corpus manifest missing: {manifest_path}")
-    text = manifest_path.read_text(encoding="utf-8")
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # named as `load_index` names an index that is not UTF-8
+        raise ValueError(f"{manifest_path}: not UTF-8 text: {exc}") from None
     try:
         manifest = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -20,9 +20,9 @@ Identifiers are case-sensitive. Files use the `.mp` extension.
 Tokens, parse-tree nodes and normalized statements are plain tuples
 (`Token`, `Statement` and `NormalizedStatement` are NamedTuples), which
 are cheaper to build than frozen dataclasses. No token spans a line.
-So `tokenize` scans line by line, and one classifier gives every
-lexeme of every line its kind. Lines differ only in how they are split:
-one compiled pattern splits an ASCII line, and a line that is not ASCII
+So `tokenize` splits a whole source in one scan, whose newline lexemes
+count the lines, and one classifier gives every lexeme its kind. An
+ASCII source is scanned by one compiled pattern; any other source
 splits its numbers and words by the rules of `str.isdigit`,
 `str.isalpha` and `str.isalnum`, which no `re` class reproduces.
 Expressions are parsed in one loop, not by recursion, and the
@@ -118,9 +118,10 @@ class NormalizedStatement(NamedTuple):
 
 # One lexeme per match, tried in order: a string closed on its line, an
 # ASCII number, an ASCII word, a comment (rest of the line), a
-# two-character operator, then any single character that is not blank.
+# two-character operator, then any single character that is not blank,
+# `\n` included.
 _LEXEME = re.compile(
-    r'"[^"]*"|\d+(?:\.\d+)?|[A-Za-z_]\w*|#.*|==|!=|<=|>=|&&|\|\||[^ \t\r]',
+    r'"[^"\n]*"|\d+(?:\.\d+)?|[A-Za-z_]\w*|#.*|==|!=|<=|>=|&&|\|\||[^ \t\r]',
     re.ASCII,
 )
 
@@ -144,9 +145,10 @@ def _lexeme_kind(lexeme: str) -> tuple[str, str]:
 
 
 def _unicode_lexemes(text: str) -> list[str]:
-    """The lexemes of one line that is not ASCII. Numbers and words
-    are scanned with `str.isdigit`, `str.isalpha` and `str.isalnum`;
-    every other lexeme is what `_LEXEME` matches where it starts."""
+    r"""The lexemes of a source that is not ASCII, `\n` included.
+    Numbers and words are scanned with `str.isdigit`, `str.isalpha` and
+    `str.isalnum`; every other lexeme is what `_LEXEME` matches where it
+    starts."""
     lexemes = []
     match = _LEXEME.match
     i = 0
@@ -184,27 +186,31 @@ def tokenize(source: str) -> list[Token]:
     operator tokens and are left for the parser to reject.
 
     No token spans a line: strings and comments end at the line's end,
-    and only `\n` advances the line number. So the source is split line
-    by line, an ASCII line with one `_LEXEME.findall` and any other line
-    with `_unicode_lexemes`, and `_lexeme_kind` classifies each distinct
-    lexeme once per call, whichever line it came from. The two splits
-    differ only in numbers and words: `\d` matches only decimal digits,
-    not `²`, and `\w` also matches numerics such as `½`, which
-    `str.isalpha` does not let start a word.
+    and only `\n` advances the line number. So the whole source is split
+    in one scan whose `\n` lexemes count the lines: an ASCII source by
+    one `_LEXEME.findall`, any other by `_unicode_lexemes`.
+    `_lexeme_kind` classifies each distinct lexeme once per call. The
+    two splits differ only in numbers and words: `\d` matches only
+    decimal digits, not `²`, and `\w` also matches numerics such as
+    `½`, which `str.isalpha` does not let start a word.
     """
+    lexemes = _LEXEME.findall(source) if source.isascii() else _unicode_lexemes(source)
     tokens: list[Token] = []
     append = tokens.append
     kinds: dict[str, tuple[str, str]] = {}
-    findall = _LEXEME.findall
-    for line, text in enumerate(source.split("\n"), 1):
-        for lexeme in findall(text) if text.isascii() else _unicode_lexemes(text):
-            known = kinds.get(lexeme)
-            if known is None:
-                if lexeme[0] == "#":
-                    break  # a comment is always the line's last lexeme
-                known = kinds[lexeme] = _lexeme_kind(lexeme)
-            # tuple.__new__ skips the Python-level NamedTuple constructor
-            append(_new_tuple(Token, (*known, line)))
+    line = 1
+    for lexeme in lexemes:
+        known = kinds.get(lexeme)
+        if known is None:
+            if lexeme == "\n":
+                line += 1
+                continue
+            if lexeme[0] == "#":
+                continue
+            known = kinds[lexeme] = _lexeme_kind(lexeme)
+        kind, text = known
+        # tuple.__new__ skips the Python-level NamedTuple constructor
+        append(_new_tuple(Token, (kind, text, line)))
     return tokens
 
 

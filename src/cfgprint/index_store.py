@@ -6,6 +6,8 @@ one program record with the fields `_RECORD` lists. Records append
 cleanly and the whole file reloads byte-for-byte reproducibly. A record
 is a ProgramFingerprint (the ascending tuple of ints parsed from the
 hex) plus its source path and stamp, and the scorer reads it directly.
+`load_index` converts a record's well-formed fingerprint list in one
+step, reading entry by entry only to name the first bad one.
 Queries are a linear scan: every scoreable record is scored against the
 probe, so cost grows with record count and nothing else. The index
 keeps one scan layout: its scoreable records in program-id order, each
@@ -33,6 +35,7 @@ union-find.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -331,9 +334,25 @@ def _field(row: dict, key: str, kind: type):
     return value
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-f]*")
+
+
 def _parse_fingerprints(value: list) -> tuple[int, ...]:
     """A record's fingerprint list: 16-digit hex strings, strictly
-    ascending (what `save` writes and the scorer relies on)."""
+    ascending (what `save` writes and the scorer relies on).
+
+    A well-formed list is converted in one step: its strings joined,
+    checked by one pattern and their lengths, read as big-endian uint64
+    and checked ascending by one array comparison. Any other list is
+    read entry by entry, which names the first bad one."""
+    try:
+        digits = "".join(value)
+    except TypeError:  # an entry that is not a string
+        digits = None
+    if digits is not None and set(map(len, value)) <= {16} and _HEX_DIGITS.fullmatch(digits):
+        array = np.frombuffer(bytes.fromhex(digits), dtype=">u8")
+        if (array[1:] > array[:-1]).all():
+            return tuple(array.tolist())
     bits = tuple(from_hex(text) for text in value)
     for before, after in zip(bits, bits[1:]):
         if after <= before:

@@ -461,6 +461,20 @@ def test_evaluate_names_a_manifest_json_cannot_read(tmp_path, monkeypatch, text,
         evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
 
 
+def test_evaluate_names_a_manifest_that_is_not_utf8(tmp_path, monkeypatch):
+    build_corpus(tmp_path / "c", originals=3, unrelated=0, seed=6)
+    manifest_path = tmp_path / "c" / "manifest.json"
+    manifest_path.write_bytes(b"\xff[]")
+
+    def no_program_read(*args):
+        raise AssertionError("a program was read before the manifest was checked")
+
+    monkeypatch.setattr(cloneforge, "run_program_file", no_program_read)
+    message = f"^{re.escape(str(manifest_path))}: not UTF-8 text: 'utf-8' codec can't decode"
+    with pytest.raises(ValueError, match=message):
+        evaluate(tmp_path / "c", RunConfig(), alpha_values=[0])
+
+
 @pytest.mark.parametrize(
     "alphas, threshold, message",
     [

@@ -219,6 +219,37 @@ def test_tokenize_non_ascii_line_keeps_character_rules():
     ]
 
 
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # a quote left open at a line's end does not pair with one on the next
+        (
+            'a "\n" b',
+            [("identifier", "a", 1), ("operator", '"', 1),
+             ("operator", '"', 2), ("identifier", "b", 2)],
+        ),
+        # `\r` is blank, and a comment ends at the `\n` after it
+        (
+            'x = 1; # note "\r\ny = "s";\r\n# end\r\n',
+            [("identifier", "x", 1), ("operator", "=", 1), ("literal", "1", 1),
+             ("punctuation", ";", 1), ("identifier", "y", 2), ("operator", "=", 2),
+             ("literal", '"s"', 2), ("punctuation", ";", 2)],
+        ),
+        # one line that is not ASCII sends the whole source line by line
+        (
+            'x = "q\ny = ½; # é\n"z" == 2',
+            [("identifier", "x", 1), ("operator", "=", 1), ("operator", '"', 1),
+             ("identifier", "q", 1), ("identifier", "y", 2), ("operator", "=", 2),
+             ("operator", "½", 2), ("punctuation", ";", 2), ("literal", '"z"', 3),
+             ("operator", "==", 3), ("literal", "2", 3)],
+        ),
+    ],
+    ids=["open-quote-per-line", "crlf-and-comment", "one-non-ascii-line"],
+)
+def test_tokenize_line_boundaries(source, expected):
+    assert _triples(tokenize(source)) == expected == _triples(tokenize_oracle(source))
+
+
 # -- parser ------------------------------------------------------------------
 
 

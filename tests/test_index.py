@@ -933,6 +933,25 @@ def _without_r(lines):
     return [json.dumps(header), *lines[1:]]
 
 
+def _fingerprints_of_b(hexes):
+    """An edit giving record `b` (line 3) the fingerprint list `hexes`."""
+
+    def edit(lines):
+        record = json.loads(lines[2])
+        record["fingerprints"] = hexes
+        return [*lines[:2], json.dumps(record, sort_keys=True)]
+
+    return edit
+
+
+def _hex_error(got):
+    return re.escape(f"fingerprint must be 16 lower-case hex digits, got {got!r}") + "$"
+
+
+def _order_error(after, before):
+    return re.escape(f"fingerprints must be strictly ascending: {after} after {before}") + "$"
+
+
 @pytest.mark.parametrize(
     "edit, line, message",
     [
@@ -960,6 +979,19 @@ def _without_r(lines):
         (lambda lines: ["[1, 2]", *lines[1:]], 1, "expected a JSON object"),
         (lambda lines: [lines[0], "3", lines[2]], 2, "expected a JSON object"),
         (_without_r, 1, "header missing key 'r'"),
+        # lengths that sum to 16 per entry but differ, entry by entry
+        (_fingerprints_of_b(["0123", "456789abcdef0123456789abcdef"]), 3, _hex_error("0123")),
+        (_fingerprints_of_b(["0000000000000001", "00000000000000AB"]), 3,
+         _hex_error("00000000000000AB")),
+        (_fingerprints_of_b(["0x00000000000001"]), 3, _hex_error("0x00000000000001")),
+        (_fingerprints_of_b(["000000000000001"]), 3, _hex_error("000000000000001")),
+        (_fingerprints_of_b(["00000000000000001"]), 3, _hex_error("00000000000000001")),
+        (_fingerprints_of_b(["0000000000000001", 2]), 3, _hex_error(2)),
+        (_fingerprints_of_b(["0000000000000001", "0000000000000001"]), 3,
+         _order_error("0000000000000001", "0000000000000001")),
+        # the high bit set: the order is that of unsigned 64-bit values
+        (_fingerprints_of_b(["0000000000000001", "ffffffffffffffff", "8000000000000000"]), 3,
+         _order_error("8000000000000000", "ffffffffffffffff")),
     ],
     ids=[
         "empty-file",
@@ -969,6 +1001,14 @@ def _without_r(lines):
         "array-header",
         "number-record",
         "header-without-r",
+        "uneven-hex-lengths",
+        "upper-case-hex",
+        "0x-prefix",
+        "15-digits",
+        "17-digits",
+        "non-string-entry",
+        "equal-adjacent",
+        "descending",
     ],
 )
 def test_load_names_the_bad_line(tmp_path, edit, line, message):
@@ -977,6 +1017,22 @@ def test_load_names_the_bad_line(tmp_path, edit, line, message):
     path.write_text("".join(f"{text}\n" for text in edit(path.read_text().splitlines())))
     with pytest.raises(IndexFormatError, match=f"^{re.escape(str(path))}: line {line}: {message}"):
         load_index(path)
+
+
+def test_load_reads_fingerprint_lists_as_ascending_ints(tmp_path):
+    # an empty list is an unscoreable record; the rest come back as the
+    # plain ints `save` wrote, the high bit included
+    bits = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+    path = tmp_path / "fp.cdx"
+    make_index([program("empty", []), program("wide", bits)]).save(path)
+    loaded = load_index(path)
+    assert loaded.records["empty"].fingerprints == ()
+    assert not loaded.records["empty"].scoreable
+    wide = loaded.records["wide"].fingerprints
+    assert wide == tuple(bits) and all(type(b) is int for b in wide)
+    assert json.loads(path.read_text().splitlines()[2])["fingerprints"] == [
+        format(b, "016x") for b in bits
+    ]
 
 
 def test_load_rejects_missing_keys(tmp_path):
