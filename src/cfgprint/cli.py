@@ -106,9 +106,7 @@ def _run_config(args: argparse.Namespace, stamp: ConfigStamp | None = None) -> R
             )
         defaults = RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks)
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    config = replace(defaults, **{k: v for k, v in given.items() if v is not None})
-    config.validate()
-    return config
+    return replace(defaults, **{k: v for k, v in given.items() if v is not None})
 
 
 def _config_echo(config: RunConfig) -> dict:

@@ -80,6 +80,9 @@ class MutationSpec:
     seed: int = 0
     edit_ops: EditOps = EditOps()
 
+    def __post_init__(self) -> None:
+        _check_kind(self.kind)
+
 
 @dataclass
 class EvalResult:
@@ -451,7 +454,6 @@ def _mutate_type3(source: str, rng: random.Random, ops: EditOps) -> str:
 
 def mutate(source: str, spec: MutationSpec) -> tuple[str, dict]:
     """Derive a labeled clone. The result always parses."""
-    _check_kind(spec.kind)
     rng = random.Random(spec.seed)
     if spec.kind == "type1":
         mutated = _mutate_type1(source, rng)
@@ -582,17 +584,16 @@ def evaluate(
     `shared_work` scope per probe. A file that `index_directory` would
     skip (unreadable, not UTF-8, unparseable) is left out here too; if
     the manifest names it, that is the usual missing-program error,
-    raised after indexing. Every swept alpha and the threshold must
-    pass `RunConfig.validate`'s rules, and the manifest must be UTF-8
-    JSON (a ValueError names it otherwise) holding a list of objects whose
+    raised after indexing. Every swept alpha and the threshold must be
+    ones a `RunConfig` accepts, and the manifest must be UTF-8 JSON (a
+    ValueError names it otherwise) holding a list of objects whose
     `original` and `mutant` are strings, or ValueError is raised before
     any program is read."""
-    config.validate()
     alphas = list(alpha_values)
     threshold = config.threshold if threshold is None else threshold
     for alpha in alphas:
-        replace(config, alpha=alpha).validate()
-    replace(config, threshold=threshold).validate()
+        replace(config, alpha=alpha)
+    replace(config, threshold=threshold)
     root = Path(corpus_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -699,7 +700,6 @@ def scaling_run(
     load spikes and clock drift cannot skew one size against another.
     Runs single-worker by design.
     """
-    config.validate()
     rng = random.Random(seed)
     top = max(sizes)
     stamp = ConfigStamp.from_config(config)

@@ -32,7 +32,7 @@ class RunConfig:
     alpha, threshold, and mode are per-query parameters. Of the knobs
     that shape the fingerprints, only min_blocks is stamped into an
     index (with alpha as its default query alpha); max_paths shows only
-    as each record's `truncated` flag.
+    as each record's `truncated` flag. Building one checks every knob.
     """
 
     alpha: int = DEFAULT_ALPHA
@@ -41,7 +41,7 @@ class RunConfig:
     max_paths: int = DEFAULT_MAX_PATHS
     mode: str = DEFAULT_MODE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.alpha <= FINGERPRINT_BITS:
             raise ValueError(f"alpha must be in 0..{FINGERPRINT_BITS}, got {self.alpha}")
         if not 0.0 <= self.threshold <= 1.0:
@@ -62,11 +62,15 @@ class ConfigStamp:
     is the index's default query alpha; a query may still pass its own.
     The fingerprint width, hash and normalization are format constants:
     `save` writes them into the header and `load_index` rejects any
-    other value.
+    other value. Building one checks alpha and min_blocks by the rules
+    of the `RunConfig` it describes.
     """
 
     alpha: int = DEFAULT_ALPHA
     min_blocks: int = DEFAULT_MIN_BLOCKS
+
+    def __post_init__(self) -> None:
+        RunConfig(alpha=self.alpha, min_blocks=self.min_blocks)
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "ConfigStamp":

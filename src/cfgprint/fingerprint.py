@@ -83,13 +83,32 @@ class ProgramFingerprint:
     fingerprints are the distinct path fingerprint values, ascending.
     path_count is the pre-dedup count, truncated echoes the enumeration
     flag. `bits_array` is computed on first use and kept; it is not a
-    field, so equality and hashing see only the fields above.
+    field, so equality and hashing see only the fields above. Building
+    one checks the rules the scorer and the `.cdx` format rely on.
     """
 
     program_id: str
     fingerprints: tuple[int, ...]
     path_count: int
     truncated: bool
+
+    def __post_init__(self) -> None:
+        bits = self.fingerprints
+        for before, after in zip(bits, bits[1:]):
+            if after <= before:
+                raise ValueError(
+                    "fingerprints must be strictly ascending: "
+                    f"{to_hex(after)} after {to_hex(before)}"
+                )
+        # ascending, so only the two ends can lie outside the range
+        if bits and (bits[0] < 0 or bits[-1] > _MASK64):
+            bad = bits[0] if bits[0] < 0 else bits[-1]
+            raise ValueError(f"fingerprint must be in 0..2**{FINGERPRINT_BITS}-1, got {bad}")
+        # each distinct fingerprint comes from at least one path
+        if self.path_count < len(bits):
+            raise ValueError(
+                f"path_count {self.path_count} is below the record's {len(bits)} fingerprints"
+            )
 
     @cached_property
     def bits_array(self) -> np.ndarray:
@@ -200,8 +219,6 @@ def _block_counts(cfg: ControlFlowGraph) -> np.ndarray:
             if row is None:
                 row = row_of[text] = len(row_of)
             cells.append(row * n_blocks + position)
-    if not cells:
-        return np.zeros((n_blocks, 72), dtype=np.float64)
     hashes: list[int] = []
     for text in row_of:
         h = known.get(text)

@@ -7,7 +7,9 @@ cleanly and the whole file reloads byte-for-byte reproducibly. A record
 is a ProgramFingerprint (the ascending tuple of ints parsed from the
 hex) plus its source path and stamp, and the scorer reads it directly.
 `load_index` converts a record's well-formed fingerprint list in one
-step, reading entry by entry only to name the first bad one.
+step, reading entry by entry only to name the first bad one. A stamp
+or record checks its own rules when built, so `save` writes only what
+`load_index` reads back.
 Queries are a linear scan: every scoreable record is scored against the
 probe, so cost grows with record count and nothing else. The index
 keeps one scan layout: its scoreable records in program-id order, each
@@ -51,7 +53,6 @@ from .config import (
     INDEX_FORMAT_VERSION,
     NORMALIZATION_VERSION,
     ConfigStamp,
-    RunConfig,
     check_mode,
 )
 from .fingerprint import ProgramFingerprint, from_hex, shared, to_hex
@@ -157,7 +158,7 @@ def _record_minima(probe: ProgramFingerprint, columns: _Columns) -> list[int]:
 class FingerprintIndex:
     config_stamp: ConfigStamp
     records: dict[str, IndexRecord] = field(default_factory=dict)
-    last_query_scorings: int = 0
+    last_query_scorings: int = field(default=0, init=False, compare=False, repr=False)
     _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
 
     def _scan_columns(self) -> _Columns:
@@ -338,37 +339,25 @@ _HEX_DIGITS = re.compile(r"[0-9a-f]*")
 
 
 def _parse_fingerprints(value: list) -> tuple[int, ...]:
-    """A record's fingerprint list: 16-digit hex strings, strictly
-    ascending (what `save` writes and the scorer relies on).
-
-    A well-formed list is converted in one step: its strings joined,
-    checked by one pattern and their lengths, read as big-endian uint64
-    and checked ascending by one array comparison. Any other list is
-    read entry by entry, which names the first bad one."""
+    """A record's list of 16-digit hex strings as ints. A well-formed
+    list is converted in one step: its strings joined, checked by one
+    pattern and their lengths, and read as big-endian uint64. Any other
+    list is read entry by entry, which names the first bad one."""
     try:
-        digits = "".join(value)
+        if set(map(len, value)) <= {16} and _HEX_DIGITS.fullmatch(digits := "".join(value)):
+            return tuple(np.frombuffer(bytes.fromhex(digits), dtype=">u8").tolist())
     except TypeError:  # an entry that is not a string
-        digits = None
-    if digits is not None and set(map(len, value)) <= {16} and _HEX_DIGITS.fullmatch(digits):
-        array = np.frombuffer(bytes.fromhex(digits), dtype=">u8")
-        if (array[1:] > array[:-1]).all():
-            return tuple(array.tolist())
-    bits = tuple(from_hex(text) for text in value)
-    for before, after in zip(bits, bits[1:]):
-        if after <= before:
-            raise ValueError(
-                f"fingerprints must be strictly ascending: {to_hex(after)} after {to_hex(before)}"
-            )
-    return bits
+        pass
+    return tuple(map(from_hex, value))
 
 
 def load_index(path: str | Path) -> FingerprintIndex:
     """Parse a .cdx file fully before returning. A file that is not
     UTF-8 raises IndexFormatError naming the file; a malformed or
     truncated file (JSON nested too deeply or holding an integer too
-    long to convert included), or a header stamp outside the ranges
-    `RunConfig.validate` allows, raises IndexFormatError naming the bad
-    line; an unsupported configuration raises IndexCompatibilityError."""
+    long to convert included), or a stamp or record its type refuses,
+    raises IndexFormatError naming the bad line; an unsupported
+    configuration raises IndexCompatibilityError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -402,7 +391,6 @@ def load_index(path: str | Path) -> FingerprintIndex:
             alpha=_field(header, "alpha", int),
             min_blocks=_field(header, "min_blocks", int),
         )
-        RunConfig(alpha=stamp.alpha, min_blocks=stamp.min_blocks).validate()
     except KeyError as exc:
         raise IndexFormatError(f"{path}: line 1: header missing key {exc}") from exc
     except ValueError as exc:
@@ -427,12 +415,6 @@ def load_index(path: str | Path) -> FingerprintIndex:
                 truncated=truncated,
                 config_stamp=stamp,
             )
-            # each distinct fingerprint comes from at least one path
-            if record.path_count < len(record.fingerprints):
-                raise ValueError(
-                    f"path_count {record.path_count} is below the record's "
-                    f"{len(record.fingerprints)} fingerprints"
-                )
         except KeyError as exc:
             raise IndexFormatError(f"{path}: line {i + 1}: record missing key {exc}") from exc
         except ValueError as exc:

@@ -130,7 +130,6 @@ def index_directory(directory: str | Path, config: RunConfig, jobs: int = 1) -> 
     surviving paths are indexed with an empty fingerprint list and
     reported as unscoreable.
     """
-    config.validate()
     root = Path(directory)
     if not root.exists():
         raise FileNotFoundError(f"no such directory: {root}")

@@ -190,6 +190,12 @@ def test_unknown_mutation_kind():
         mutate("output 1;", MutationSpec("type9", seed=0))
 
 
+def test_mutation_spec_refuses_an_unknown_kind_when_built():
+    with pytest.raises(ValueError) as raised:
+        MutationSpec("type9")
+    assert str(raised.value) == "unknown mutation kind 'type9'"
+
+
 def test_mutation_deterministic():
     source = generate_program(5, SizeSpec(statements=20))
     spec = MutationSpec("type3", seed=77, edit_ops=EditOps(insert=2, delete=0, reorder=1))

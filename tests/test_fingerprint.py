@@ -295,6 +295,12 @@ def test_fingerprint_program_rejects_path_without_statements():
             fingerprint_path(paths[-1].block_ids, cfg)
 
 
+def test_fingerprint_program_rejects_graph_without_statements():
+    cfg = graph_from_edges(3, {(0, 1), (1, 2)}, 2)
+    with pytest.raises(ValueError, match="empty path"):
+        fingerprint_program([ExecutionPath((0, 1, 2), 2)], cfg, "bare")
+
+
 # -- one statement-hash table per indexing call --------------------------------
 
 

@@ -195,6 +195,15 @@ def test_tokenize_matches_character_oracle(pieces):
     assert _triples(tokenize(source)) == _triples(tokenize_oracle(source))
 
 
+# a string cannot span a line: runs of quotes and newlines, which the
+# draws above rarely bring together
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.sampled_from(['"', "\n", "x", " ", "#", "1", ";"]), max_size=12))
+def test_tokenize_matches_character_oracle_across_quoted_lines(pieces):
+    source = "".join(pieces)
+    assert _triples(tokenize(source)) == _triples(tokenize_oracle(source))
+
+
 def test_tokenize_matches_character_oracle_on_corpus(tmp_path):
     build_corpus(tmp_path, 20, 20, seed=1)
     programs = sorted(tmp_path.glob("*.mp"))

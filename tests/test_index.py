@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfgprint import fingerprint, index_store, pipeline, similarity
@@ -366,7 +366,7 @@ def test_every_mode_check_gives_one_message():
     a = program("a", [1, 2])
     index = make_index([a, program("b", [1])])
     checks = [
-        lambda: RunConfig(mode="jaccard").validate(),
+        lambda: RunConfig(mode="jaccard"),
         lambda: score_pair(a, a, 5, "jaccard"),
         lambda: pair_report(a, a, 5, "jaccard"),
         lambda: index.query(a, 5, 0.5, "jaccard"),
@@ -870,6 +870,92 @@ def test_cluster_no_groups_when_nothing_matches():
 
 
 # -- save / load -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConfigStamp(alpha=99), "alpha must be in 0..64, got 99"),
+        (lambda: ConfigStamp(min_blocks=0), "min_blocks must be >= 1, got 0"),
+        (
+            lambda: IndexRecord("b", (2, 1), 2, False, "b.mp", STAMP),
+            "fingerprints must be strictly ascending: 0000000000000001 after 0000000000000002",
+        ),
+        (
+            lambda: IndexRecord("b", (1, 3, 3), 3, False, "b.mp", STAMP),
+            "fingerprints must be strictly ascending: 0000000000000003 after 0000000000000003",
+        ),
+        (
+            lambda: IndexRecord("b", (1, 2), 1, False, "b.mp", STAMP),
+            "path_count 1 is below the record's 2 fingerprints",
+        ),
+        (
+            lambda: ProgramFingerprint("p", (-1, 5), 2, False),
+            "fingerprint must be in 0..2**64-1, got -1",
+        ),
+        (
+            lambda: ProgramFingerprint("p", (1, 2**64), 2, False),
+            "fingerprint must be in 0..2**64-1, got 18446744073709551616",
+        ),
+    ],
+)
+def test_stamps_and_records_refuse_what_load_would(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+# draws that stray just past each rule a stamp or record must meet
+_FINGERPRINT_VALUES = st.one_of(
+    st.integers(-2, 2**64 + 1), st.sampled_from([-1, 0, 1, 2**63, 2**64 - 1, 2**64])
+)
+
+
+@st.composite
+def built_indexes(draw):
+    """An index holding whatever stamp and records the constructors
+    accept from draws on both sides of their rules."""
+    try:
+        stamp = ConfigStamp(alpha=draw(st.integers(-1, 65)), min_blocks=draw(st.integers(0, 3)))
+    except ValueError:
+        assume(False)
+    index = FingerprintIndex(config_stamp=stamp)
+    fingerprints = st.one_of(
+        st.lists(_FINGERPRINT_VALUES, max_size=4).map(tuple),
+        st.sets(_FINGERPRINT_VALUES, max_size=4).map(sorted).map(tuple),
+    )
+    for program_id in draw(st.lists(st.text(max_size=3), max_size=5, unique=True)):
+        try:
+            record = IndexRecord(
+                program_id,
+                draw(fingerprints),
+                draw(st.integers(-1, 6)),
+                draw(st.booleans()),
+                draw(st.text(max_size=3)),
+                stamp,
+            )
+        except ValueError:
+            continue
+        index.add_program(record)
+    return index
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=built_indexes())
+def test_whatever_the_constructors_accept_round_trips(tmp_path_factory, index):
+    path = tmp_path_factory.mktemp("round_trip") / "built.cdx"
+    index.save(path)
+    assert load_index(path) == index
+
+
+def test_an_index_equals_its_saved_copy_after_a_query(tmp_path):
+    index = make_index([program("a", [1, 2]), program("b", [1]), program("c", [9])])
+    path = tmp_path / "eq.cdx"
+    index.save(path)
+    loaded = load_index(path)
+    assert loaded.query(program("probe", [1]), 5, 0.5)
+    assert loaded.last_query_scorings == 3
+    assert loaded == index
 
 
 def test_round_trip_preserves_everything(tmp_path):
