@@ -342,8 +342,6 @@ def _render_tokens(tokens: Sequence[Token]) -> str:
         ):
             lines.append(" ".join(current))
             current = []
-    if current:
-        lines.append(" ".join(current))
     return "\n".join(lines) + "\n"
 
 

@@ -55,7 +55,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ConfigStamp:
-    """Fingerprint provenance written into every index record.
+    """Fingerprint provenance. `save` writes it once, in the index
+    header; each record carries it only in memory.
 
     The stamp is exact, alpha included: a record joins an index only
     when its stamp equals the index's in every field. The stamped alpha

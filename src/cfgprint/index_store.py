@@ -8,30 +8,29 @@ is a ProgramFingerprint (the ascending tuple of ints parsed from the
 hex) plus its source path and stamp, and the scorer reads it directly.
 `load_index` converts a record's well-formed fingerprint list in one
 step, reading entry by entry only to name the first bad one. A stamp
-or record checks its own rules when built, so `save` writes only what
-`load_index` reads back.
+or record checks its own rules when built, and `add_program` is the
+only way a record enters an index, so `save` writes back exactly what
+`load_index` reads.
 Queries are a linear scan: every scoreable record is scored against the
 probe, so cost grows with record count and nothing else. The index
 keeps one scan layout: its scoreable records in program-id order, each
 record's position among the distinct fingerprint sets, and those sets'
 fingerprints as one flat uint64 array with each set's start offset, in
 first-seen order. Type-1 and type-2 clones normalize to the same set,
-so records that share a set share one run. The layout is built by the
-first `query` or `cluster` and tagged with the tuple of records it came
-from; a later call rebuilds it whenever the records differ from that
-tag, so `add_program`, `load_index` and direct writes to `records` need
-no hook. `query` takes the probe's smallest distance to every distinct
-set in one `record_minima` pass over that array, and each record reads
-its set's. `cluster` runs the pass once per distinct set over the sets
-after it and keeps the minima in one S x S uint8 table of set
-distances (S distinct sets, so S**2 bytes), zero on the diagonal; each
-record pair i < j in id order is hinted with the table's entry for
-their two sets. Each per-pair call gets its minimum as `min_distance`,
-so a pair with nothing within alpha is scored zero without a distance
-matrix. `query` takes its pass through `shared`, so inside a
-`shared_work` scope (see `fingerprint`) it reuses the pass for the
-same probe object and layout. `cluster` joins the linked pairs by
-union-find.
+so records that share a set share one run. `records` is read-only, and
+`add_program` drops the layout, so the next `query` or `cluster` builds
+it from the records as they are. `query` takes the probe's smallest
+distance to every distinct set in one `record_minima` pass over that
+array, and each record reads its set's. `cluster` runs the pass once
+per distinct set over the sets after it and keeps the minima in one
+S x S uint8 table of set distances (S distinct sets, so S**2 bytes),
+zero on the diagonal; each record pair i < j in id order is hinted with
+the table's entry for their two sets. Each per-pair call gets its
+minimum as `min_distance`, so a pair with nothing within alpha is
+scored zero without a distance matrix. `query` takes its pass through
+`shared`, so inside a `shared_work` scope (see `fingerprint`) it reuses
+the pass for the same probe object and layout. `cluster` joins the
+linked pairs by union-find.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -134,13 +134,12 @@ class CloneGroup:
 
 
 class _Columns(NamedTuple):
-    """What `query` and `cluster` scan, tagged with the tuple of every
-    record it was built from: the scoreable records in program-id
-    order, each record's position among the distinct fingerprint sets,
-    and those sets' fingerprints end to end in first-seen order
-    (`fingerprint_columns`), so records with equal sets share one run."""
+    """What `query` and `cluster` scan: the scoreable records in
+    program-id order, each record's position among the distinct
+    fingerprint sets, and those sets' fingerprints end to end in
+    first-seen order (`fingerprint_columns`), so records with equal
+    sets share one run. `add_program` drops it."""
 
-    tag: tuple[IndexRecord, ...]
     records: list[IndexRecord]
     set_of: list[int]
     flat: np.ndarray
@@ -157,18 +156,19 @@ def _record_minima(probe: ProgramFingerprint, columns: _Columns) -> list[int]:
 @dataclass
 class FingerprintIndex:
     config_stamp: ConfigStamp
-    records: dict[str, IndexRecord] = field(default_factory=dict)
+    _records: dict[str, IndexRecord] = field(default_factory=dict, init=False)
     last_query_scorings: int = field(default=0, init=False, compare=False, repr=False)
     _columns: _Columns | None = field(default=None, init=False, repr=False, compare=False)
 
+    #: the records by program id, read-only: `add_program` is the one way in
+    records = property(lambda self: MappingProxyType(self._records))
+
     def _scan_columns(self) -> _Columns:
-        """The columnar layout of the current records, rebuilt whenever
-        the records differ from the ones it was built from, so
-        `add_program`, `load_index` and direct writes to `records` need
-        no hook."""
-        tag = tuple(self.records.values())
-        if self._columns is None or self._columns.tag != tag:
-            records = sorted((r for r in tag if r.fingerprints), key=attrgetter("program_id"))
+        """The columnar layout of the records: built by the first scan,
+        and again by the first after each `add_program`."""
+        if self._columns is None:
+            scoreable = (r for r in self._records.values() if r.fingerprints)
+            records = sorted(scoreable, key=attrgetter("program_id"))
             position: dict[tuple[int, ...], int] = {}
             firsts: list[IndexRecord] = []
             set_of = []
@@ -177,7 +177,7 @@ class FingerprintIndex:
                 if s == len(firsts):
                     firsts.append(record)
                 set_of.append(s)
-            self._columns = _Columns(tag, records, set_of, *fingerprint_columns(firsts))
+            self._columns = _Columns(records, set_of, *fingerprint_columns(firsts))
         return self._columns
 
     def add_program(self, record: IndexRecord) -> None:
@@ -188,9 +188,10 @@ class FingerprintIndex:
                 "incompatible index configuration: "
                 f"record stamp {record.config_stamp} vs index stamp {self.config_stamp}"
             )
-        if record.program_id in self.records:
+        if record.program_id in self._records:
             raise ValueError(f"program {record.program_id!r} already indexed")
-        self.records[record.program_id] = record
+        self._records[record.program_id] = record
+        self._columns = None
 
     def query(
         self,
@@ -319,7 +320,7 @@ class FingerprintIndex:
             "min_blocks": self.config_stamp.min_blocks,
         }
         lines = [json.dumps(header, sort_keys=True)]
-        for record in self.records.values():
+        for record in self._records.values():
             row = {key: getattr(record, key) for key in _RECORD}
             row["fingerprints"] = [to_hex(b) for b in record.fingerprints]
             lines.append(json.dumps(row, sort_keys=True))
@@ -419,9 +420,9 @@ def load_index(path: str | Path) -> FingerprintIndex:
             raise IndexFormatError(f"{path}: line {i + 1}: record missing key {exc}") from exc
         except ValueError as exc:
             raise IndexFormatError(f"{path}: line {i + 1}: {exc}") from exc
-        if record.program_id in index.records:
+        if record.program_id in index._records:
             raise IndexFormatError(
                 f"{path}: line {i + 1}: duplicate program_id {record.program_id!r}"
             )
-        index.records[record.program_id] = record
+        index._records[record.program_id] = record
     return index

@@ -274,6 +274,30 @@ def test_evaluate_buckets_partition_candidates(tmp_path):
         assert sum(row["tp"] for row in table.values()) == result.tp
 
 
+@pytest.mark.parametrize(
+    "buckets, value, expected",
+    [
+        *[
+            (_BLOCK_BUCKETS, value, expected)
+            for value, expected in [
+                (0, "0"), (1, "1-4"), (4, "1-4"), (5, "5-9"), (9, "5-9"), (10, "10-19"),
+                (19, "10-19"), (20, "20-39"), (39, "20-39"), (40, "40+"),
+            ]
+        ],
+        *[
+            (_LINE_BUCKETS, value, expected)
+            for value, expected in [
+                (0, "0"), (1, "1-19"), (19, "1-19"), (20, "20-39"), (39, "20-39"),
+                (40, "40-79"), (79, "40-79"), (80, "80+"),
+            ]
+        ],
+    ],
+)
+def test_bucket_edges(buckets, value, expected):
+    # every edge, the open-ended top bucket and the "0" below the first
+    assert _bucket(value, buckets) == expected
+
+
 def test_evaluate_does_not_read_directories_named_like_programs(tmp_path):
     build_corpus(tmp_path / "c", originals=3, unrelated=3, seed=1)
 

@@ -1,6 +1,8 @@
 """Index assembly, persistence, query, and clustering."""
 
+import copy
 import json
+import pickle
 import random
 import re
 import sys
@@ -226,9 +228,9 @@ def scan_cases(draw):
     mode=st.sampled_from(["containment", "resemblance"]),
 )
 def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode):
-    # the prebuilt columns must follow every change to the records: an
-    # add_program, a direct overwrite and a direct delete
-    probe, programs, added, overwrite, new_bits = case
+    # the prebuilt columns must follow an add_program, the one way a
+    # record enters an index
+    probe, programs, added, _, _ = case
     index = make_index(programs)
 
     def check():
@@ -264,13 +266,6 @@ def test_columnar_scan_matches_the_per_record_loop(case, alpha, threshold, mode)
     check()
     if added.program_id not in index.records:
         index.add_program(record_from_program(added, "added.mp", STAMP))
-        check()
-    if overwrite is not None:
-        index.records[overwrite] = record_from_program(
-            program(overwrite, new_bits), f"{overwrite}.mp", STAMP
-        )
-        check()
-        del index.records[overwrite]
         check()
 
 
@@ -956,6 +951,60 @@ def test_an_index_equals_its_saved_copy_after_a_query(tmp_path):
     assert loaded.query(program("probe", [1]), 5, 0.5)
     assert loaded.last_query_scorings == 3
     assert loaded == index
+
+
+def test_records_are_read_only():
+    index = make_index([program("a", [1, 2])])
+    record = index.records["a"]
+    with pytest.raises(TypeError):
+        index.records["b"] = record
+    with pytest.raises(TypeError):
+        del index.records["a"]
+    assert dict(index.records) == {"a": record}
+
+
+def test_a_record_saved_is_the_record_loaded(tmp_path):
+    # a record under another stamp, or under a key that is not its own
+    # id, cannot enter an index, so what `save` writes loads back equal
+    index = make_index([program("a", [1, 2])])
+    other_stamp = ConfigStamp(alpha=3, min_blocks=7)
+    foreign = IndexRecord("x", (1,), 1, False, "x.mp", other_stamp)
+    with pytest.raises(IndexCompatibilityError):
+        index.add_program(foreign)
+    with pytest.raises(TypeError):
+        index.records["x"] = foreign
+    with pytest.raises(TypeError):
+        index.records["x"] = index.records["a"]
+    index.add_program(record_from_program(program("x", [1]), "x.mp", STAMP))
+    index.save(tmp_path / "one-way.cdx")
+    loaded = load_index(tmp_path / "one-way.cdx")
+    assert list(loaded.records) == ["a", "x"]
+    assert loaded == index
+
+
+def test_only_add_program_replaces_the_scan_layout():
+    index = make_index([program("a", [1, 2]), program("b", [1]), program("c", [9])])
+    columns = index._scan_columns()
+    for alpha in (0, 5, 64):
+        index.query(program("probe", [1]), alpha, 0.5)
+        index.cluster(alpha, 0.5)
+        assert index._scan_columns() is columns
+    index.add_program(record_from_program(program("d", [1, 9]), "d.mp", STAMP))
+    rebuilt = index._scan_columns()
+    assert rebuilt is not columns
+    assert [r.program_id for r in rebuilt.records] == ["a", "b", "c", "d"]
+    index.query(program("probe", [1]), 5, 0.5)
+    assert index._scan_columns() is rebuilt
+
+
+def test_an_index_survives_pickle_and_deepcopy():
+    index = make_index([program("a", [1, 2]), program("b", [1]), program("e", [])])
+    index.query(program("probe", [1]), 5, 0.5)
+    for copied in (pickle.loads(pickle.dumps(index)), copy.deepcopy(index)):
+        assert copied == index
+        assert copied.query(program("probe", [1]), 5, 0.5) == index.query(
+            program("probe", [1]), 5, 0.5
+        )
 
 
 def test_round_trip_preserves_everything(tmp_path):
